@@ -61,9 +61,19 @@ def _add_descriptor_options(p: argparse.ArgumentParser) -> None:
                    help="extremal eigenvalues per end for --method linear")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker cap; results never depend on it")
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                   help="worker threads over probe blocks; results never depend on it")
 
 
 def _load_graph(path: str, args) -> Graph:

@@ -298,7 +298,7 @@ def vnge_finger(g: Graph, variant: str = "hat") -> EntropyValue:
     if scale <= 0:
         raise ValueError(f"nonpositive spectral scale {scale} for log")
     return EntropyValue(
-        value=-q * np.log(scale),
+        value=float(-q * np.log(scale)),
         method="finger",
         params={"variant": variant},
         graph_hash=g.content_hash(),
@@ -315,7 +315,7 @@ def descriptor_distance(
             raise ValueError("heat-trace descriptors have mismatched time grids")
         return float(np.linalg.norm(a.values - b.values))
     if isinstance(a, EntropyValue) and isinstance(b, EntropyValue):
-        return abs(a.value - b.value)
+        return float(abs(a.value - b.value))
     raise ValueError(
         f"cannot compare descriptors of different types: {type(a).__name__} vs {type(b).__name__}"
     )

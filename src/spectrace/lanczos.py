@@ -3,9 +3,19 @@
 The s-step Lanczos recurrence reduces a symmetric operator to a tridiagonal
 matrix whose eigenvalues (Ritz values) and squared first eigenvector
 components form a Gauss quadrature rule for the spectral measure of the
-start vector. Full reorthogonalization is the default for small step counts;
-a vanishing residual (breakdown) shortens the rule, which is then exact on
-the Krylov-invariant subspace.
+start vector. A vanishing residual (breakdown) shortens the rule, which is
+then exact on the Krylov-invariant subspace.
+
+Two recurrences are provided. ``lanczos_tridiagonalize`` runs one start
+vector and fully reorthogonalizes by default for small step counts; with
+``quadrature_rule`` it is the single-vector reference. ``lanczos_block``
+runs the plain three-term recurrence on every column of an (n, W) block at
+once, one block operator application per step and no reorthogonalization:
+at the handful of steps a trace estimate uses, the Gauss rule of the
+finite-precision recurrence stays accurate without it (Chen, Trogdon &
+Ubaru, ICML 2021). Each column keeps its own breakdown, and
+``block_quadrature_rules`` turns the stacked tridiagonals into Gauss rules
+with one batched eigendecomposition per distinct step count.
 """
 
 from __future__ import annotations
@@ -23,8 +33,11 @@ from .operators import LinearOperator, OperatorKind, degrees
 __all__ = [
     "Tridiagonal",
     "QuadratureRule",
+    "BlockTridiagonal",
     "lanczos_tridiagonalize",
     "quadrature_rule",
+    "lanczos_block",
+    "block_quadrature_rules",
     "extremal_eigenvalues",
     "dense_spectrum",
     "lanczos_error_bound",
@@ -161,6 +174,105 @@ def quadrature_rule(tri: Tridiagonal) -> QuadratureRule:
             f"tridiagonal eigensolver failed: {exc}", alpha=tri.alpha, beta=tri.beta
         ) from exc
     return QuadratureRule(nodes=vals, weights=vecs[0, :] ** 2)
+
+
+@dataclass(frozen=True)
+class BlockTridiagonal:
+    """Stacked tridiagonals of a block Lanczos run, one row per column.
+
+    Row j holds column j's diagonal ``alpha[j, :steps[j]]`` and off-diagonal
+    ``beta[j, :steps[j] - 1]``; entries past a column's breakdown are zero.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    steps: np.ndarray
+
+
+def lanczos_block(op: LinearOperator, start: np.ndarray, s: int) -> BlockTridiagonal:
+    """Run up to s Lanczos steps on every column of the (n, W) block start.
+
+    Columns must have unit norm, or be zero: a zero column breaks down at its
+    first step with the one-node rule at 0. Each column follows the plain
+    three-term recurrence of ``lanczos_tridiagonalize(reorth=False)``, with
+    the two subtractions in the other order, and stops on its own when its
+    residual norm falls to 1e-12 times the spectral radius bound; later steps
+    leave its tridiagonal untouched. Requested steps beyond op.dim are
+    clamped. Every step is one op.apply on the whole block and updates in
+    place, so at most three (n, W) arrays live: the two latest Lanczos
+    blocks and the new product. start is overwritten.
+    """
+    if s < 1:
+        raise ValueError(f"step budget must be >= 1, got {s}")
+    n, width = start.shape
+    s = min(s, n)
+    breakdown_tol = _BREAKDOWN_REL_TOL * op.interval[1]
+    alpha = np.zeros((width, s))
+    beta = np.zeros((width, s - 1))
+    steps = np.full(width, s)
+    active = np.ones(width, dtype=bool)
+
+    q_prev, q = None, start
+    for i in range(s):
+        w = op.apply(q)
+        a = np.einsum("ij,ij->j", q, w)
+        alpha[:, i] = a
+        if i == s - 1:
+            break
+        if q_prev is None:
+            w -= q * a
+        else:
+            # q_prev is dead after this step: its buffer takes both products
+            q_prev *= beta[:, i - 1]
+            w -= q_prev
+            w -= np.multiply(q, a, out=q_prev)
+        b = np.sqrt(np.einsum("ij,ij->j", w, w))
+        broke = active & (b <= breakdown_tol)
+        steps[broke] = i + 1
+        active &= ~broke
+        if not active.any():
+            break
+        b[~active] = 0.0
+        beta[:, i] = b
+        w /= np.where(active, b, 1.0)
+        w[:, ~active] = 0.0
+        q_prev, q = q, w
+    return BlockTridiagonal(alpha=alpha, beta=beta, steps=steps)
+
+
+def block_quadrature_rules(tri: BlockTridiagonal) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rules of every stacked tridiagonal, as (W, s) node and weight arrays.
+
+    Row j carries column j's ascending nodes and weights in its first
+    ``steps[j]`` entries; the rest repeat its last node with weight 0, so a
+    finite integrand stays finite over the whole array.
+
+    Raises
+    ------
+    TridiagonalEigenError
+        If the batched symmetric eigensolver fails to converge.
+    """
+    width, s = tri.alpha.shape
+    nodes = np.empty((width, s))
+    weights = np.zeros((width, s))
+    for k in np.unique(tri.steps):
+        rows = np.flatnonzero(tri.steps == k)
+        diag = np.arange(k)
+        mats = np.zeros((rows.size, k, k))
+        mats[:, diag, diag] = tri.alpha[rows, :k]
+        mats[:, diag[1:], diag[:-1]] = tri.beta[rows, : k - 1]
+        mats[:, diag[:-1], diag[1:]] = tri.beta[rows, : k - 1]
+        try:
+            vals, vecs = np.linalg.eigh(mats)
+        except np.linalg.LinAlgError as exc:
+            raise TridiagonalEigenError(
+                f"tridiagonal eigensolver failed: {exc}",
+                alpha=tri.alpha[rows, :k], beta=tri.beta[rows, : k - 1],
+            ) from exc
+        nodes[rows, :k] = vals
+        nodes[rows, k:] = vals[:, -1:]
+        weights[rows, :k] = vecs[:, 0, :] ** 2
+    return nodes, weights
 
 
 def _select_extreme(pools: list[np.ndarray], k: int, largest: bool) -> np.ndarray | None:

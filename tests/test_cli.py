@@ -160,6 +160,14 @@ class TestExitCodes:
             main([])
         assert exc_info.value.code == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, p3_file, threads):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["descriptor", "--input", p3_file, "--kind", "vnge",
+                  "--threads", threads])
+        assert exc_info.value.code == 1
+        assert "--threads" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "descriptor", "--input", "/nonexistent/x.tsv",
                            "--kind", "vnge", "--method", "exact")
@@ -186,3 +194,20 @@ class TestByteDeterminism:
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestPlainNumbers:
+    def test_rel_error_and_distance_parse_as_floats(self, capsys, p3_file, tmp_path):
+        out_path = tmp_path / "err.csv"
+        code, _, _ = run(capsys, "bench-error", "--inputs", p3_file, "--kind", "vnge",
+                         "--methods", "slq,taylor,finger-hat,finger-bar",
+                         "--output", str(out_path))
+        assert code == 0
+        rows = out_path.read_text().splitlines()[2:]
+        assert len(rows) == 4
+        for row in rows:
+            float(row.split(",")[3])
+        code, out, _ = run(capsys, "compare", "--a", p3_file, "--b", p3_file,
+                           "--kind", "vnge", "--method", "finger-hat")
+        assert code == 0
+        assert float(out) == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectrace import operators
 from spectrace.lanczos import dense_spectrum
 from spectrace.operators import (
     OperatorKind,
@@ -66,6 +67,22 @@ class TestMakeOperator:
                 mat = dense_operator_matrix(g, kind)
                 x = rng.standard_normal(g.n)
                 assert np.allclose(op.apply(x), mat @ x, atol=1e-12)
+
+    def test_row_panels_match_csr_bit_for_bit(self, monkeypatch):
+        # the operator stores its entries in row panels; with one panel or
+        # several, products equal the plain CSR matrix's bit for bit
+        rng = np.random.default_rng(7)
+        g = random_graph(rng, n=40, p=0.2, weighted=True)
+        x = rng.standard_normal(g.n)
+        block = rng.standard_normal((g.n, 8))
+        for kind in ALL_KINDS:
+            csr, _ = operators._matrix(g, kind)
+            for panel_rows in (operators.PANEL_ROWS, 7):
+                monkeypatch.setattr(operators, "PANEL_ROWS", panel_rows)
+                panels = make_operator(g, kind)
+                assert panels.apply.__self__.format == "coo"
+                assert np.array_equal(panels.apply(x), csr @ x)
+                assert np.array_equal(panels.apply(block), csr @ block)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)

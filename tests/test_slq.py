@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
+from spectrace.graphs import erdos_renyi
+from spectrace.lanczos import lanczos_tridiagonalize, quadrature_rule
 from spectrace.operators import OperatorKind, make_operator, trace_squared
-from spectrace.slq import SlqConfig, slq_trace, slq_trace_grid
+from spectrace.slq import (
+    BLOCK_WIDTH,
+    MIN_PARALLEL_DIM,
+    SlqConfig,
+    _probe_block,
+    slq_trace,
+    slq_trace_grid,
+)
 
-from conftest import empty_graph, explicit_operator, pad_vertices
+from conftest import empty_graph, explicit_operator, graph_from_edges, pad_vertices
 
 
 class TestConfig:
@@ -71,17 +80,22 @@ class TestSlqTrace:
         est = slq_trace(op, np.exp, SlqConfig(n_v=13, s=4, seed=2))
         assert est.value == op.dim * (est.per_vector.sum() / 13)
 
-    def test_probe_prefix_property(self, k3):
-        op = make_operator(k3, OperatorKind.NORMALIZED_LAPLACIAN)
-        full = slq_trace(op, np.exp, SlqConfig(n_v=100, s=5, seed=9))
-        half = slq_trace(op, np.exp, SlqConfig(n_v=50, s=5, seed=9))
-        assert np.array_equal(full.per_vector[:50], half.per_vector)
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n_v", [1, BLOCK_WIDTH + 1, 97])
+    def test_probe_prefix_property(self, n_v, threads):
+        # a partial last block is zero-padded, so probe i never sees n_v
+        g = erdos_renyi(MIN_PARALLEL_DIM, 6, seed=1)
+        op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
+        full = slq_trace(op, np.exp, SlqConfig(n_v=100, s=8, seed=9))
+        part = slq_trace(op, np.exp, SlqConfig(n_v=n_v, s=8, seed=9), threads=threads)
+        assert np.array_equal(full.per_vector[:n_v], part.per_vector)
 
-    def test_threads_do_not_change_result(self, k3):
-        op = make_operator(k3, OperatorKind.NORMALIZED_LAPLACIAN)
-        cfg = SlqConfig(n_v=40, s=5, seed=3)
+    @pytest.mark.parametrize("n_v", [1, BLOCK_WIDTH + 1, 97, 100])
+    def test_threads_do_not_change_result(self, n_v):
+        op = make_operator(erdos_renyi(MIN_PARALLEL_DIM, 6, seed=2), OperatorKind.DENSITY)
+        cfg = SlqConfig(n_v=n_v, s=8, seed=3)
         seq = slq_trace(op, np.exp, cfg, threads=1)
-        par = slq_trace(op, np.exp, cfg, threads=4)
+        par = slq_trace(op, np.exp, cfg, threads=3)
         assert seq.value == par.value
         assert np.array_equal(seq.per_vector, par.per_vector)
 
@@ -184,3 +198,52 @@ class TestSlqTraceGrid:
             np.geomspace(0.01, 100, 16), SlqConfig(n_v=12, s=4, seed=1),
         )
         assert all(e.value == 7.0 for e in ests)
+
+
+def _reference_per_vector(op, f, cfg):
+    """Probe-by-probe loop over the single-vector reference recurrence."""
+    lo, hi = op.interval
+    out = np.empty(cfg.n_v)
+    for i in range(cfg.n_v):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
+        v = rng.integers(0, 2, size=op.dim) * 2.0 - 1.0
+        tri = lanczos_tridiagonalize(op, v / np.linalg.norm(v), min(cfg.s, op.dim),
+                                     reorth=False)
+        rule = quadrature_rule(tri)
+        out[i] = rule.integrate(f(np.clip(rule.nodes, lo, hi)))
+    return out
+
+
+class TestBlockCore:
+    """The block path against the single-vector reference, to 1e-12 relative."""
+
+    @staticmethod
+    def _check(op, cfg):
+        def f(x):
+            return np.exp(-2.0 * x / op.interval[1])
+
+        est = slq_trace(op, f, cfg)
+        np.testing.assert_allclose(est.per_vector, _reference_per_vector(op, f, cfg),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_er300_every_kind(self, kind):
+        op = make_operator(erdos_renyi(300, 10, seed=3), kind)
+        self._check(op, SlqConfig(n_v=2 * BLOCK_WIDTH + 3, s=10, seed=4))
+
+    def test_isolated_vertices(self):
+        g = pad_vertices(erdos_renyi(200, 8, seed=4), 260)
+        op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
+        self._check(op, SlqConfig(n_v=BLOCK_WIDTH + 5, s=10, seed=5))
+
+    def test_block_with_mixed_breakdowns(self):
+        # C6's Laplacian has 4 distinct eigenvalues: with s=4 some sign probes
+        # exhaust their Krylov space early and others run every step
+        c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        op = make_operator(c6, OperatorKind.LAPLACIAN)
+        cfg = SlqConfig(n_v=BLOCK_WIDTH, s=4, seed=0)
+        tri = _probe_block(op, cfg, 0)
+        assert tri.steps.min() < 4 and tri.steps.max() == 4
+        for alpha, beta, k in zip(tri.alpha, tri.beta, tri.steps):
+            assert not alpha[k:].any() and not beta[k - 1:].any()
+        self._check(op, cfg)
