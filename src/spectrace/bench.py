@@ -56,7 +56,6 @@ class SnapshotRow:
     distance: float
     added: int
     removed: int
-    normalized_distance: float
 
 
 def compute_descriptor(
@@ -220,8 +219,7 @@ def snapshot_distance_series(
     threads: int = 1,
 ) -> list[SnapshotRow]:
     """Descriptor distance of every snapshot to snapshot 0, with cumulative
-    edge churn. ``normalized_distance`` rescales by the series maximum for
-    plotting; the raw distance is what lands in CSV output."""
+    edge churn."""
     if len(series) == 0:
         raise ValueError("empty snapshot series")
     grid = grid or dsc.TimeGrid()
@@ -231,19 +229,10 @@ def snapshot_distance_series(
     for g in series.snapshots[1:]:
         desc = compute_descriptor(g, kind, method, grid, cfg, k, threads)
         distances.append(dsc.descriptor_distance(desc, base))
-    max_d = max(distances)
-    rows = []
-    for i, dist in enumerate(distances):
-        rows.append(
-            SnapshotRow(
-                index=i,
-                distance=dist,
-                added=series.added[i],
-                removed=series.removed[i],
-                normalized_distance=dist / max_d if max_d > 0 else 0.0,
-            )
-        )
-    return rows
+    return [
+        SnapshotRow(index=i, distance=dist, added=series.added[i], removed=series.removed[i])
+        for i, dist in enumerate(distances)
+    ]
 
 
 def write_error_csv(rows: Sequence[ErrorRow], stream: IO[str]) -> None:

@@ -28,7 +28,9 @@ import numpy as np
 
 from .graphs import Graph
 from .lanczos import dense_spectrum, extremal_eigenvalues, DENSE_SPECTRUM_CAP
-from .operators import OperatorKind, degrees, make_operator, trace, trace_squared
+from .operators import (
+    LinearOperator, OperatorKind, adjacency, degrees, make_operator, trace, trace_squared,
+)
 from .slq import SlqConfig, slq_trace, slq_trace_grid
 
 __all__ = [
@@ -165,13 +167,39 @@ def netlsd_taylor(g: Graph, grid: TimeGrid | None = None) -> HeatTraceDescriptor
     )
 
 
+def _kernel_deflated(g: Graph, op: LinearOperator) -> tuple[LinearOperator, int]:
+    """The normalized Laplacian op with its kernel moved to eigenvalue 2, and
+    the kernel's dimension.
+
+    The kernel holds one unit vector u per connected component: sqrt(d) on
+    the component, or e_i for an isolated vertex i. An iterative solver finds
+    at best one copy of the repeated eigenvalue 0, so the kernel is removed
+    exactly: adding 2 u u^T for every u puts these eigenvalues at the top of
+    the spectral interval [0, 2].
+    """
+    # imported on first use, as in extremal_eigenvalues: it costs every CLI
+    # start about 2 MB of RSS
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(adjacency(g), directed=False)
+    d = degrees(g)
+    u = np.where(d > 0, np.sqrt(d), 1.0)
+    u /= np.sqrt(np.bincount(labels, weights=u * u))[labels]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return op.apply(x) + 2.0 * u * np.bincount(labels, weights=u * x, minlength=count)[labels]
+
+    return LinearOperator(dim=g.n, apply=apply, kind=None, interval=op.interval), count
+
+
 def netlsd_linear(
     g: Graph, grid: TimeGrid | None = None, k: int = 300, *,
     cap: int = DENSE_SPECTRUM_CAP,
 ) -> HeatTraceDescriptor:
     """Heat trace from k exact eigenvalues at each end of the spectrum with a
-    linearly interpolated interior. Falls back to the dense route when
-    2k >= n."""
+    linearly interpolated interior. The smallest end is one 0 per connected
+    component, then the smallest eigenvalues of the kernel-deflated operator
+    (``_kernel_deflated``). Falls back to the dense route when 2k >= n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     grid = grid or TimeGrid()
@@ -185,7 +213,10 @@ def netlsd_linear(
             graph_hash=g.content_hash(),
         )
     op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
-    low = extremal_eigenvalues(op, k, "smallest")
+    deflated, zeros = _kernel_deflated(g, op)
+    low = np.zeros(k)
+    if zeros < k:
+        low[zeros:] = extremal_eigenvalues(deflated, k - zeros, "smallest")
     high = extremal_eigenvalues(op, k, "largest")
     interior_count = g.n - 2 * k
     step = (high[0] - low[-1]) / (interior_count + 1)

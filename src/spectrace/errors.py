@@ -23,7 +23,7 @@ class TridiagonalEigenError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative eigenvalue computation hit its step cap; carries best estimates."""
+    """The iterative eigensolver did not converge; carries its best estimates."""
 
     def __init__(self, message: str, best_estimates=None):
         super().__init__(message)

@@ -275,138 +275,50 @@ def block_quadrature_rules(tri: BlockTridiagonal) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
-def _select_extreme(pools: list[np.ndarray], k: int, largest: bool) -> np.ndarray | None:
-    if not pools:
-        return None
-    merged = np.sort(np.concatenate(pools))
-    if merged.size < k:
-        return None
-    return merged[-k:] if largest else merged[:k]
-
-
-def _ritz_values(alphas: list[float], betas: list[float]) -> np.ndarray:
-    return scipy.linalg.eigvalsh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[: len(alphas) - 1])
-    )
-
-
-def extremal_eigenvalues(
-    op: LinearOperator,
-    k: int,
-    end: str,
-    *,
-    tol: float = 1e-8,
-    max_steps: int | None = None,
-    check_every: int = 10,
-) -> np.ndarray:
+def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     """k eigenvalues from one end of the spectrum, ascending.
 
-    Expands a fully reorthogonalized Lanczos run until the k requested Ritz
-    values change by less than ``tol`` between checks. A breakdown yields the
-    exact eigenvalues of the spanned invariant subspace; the iteration then
-    restarts with a fresh start vector deflated against everything retained,
-    which recovers repeated eigenvalues one copy per sweep. Start vectors
-    come from a fixed seed sequence, so results are deterministic.
+    Runs ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+    from a start vector drawn from a fixed seed sequence, so results are
+    deterministic; k = dim, which ARPACK refuses, takes the dense route. A
+    Krylov method sees one copy of an eigenvalue per start vector, so a
+    repeated eigenvalue at the requested end may come back fewer times than
+    it occurs: callers that know such an eigenspace deflate it first, as
+    ``netlsd_linear`` does with the Laplacian kernel.
 
     Raises
     ------
     ConvergenceError
-        If the step cap (default 10k + 100) is exhausted first; carries the
-        best estimates found.
+        If ARPACK does not converge; carries the converged estimates.
     """
+    # imported on first use: only the linear and finger baselines get here,
+    # and the import costs every CLI start about 10 ms and 1 MB of RSS
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import LinearOperator as MatvecOperator
+
     if end not in ("smallest", "largest"):
         raise ValueError(f"end must be 'smallest' or 'largest', got {end!r}")
     n = op.dim
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if max_steps is None:
-        max_steps = 10 * k + 100
-    largest = end == "largest"
-    breakdown_tol = _BREAKDOWN_REL_TOL * op.interval[1]
+    if k == n:
+        return scipy.linalg.eigvalsh(op.apply(np.eye(n)))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k)))
-
-    basis = np.empty((min(max_steps + 1, n), n))
-    n_basis = 0
-
-    def push(vec: np.ndarray) -> None:
-        nonlocal basis, n_basis
-        if n_basis == basis.shape[0]:
-            grown = np.empty((min(2 * basis.shape[0], n), n))
-            grown[:n_basis] = basis
-            basis = grown
-        basis[n_basis] = vec
-        n_basis += 1
-
-    exact_pools: list[np.ndarray] = []
-    prev_selected: np.ndarray | None = None
-    partial_ritz: np.ndarray | None = None
-    steps = 0
-
-    while steps < max_steps and n_basis < n:
-        q = rng.standard_normal(n)
-        if n_basis:
-            q = _reorthogonalize(q, basis[:n_basis])
-        norm = float(np.linalg.norm(q))
-        if norm < 1e-8:
-            break
-        q = q / norm
-        push(q)
-
-        alphas: list[float] = []
-        betas: list[float] = []
-        q_prev = np.zeros(n)
-        beta_prev = 0.0
-        broke_down = False
-        while True:
-            w = op.apply(q)
-            alphas.append(float(np.dot(q, w)))
-            steps += 1
-            w = w - alphas[-1] * q - beta_prev * q_prev
-            w = _reorthogonalize(w, basis[:n_basis])
-            beta = float(np.linalg.norm(w))
-            if beta <= breakdown_tol or n_basis == n:
-                broke_down = True
-                break
-            if steps >= max_steps:
-                break
-            betas.append(beta)
-            q_prev, q, beta_prev = q, w / beta, beta
-            push(q)
-
-            if len(alphas) >= k and len(alphas) % check_every == 0:
-                selected = _select_extreme(
-                    exact_pools + [_ritz_values(alphas, betas)], k, largest
-                )
-                if selected is not None:
-                    if prev_selected is not None and np.all(
-                        np.abs(selected - prev_selected) < tol
-                    ):
-                        return np.sort(selected)
-                    prev_selected = selected
-
-        run_vals = _ritz_values(alphas, betas)
-        if not broke_down:
-            partial_ritz = run_vals
-            break
-        # Invariant subspace swept: these Ritz values are exact eigenvalues.
-        exact_pools.append(run_vals)
-        selected = _select_extreme(exact_pools, k, largest)
-        if selected is not None:
-            if n_basis >= n:
-                return np.sort(selected)
-            if prev_selected is not None and np.all(
-                np.abs(selected - prev_selected) < tol
-            ):
-                return np.sort(selected)
-            prev_selected = selected
-
-    pools = exact_pools + ([partial_ritz] if partial_ritz is not None else [])
-    merged = np.sort(np.concatenate(pools)) if pools else np.empty(0)
-    best = merged[-min(k, merged.size):] if largest else merged[: min(k, merged.size)]
-    raise ConvergenceError(
-        f"extremal eigenvalues did not stabilize within {max_steps} steps",
-        best_estimates=np.sort(best),
-    )
+    v0 = rng.standard_normal(n)
+    if not np.any(op.apply(v0)):
+        return np.zeros(k)  # the zero operator (edgeless graph): ARPACK stops at once
+    matrix = MatvecOperator((n, n), matvec=op.apply, dtype=np.float64)
+    try:
+        vals = eigsh(
+            matrix, k, which="LA" if end == "largest" else "SA",
+            v0=v0, return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"extremal eigenvalues did not converge: {exc}",
+            best_estimates=np.sort(exc.eigenvalues),
+        ) from exc
+    return np.sort(vals)
 
 
 def dense_spectrum(

@@ -24,6 +24,7 @@ from .graphs import Graph
 __all__ = [
     "OperatorKind",
     "LinearOperator",
+    "adjacency",
     "degrees",
     "make_operator",
     "trace",
@@ -85,7 +86,8 @@ def _row_panels(mat: sp.csr_matrix) -> sp.coo_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=mat.shape)
 
 
-def _adjacency(g: Graph) -> sp.csr_matrix:
+def adjacency(g: Graph) -> sp.csr_matrix:
+    """The weighted adjacency matrix of g, sharing g's CSR arrays."""
     return sp.csr_matrix(
         (g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n), copy=False
     )
@@ -95,12 +97,12 @@ def degrees(g: Graph) -> np.ndarray:
     """Weighted degree vector: entry i is the sum of weights incident to i."""
     if g.m == 0:
         return np.zeros(g.n)
-    return _adjacency(g) @ np.ones(g.n)
+    return adjacency(g) @ np.ones(g.n)
 
 
 def _matrix(g: Graph, kind: OperatorKind) -> tuple[sp.csr_matrix, tuple[float, float]]:
     """The operator of the requested kind for g as CSR, with its spectral interval."""
-    adj = _adjacency(g)
+    adj = adjacency(g)
     d = degrees(g)
     if kind is OperatorKind.LAPLACIAN:
         return sp.csr_matrix(sp.diags(d) - adj), (0.0, 2.0 * float(d.max(initial=0.0)))

@@ -141,7 +141,6 @@ class TestSnapshotSeries:
         rows = snapshot_distance_series(series, "vnge", "exact")
         assert rows[0].distance == 0.0
         assert rows[1].distance == pytest.approx(np.log(2), abs=1e-10)
-        assert rows[1].normalized_distance == pytest.approx(1.0)
         assert (rows[1].added, rows[1].removed) == (2, 0)
 
     def test_single_snapshot(self):

@@ -27,7 +27,9 @@ from spectrace.descriptors import (
     vnge_slq,
     vnge_taylor,
 )
-from spectrace.graphs import parse_edge_list
+from spectrace.graphs import erdos_renyi, parse_edge_list
+from spectrace.lanczos import dense_spectrum
+from spectrace.operators import OperatorKind
 from spectrace.slq import SlqConfig
 
 from conftest import disjoint_edges, empty_graph, graph_from_edges, random_graph
@@ -205,6 +207,28 @@ class TestNetlsdLinear:
     def test_rejects_bad_k(self, k3):
         with pytest.raises(ValueError):
             netlsd_linear(k3, k=0)
+
+    def test_edgeless_graph_is_n(self):
+        lin = netlsd_linear(empty_graph(30), TimeGrid(0.01, 100, 8), k=3)
+        assert np.array_equal(lin.values, np.full(8, 30.0))
+
+    def test_repeated_zero_matches_dense_extremes(self):
+        # ER(1000), one isolated vertex (1000) and 5 disjoint edges: the
+        # eigenvalue 0 repeats 7 times, once per component
+        edges = [(u, v) for u, v, _ in erdos_renyi(1000, avg_degree=10, seed=0).edges()]
+        edges += [(1001 + 2 * i, 1002 + 2 * i) for i in range(5)]
+        g = graph_from_edges(1011, edges)
+        k = 50
+        dense = dense_spectrum(g, OperatorKind.NORMALIZED_LAPLACIAN)
+        assert np.count_nonzero(dense < 1e-10) == 7
+        interior_count = g.n - 2 * k
+        step = (dense[-k] - dense[k - 1]) / (interior_count + 1)
+        interior = dense[k - 1] + step * np.arange(1, interior_count + 1)
+        eigs = np.maximum(np.concatenate([dense[:k], interior, dense[-k:]]), 0.0)
+        grid = TimeGrid()
+        expected = np.exp(-np.outer(grid.values, eigs)).sum(axis=1)
+        lin = netlsd_linear(g, grid, k=k)
+        assert np.allclose(lin.values, expected, rtol=1e-9, atol=0)
 
 
 class TestVngeExact:

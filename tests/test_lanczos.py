@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from spectrace.errors import ConvergenceError
+from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
     dense_spectrum,
     extremal_eigenvalues,
@@ -206,14 +209,32 @@ class TestExtremalEigenvalues:
             assert np.allclose(low, dense[:4], atol=1e-6)
             assert np.allclose(high, dense[-4:], atol=1e-6)
 
-    def test_nonconvergence_carries_best_estimates(self):
+    def test_zero_operator(self):
+        op = make_operator(empty_graph(30), OperatorKind.NORMALIZED_LAPLACIAN)
+        for end in ("smallest", "largest"):
+            assert np.array_equal(extremal_eigenvalues(op, 3, end), np.zeros(3))
+
+    def test_er3000_k50_matches_dense_at_both_ends(self):
+        # the restarted Lanczos this solver replaced raised ConvergenceError here
+        g = erdos_renyi(3000, avg_degree=10, seed=10000)
+        dense = dense_spectrum(g, OperatorKind.NORMALIZED_LAPLACIAN)
+        op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
+        assert np.allclose(extremal_eigenvalues(op, 50, "smallest"), dense[:50],
+                           rtol=0, atol=1e-10)
+        assert np.allclose(extremal_eigenvalues(op, 50, "largest"), dense[-50:],
+                           rtol=0, atol=1e-10)
+
+    def test_nonconvergence_carries_best_estimates(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.array([0.7, 0.2]), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         rng = np.random.default_rng(10)
         g = random_graph(rng, n=60, p=0.2)
         op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
         with pytest.raises(ConvergenceError) as exc_info:
-            extremal_eigenvalues(op, 5, "smallest", max_steps=6)
-        best = exc_info.value.best_estimates
-        assert best is not None and len(best) >= 1
+            extremal_eigenvalues(op, 5, "smallest")
+        assert np.array_equal(exc_info.value.best_estimates, [0.2, 0.7])
 
     def test_validates_arguments(self, p3):
         op = make_operator(p3, OperatorKind.LAPLACIAN)
