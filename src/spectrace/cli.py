@@ -293,8 +293,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (EdgeListError, ConvergenceError, TridiagonalEigenError, ValueError,
-            OSError) as exc:
-        print(f"spectrace: error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        print(f"spectrace: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

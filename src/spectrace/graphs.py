@@ -7,14 +7,20 @@ edge per line, ``src dst [weight]``, whitespace separated by default, with
 and duplicate edges collapse to the maximum weight seen. Temporal event
 streams use one event per line, ``timestamp op src dst`` with
 ``op in {add, del}``; snapshots are cumulative per time bucket and treat
-edges as unweighted.
+edges as unweighted. Vertex ids must lie below ``VERTEX_ID_LIMIT``.
+
+Text is read in bulk with ``np.loadtxt``. Input that the bulk reader cannot
+take whole (a malformed line, or a token only Python's ``int``/``float``
+accept, such as ``1_0``) is re-read line by line; that reader is the
+authority on what is valid and reports errors with their line number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -24,11 +30,15 @@ from .errors import EdgeListError
 __all__ = [
     "Graph",
     "SnapshotSeries",
+    "VERTEX_ID_LIMIT",
     "parse_edge_list",
     "erdos_renyi",
     "load_snapshots",
     "write_edge_list",
 ]
+
+VERTEX_ID_LIMIT = 1 << 31
+"""Vertex ids must be below this, so that the pair key ``lo * n + hi`` fits in int64."""
 
 
 @dataclass(frozen=True)
@@ -72,11 +82,13 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield each undirected edge once as (u, v, w) with u < v."""
-        for u in range(self.n):
-            for k in range(self.row_offsets[u], self.row_offsets[u + 1]):
-                v = int(self.col_indices[k])
-                if u < v:
-                    yield u, v, float(self.weights[k])
+        rows = np.repeat(np.arange(self.n), np.diff(self.row_offsets))
+        upper = rows < self.col_indices
+        return zip(
+            rows[upper].tolist(),
+            self.col_indices[upper].tolist(),
+            self.weights[upper].tolist(),
+        )
 
     def content_hash(self) -> str:
         """Hex digest identifying the canonical graph content."""
@@ -107,37 +119,138 @@ class SnapshotSeries:
         return len(self.snapshots)
 
 
-def _build_csr(n: int, pairs: dict[tuple[int, int], float]) -> Graph:
-    """Assemble a canonical Graph from {(u, v) with u < v: weight}."""
-    m = len(pairs)
-    if m == 0:
-        return Graph(
-            n=n,
-            row_offsets=np.zeros(n + 1, dtype=np.int64),
-            col_indices=np.empty(0, dtype=np.int64),
-            weights=np.empty(0, dtype=np.float64),
-            m=0,
-        )
-    us = np.empty(2 * m, dtype=np.int64)
-    vs = np.empty(2 * m, dtype=np.int64)
-    ws = np.empty(2 * m, dtype=np.float64)
-    for k, ((u, v), w) in enumerate(pairs.items()):
-        us[2 * k], vs[2 * k], ws[2 * k] = u, v, w
-        us[2 * k + 1], vs[2 * k + 1], ws[2 * k + 1] = v, u, w
-    order = np.lexsort((vs, us))
-    us, vs, ws = us[order], vs[order], ws[order]
+def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
+    """Assemble the canonical Graph on n vertices from int64 edge arrays.
+
+    Self-loops are dropped, the remaining edges are symmetrized, and an edge
+    given more than once keeps its maximum weight.
+    """
+    keep = u != v
+    u, v, w = u[keep], v[keep], w[keep]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    w = np.maximum.reduceat(w[order], starts)
+    lo, hi = np.divmod(keys[starts], n)
+    rows = np.concatenate([lo, hi])
+    cols = np.concatenate([hi, lo])
+    order = np.argsort(rows * n + cols)
     row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_offsets, us + 1, 1)
-    np.cumsum(row_offsets, out=row_offsets)
-    return Graph(n=n, row_offsets=row_offsets, col_indices=vs, weights=ws, m=m)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
+    return Graph(
+        n=n,
+        row_offsets=row_offsets,
+        col_indices=cols[order],
+        weights=np.concatenate([w, w])[order],
+        m=starts.size,
+    )
 
 
-def _iter_lines(stream: IO[str] | str | Iterable[str]) -> Iterator[str]:
+def _read_lines(stream: IO[str] | str | Iterable[str]) -> tuple[str, list[str]]:
+    """Read the whole input once; return its text and its lines.
+
+    A string splits as ``str.splitlines`` does, an open file at ``"\\n"`` as
+    iterating over it does, and any other iterable yields one line per item.
+    """
     if isinstance(stream, str):
-        yield from stream.splitlines()
+        return stream, stream.splitlines()
+    if hasattr(stream, "read"):
+        text = stream.read()
+        return text, text.split("\n")
+    lines = [line.rstrip("\n") for line in stream]
+    return "\n".join(lines), lines
+
+
+def _bulk_rows(text: str, lines: list[str], separator: str | None,
+               comment_prefix: str, dtype: np.dtype) -> np.ndarray | None:
+    """Read every non-comment line with one ``np.loadtxt``; None on any failure.
+
+    Warnings are raised as errors: numpy 1.24-1.26 read ``"4.0"`` into an
+    int64 field with only a DeprecationWarning, which ``int`` would reject.
+    """
+    if comment_prefix in text:
+        lines = [line for line in lines if not line.strip().startswith(comment_prefix)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, comments=None, delimiter=separator,
+                              ndmin=1 if dtype.names else 2)
+    except (ValueError, TypeError, Warning):
+        return None
+    return rows if rows.size else None
+
+
+def _ids_in_range(*ids: np.ndarray) -> bool:
+    return all(x.min() >= 0 and x.max() < VERTEX_ID_LIMIT for x in ids)
+
+
+def _check_id(u: int, v: int, line: str, lineno: int) -> None:
+    if u < 0 or v < 0:
+        raise EdgeListError(f"vertex ids must be nonnegative: {line!r}", lineno)
+    if u >= VERTEX_ID_LIMIT or v >= VERTEX_ID_LIMIT:
+        raise EdgeListError(
+            f"vertex ids must be below {VERTEX_ID_LIMIT}: {line!r}", lineno
+        )
+
+
+_WEIGHTED_EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _bulk_edges(text, lines, separator, comment_prefix, weighted):
+    """(u, v, w) read in bulk, or None where the line reader must decide."""
+    rows = _bulk_rows(text, lines, separator, comment_prefix,
+                      _WEIGHTED_EDGE if weighted else np.dtype(np.int64))
+    if rows is None:
+        return None
+    if weighted:
+        u, v, w = rows["u"], rows["v"], rows["w"]
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            return None
     else:
-        for line in stream:
-            yield line.rstrip("\n")
+        if rows.shape[1] != 2:
+            return None
+        u, v = rows[:, 0], rows[:, 1]
+        w = np.ones(u.size)
+    return (u, v, w) if _ids_in_range(u, v) else None
+
+
+def _line_edges(lines, separator, comment_prefix, weighted):
+    """(u, v, w) read line by line; raises EdgeListError with the line number."""
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    expected = 3 if weighted else 2
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment_prefix):
+            continue
+        fields = line.split(separator)
+        if len(fields) != expected:
+            raise EdgeListError(
+                f"expected {expected} fields, got {len(fields)}: {line!r}", lineno
+            )
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
+        except ValueError:
+            raise EdgeListError(f"vertex ids must be integers: {line!r}", lineno)
+        _check_id(u, v, line, lineno)
+        if weighted:
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise EdgeListError(f"weight must be a number: {line!r}", lineno)
+            if not math.isfinite(w) or w <= 0:
+                raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
+        else:
+            w = 1.0
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    if not us:
+        raise EdgeListError("empty input: no edges or vertices found")
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
 
 
 def parse_edge_list(
@@ -163,61 +276,24 @@ def parse_edge_list(
     Raises
     ------
     EdgeListError
-        On malformed lines (with line number), nonpositive weights, or
-        empty input.
+        On malformed lines (with line number), negative vertex ids or ids of
+        at least ``VERTEX_ID_LIMIT``, nonpositive weights, or empty input.
     """
-    pairs: dict[tuple[int, int], float] = {}
-    max_id = -1
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment_prefix):
-            continue
-        fields = line.split(separator)
-        expected = 3 if weighted else 2
-        if len(fields) != expected:
-            raise EdgeListError(
-                f"expected {expected} fields, got {len(fields)}: {line!r}", lineno
-            )
-        try:
-            u = int(fields[0])
-            v = int(fields[1])
-        except ValueError:
-            raise EdgeListError(f"vertex ids must be integers: {line!r}", lineno)
-        if u < 0 or v < 0:
-            raise EdgeListError(f"vertex ids must be nonnegative: {line!r}", lineno)
-        if weighted:
-            try:
-                w = float(fields[2])
-            except ValueError:
-                raise EdgeListError(f"weight must be a number: {line!r}", lineno)
-            if not math.isfinite(w) or w <= 0:
-                raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
-        else:
-            w = 1.0
-        max_id = max(max_id, u, v)
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        prev = pairs.get(key)
-        if prev is None or w > prev:
-            pairs[key] = w
-    if max_id < 0:
-        raise EdgeListError("empty input: no edges or vertices found")
-    return _build_csr(max_id + 1, pairs)
+    text, lines = _read_lines(stream)
+    edges = _bulk_edges(text, lines, separator, comment_prefix, weighted)
+    if edges is None:
+        edges = _line_edges(lines, separator, comment_prefix, weighted)
+    u, v, w = edges
+    return _build_csr(int(max(u.max(), v.max())) + 1, u, v, w)
 
 
 def write_edge_list(g: Graph, stream: IO[str], *, weighted: bool = False) -> None:
     """Write a Graph back to edge-list text (one undirected edge per line)."""
-    for u, v, w in g.edges():
-        if weighted:
-            stream.write(f"{u} {v} {w!r}\n")
-        else:
-            stream.write(f"{u} {v}\n")
-
-
-def _decode_pair_keys(keys: np.ndarray, n: int) -> dict[tuple[int, int], float]:
-    us, vs = np.divmod(keys, n)
-    return {(int(u), int(v)): 1.0 for u, v in zip(us, vs)}
+    if weighted:
+        lines = [f"{u} {v} {w!r}\n" for u, v, w in g.edges()]
+    else:
+        lines = [f"{u} {v}\n" for u, v, _ in g.edges()]
+    stream.write("".join(lines))
 
 
 def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
@@ -233,7 +309,8 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     if n == 1:
         if avg_degree != 0:
             raise ValueError("avg_degree must be 0 for a single-vertex graph")
-        return _build_csr(1, {})
+        none = np.empty(0, dtype=np.int64)
+        return _build_csr(1, none, none, np.empty(0))
     if not 0 <= avg_degree <= n - 1:
         raise ValueError(f"avg_degree must lie in [0, {n - 1}], got {avg_degree}")
     p = avg_degree / (n - 1)
@@ -242,8 +319,7 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     if n_pairs <= 1 << 23:
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(n_pairs) < p
-        pairs = {(int(u), int(v)): 1.0 for u, v in zip(iu[mask], ju[mask])}
-        return _build_csr(n, pairs)
+        return _build_csr(n, iu[mask], ju[mask], np.ones(int(mask.sum())))
     m_target = int(rng.binomial(n_pairs, p))
     chosen: list[np.ndarray] = []
     seen = np.empty(0, dtype=np.int64)
@@ -267,7 +343,67 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
         seen = np.concatenate([seen, take])
         count += take.size
     all_keys = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    return _build_csr(n, _decode_pair_keys(all_keys, n))
+    lo, hi = np.divmod(all_keys, n)
+    return _build_csr(n, lo, hi, np.ones(all_keys.size))
+
+
+_EVENT = np.dtype([("t", np.float64), ("op", "U4"), ("u", np.int64), ("v", np.int64)])
+
+
+def _bulk_events(text, lines, comment_prefix):
+    """(t, is_add, u, v) read in bulk, or None where the line reader must decide."""
+    rows = _bulk_rows(text, lines, None, comment_prefix, _EVENT)
+    if rows is None:
+        return None
+    t, op, u, v = rows["t"], rows["op"], rows["u"], rows["v"]
+    is_add = op == "add"
+    if not (
+        (is_add | (op == "del")).all()
+        and np.isfinite(t).all()
+        and (t[1:] >= t[:-1]).all()
+        and _ids_in_range(u, v)
+    ):
+        return None
+    return t, is_add, u, v
+
+
+def _line_events(lines, comment_prefix):
+    """(t, is_add, u, v) read line by line; raises EdgeListError with the line number."""
+    ts: list[float] = []
+    adds: list[bool] = []
+    us: list[int] = []
+    vs: list[int] = []
+    prev_t = -math.inf
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment_prefix):
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise EdgeListError(f"expected 4 fields, got {len(fields)}: {line!r}", lineno)
+        try:
+            t = float(fields[0])
+            u = int(fields[2])
+            v = int(fields[3])
+        except ValueError:
+            raise EdgeListError(f"bad timestamp or vertex id: {line!r}", lineno)
+        if not math.isfinite(t):
+            raise EdgeListError(f"timestamp must be finite: {line!r}", lineno)
+        op = fields[1]
+        if op not in ("add", "del"):
+            raise EdgeListError(f"unknown op {op!r} (expected add/del)", lineno)
+        if t < prev_t:
+            raise EdgeListError(f"timestamps must be nondecreasing: {line!r}", lineno)
+        _check_id(u, v, line, lineno)
+        prev_t = t
+        ts.append(t)
+        adds.append(op == "add")
+        us.append(u)
+        vs.append(v)
+    if not ts:
+        raise EdgeListError("empty input: no events found")
+    return (np.array(ts), np.array(adds), np.array(us, dtype=np.int64),
+            np.array(vs, dtype=np.int64))
 
 
 def load_snapshots(
@@ -285,70 +421,64 @@ def load_snapshots(
     Raises
     ------
     EdgeListError
-        On malformed lines, unknown op tokens, or unsorted timestamps.
+        On malformed lines, unknown op tokens, nonfinite or unsorted
+        timestamps, or vertex ids outside ``[0, VERTEX_ID_LIMIT)``.
     """
     if granularity <= 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
-    events: list[tuple[float, str, int, int]] = []
-    prev_t = -math.inf
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment_prefix):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise EdgeListError(f"expected 4 fields, got {len(fields)}: {line!r}", lineno)
-        try:
-            t = float(fields[0])
-            u = int(fields[2])
-            v = int(fields[3])
-        except ValueError:
-            raise EdgeListError(f"bad timestamp or vertex id: {line!r}", lineno)
-        op = fields[1]
-        if op not in ("add", "del"):
-            raise EdgeListError(f"unknown op {op!r} (expected add/del)", lineno)
-        if t < prev_t:
-            raise EdgeListError(f"timestamps must be nondecreasing: {line!r}", lineno)
-        if u < 0 or v < 0:
-            raise EdgeListError(f"vertex ids must be nonnegative: {line!r}", lineno)
-        prev_t = t
-        events.append((t, op, u, v))
-    if not events:
-        raise EdgeListError("empty input: no events found")
+    text, lines = _read_lines(stream)
+    events = _bulk_events(text, lines, comment_prefix)
+    if events is None:
+        events = _line_events(lines, comment_prefix)
+    t, is_add, u, v = events
+    n = int(max(u.max(), v.max())) + 1
+    first_bucket = math.floor(float(t[0]) / granularity)
+    last_bucket = math.floor(float(t[-1]) / granularity)
+    bucket = np.floor(t / granularity)
 
-    first_bucket = math.floor(events[0][0] / granularity)
-    last_bucket = math.floor(events[-1][0] / granularity)
-    n = max(max(u, v) for _, _, u, v in events) + 1
+    # Self-loop events count for n and the bucket range, nothing else.
+    edge = u != v
+    is_add, bucket = is_add[edge], bucket[edge]
+    keys = np.minimum(u[edge], v[edge]) * n + np.maximum(u[edge], v[edge])
+    live_keys, key_index = np.unique(keys, return_inverse=True)
 
-    live: set[tuple[int, int]] = set()
-    added = removed = ignored = 0
+    # An event finds its edge live iff the edge's previous event was an add.
+    by_key = np.argsort(key_index, kind="stable")
+    follows_add = np.zeros(keys.size, dtype=bool)
+    follows_add[1:] = is_add[by_key[:-1]] & (key_index[by_key[1:]] == key_index[by_key[:-1]])
+    was_live = np.empty_like(follows_add)
+    was_live[by_key] = follows_add
+    added = np.cumsum(is_add & ~was_live)
+    removed = np.cumsum(~is_add & was_live)
+    ignored = int(np.count_nonzero(~is_add & ~was_live))
+
+    # Event range [start, end) of each bucket that has edge events.
+    filled, starts = np.unique(bucket, return_index=True)
+    ends = np.append(starts[1:], bucket.size)
+    ranges = dict(zip(filled.tolist(), zip(starts.tolist(), ends.tolist())))
+
+    live = np.zeros(live_keys.size, dtype=bool)
+    graph = None
+    count_added = count_removed = 0
     snapshots: list[Graph] = []
     timestamps: list[float] = []
     added_series: list[int] = []
     removed_series: list[int] = []
-    idx = 0
-    for bucket in range(first_bucket, last_bucket + 1):
-        boundary = (bucket + 1) * granularity
-        while idx < len(events) and math.floor(events[idx][0] / granularity) <= bucket:
-            _, op, u, v = events[idx]
-            idx += 1
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if op == "add":
-                if key not in live:
-                    live.add(key)
-                    added += 1
-            else:
-                if key in live:
-                    live.remove(key)
-                    removed += 1
-                else:
-                    ignored += 1
-        snapshots.append(_build_csr(n, {key: 1.0 for key in live}))
-        timestamps.append(boundary)
-        added_series.append(added)
-        removed_series.append(removed)
+    for b in range(first_bucket, last_bucket + 1):
+        if b in ranges:
+            start, end = ranges[b]
+            # The last event of each edge in the bucket sets its state.
+            last, at = np.unique(key_index[start:end][::-1], return_index=True)
+            live[last] = is_add[start:end][::-1][at]
+            graph = None
+            count_added, count_removed = int(added[end - 1]), int(removed[end - 1])
+        if graph is None:
+            lo, hi = np.divmod(live_keys[live], n)
+            graph = _build_csr(n, lo, hi, np.ones(lo.size))
+        snapshots.append(graph)
+        timestamps.append((b + 1) * granularity)
+        added_series.append(count_added)
+        removed_series.append(count_removed)
     return SnapshotSeries(
         snapshots=snapshots,
         timestamps=timestamps,

@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, exit codes, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spectrace
 from spectrace.cli import main
 
 
@@ -181,6 +186,31 @@ class TestExitCodes:
                            "vnge", "--method", "exact")
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("line", ["0 4000000000", f"0 {2**63 + 5}"])
+    def test_vertex_id_above_cap_is_data_error(self, tmp_path, line):
+        bad = tmp_path / "big.tsv"
+        bad.write_text(line + "\n")
+        src = str(Path(spectrace.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectrace.cli", "descriptor", "--input", str(bad),
+             "--kind", "vnge", "--method", "exact"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_memory_error_is_data_error(self, capsys, monkeypatch, p3_file):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("spectrace.cli.parse_edge_list", exhausted)
+        code, _, err = run(capsys, "descriptor", "--input", p3_file, "--kind",
+                           "vnge", "--method", "exact")
+        assert code == 2
+        assert "MemoryError" in err
 
 
 class TestByteDeterminism:

@@ -1,14 +1,19 @@
 """Graph parsing, generation, and snapshot loading."""
 
 import io
+import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from spectrace import graphs
 from spectrace.errors import EdgeListError
 from spectrace.graphs import (
+    VERTEX_ID_LIMIT,
     erdos_renyi,
     load_snapshots,
     parse_edge_list,
@@ -199,3 +204,259 @@ class TestFixtures:
     def test_graph_from_weighted_edges(self):
         g = graph_from_edges(3, [(0, 1, 2.5), (1, 2, 0.5)])
         assert list(g.edges()) == [(0, 1, 2.5), (1, 2, 0.5)]
+
+
+def _outcome(call):
+    """A call's result, or the line number and message of its EdgeListError."""
+    try:
+        return call()
+    except EdgeListError as exc:
+        return ("EdgeListError", exc.line_number, str(exc))
+
+
+def _line_reader_only(call):
+    """_outcome(call) with the bulk readers off, so every line goes through the line reader."""
+    with mock.patch.object(graphs, "_bulk_edges", return_value=None), \
+            mock.patch.object(graphs, "_bulk_events", return_value=None):
+        return _outcome(call)
+
+
+def _as_input(text, form):
+    """The same text as a string, an open file, or a list of lines."""
+    if form == "file":
+        return io.StringIO(text)
+    if form == "lines":
+        return text.splitlines(keepends=True)
+    return text
+
+
+# Tokens that the bulk reader and Python's int/float may read differently.
+_EXOTIC = ["4.0", "1e3", "+3", "1_0", "-1", "0x1", "#", "nan", "inf", "0", "-2",
+           str(VERTEX_ID_LIMIT), str(2**64), ""]
+
+
+@hst.composite
+def _edge_list_text(draw):
+    weighted = draw(hst.booleans())
+    separator = draw(hst.sampled_from([None, ","]))
+    gaps = [" ", "\t", "  ", " \t"] if separator is None else [",", " , ", ", "]
+    lines = []
+    for _ in range(draw(hst.integers(0, 12))):
+        kind = draw(hst.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(hst.sampled_from(["# c", "  # indented", "#", "#0 1"])))
+            continue
+        if kind == "blank":
+            lines.append(draw(hst.sampled_from(["", "  ", "\t"])))
+            continue
+        u, v = draw(hst.integers(0, 6)), draw(hst.integers(0, 6))
+        fields = [str(u), str(v)]
+        if weighted:
+            fields.append(draw(hst.one_of(
+                hst.sampled_from(["1", "0.5", "2.25", "1e-3", "3.0", "7"]),
+                hst.floats(min_value=1e-300, max_value=1e300).map(repr),
+            )))
+        if draw(hst.integers(0, 9)) == 0:
+            fields[draw(hst.integers(0, len(fields) - 1))] = draw(hst.sampled_from(_EXOTIC))
+        if draw(hst.integers(0, 14)) == 0:
+            fields.append("1") if draw(hst.booleans()) else fields.pop()
+        pad = draw(hst.sampled_from(["", " ", "\t"]))
+        lines.append(pad + draw(hst.sampled_from(gaps)).join(fields) + draw(hst.sampled_from(["", " "])))
+    newline = draw(hst.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(hst.sampled_from(["", newline]))
+    return text, weighted, separator, draw(hst.sampled_from(["str", "file", "lines"]))
+
+
+@hst.composite
+def _event_text(draw):
+    lines = []
+    t = 0.0
+    for _ in range(draw(hst.integers(0, 15))):
+        t += draw(hst.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5, -1.0]))
+        fields = [repr(t), draw(hst.sampled_from(["add", "add", "del"])),
+                  str(draw(hst.integers(0, 5))), str(draw(hst.integers(0, 5)))]
+        if draw(hst.integers(0, 9)) == 0:
+            fields[draw(hst.integers(0, 3))] = draw(hst.sampled_from(_EXOTIC + ["mark", "adds"]))
+        if draw(hst.integers(0, 14)) == 0:
+            fields.pop()
+        lines.append(" ".join(fields))
+        if draw(hst.integers(0, 7)) == 0:
+            lines.append(draw(hst.sampled_from(["# c", "", "  # indented"])))
+    newline = draw(hst.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines), draw(hst.sampled_from(["str", "file", "lines"]))
+
+
+class TestBulkReaderMatchesLineReader:
+    @given(case=_edge_list_text())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_lists(self, case):
+        text, weighted, separator, form = case
+
+        def parse():
+            return parse_edge_list(_as_input(text, form), separator=separator,
+                                   weighted=weighted)
+
+        assert _outcome(parse) == _line_reader_only(parse)
+
+    @given(case=_event_text(), granularity=hst.sampled_from([0.5, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_event_streams(self, case, granularity):
+        text, form = case
+
+        def load():
+            return load_snapshots(_as_input(text, form), granularity)
+
+        assert _outcome(load) == _line_reader_only(load)
+
+    @pytest.mark.parametrize("text,weighted,expected", [
+        ("0 1\n3 4.0", False, 2),
+        ("0 1\n1e3 2", False, 2),
+        ("0 1\n+3 4", False, [(0, 1, 1.0), (3, 4, 1.0)]),
+        ("0 1\n1_0 2", False, [(0, 1, 1.0), (2, 10, 1.0)]),
+        ("0 1\n-1 2", False, 2),
+        ("0 1\n0x1 2", False, 2),
+        ("0 1\n1 2 # x", False, 2),
+        ("0 1\n  # indented comment\n1 2", False, [(0, 1, 1.0), (1, 2, 1.0)]),
+        ("0 1\n5", False, 2),
+        ("0 1 5\n1 2 7", False, 1),
+        ("0 1 1\n1 2 nan", True, 2),
+        ("0 1 1\n1 2 inf", True, 2),
+        ("0 1 1\n1 2 0", True, 2),
+        ("0 1 1\n1 2 -2", True, 2),
+        ("0 1 1\n1 2 1_0", True, [(0, 1, 1.0), (1, 2, 10.0)]),
+        ("", False, None),
+    ])
+    def test_edge_list_table(self, text, weighted, expected):
+        def parse():
+            return parse_edge_list(text, weighted=weighted)
+
+        got = _outcome(parse)
+        assert got == _line_reader_only(parse)
+        if isinstance(expected, list):
+            assert list(got.edges()) == expected
+        else:
+            assert got[:2] == ("EdgeListError", expected)
+
+    @pytest.mark.parametrize("text,lineno,message", [
+        ("0 add 0 1\n1 mark 1 2", 2, "unknown op"),
+        ("2 add 0 1\n1 add 1 2", 2, "timestamps"),
+        ("0 add 0 1\n1 add 1", 2, "expected 4 fields"),
+        ("0 add 0 1\nnan add 1 2", 2, "finite"),
+        ("0 add 0 1\n1 add 1 2 3", 2, "expected 4 fields"),
+    ])
+    def test_event_table(self, text, lineno, message):
+        def load():
+            return load_snapshots(text, 1.0)
+
+        got = _outcome(load)
+        assert got == _line_reader_only(load)
+        assert got[:2] == ("EdgeListError", lineno)
+        assert message in got[2]
+
+    def test_clean_input_is_read_in_bulk(self):
+        text = "# header\r\n0\t1\r\n  # indented\r\n  2 1 \r\n\r\n1 0\r\n"
+        text_, lines = graphs._read_lines(text)
+        assert graphs._bulk_edges(text_, lines, None, "#", False) is not None
+        events = "# log\n0 add 0 1\n1.5 del 0 1\n"
+        text_, lines = graphs._read_lines(events)
+        assert graphs._bulk_events(text_, lines, "#") is not None
+
+
+class TestVertexIdCap:
+    @pytest.mark.parametrize("big", [4_000_000_000, VERTEX_ID_LIMIT, 2**63 + 5])
+    def test_edge_list(self, big):
+        with pytest.raises(EdgeListError, match="line 1"):
+            parse_edge_list(f"0 {big}")
+        with pytest.raises(EdgeListError, match="line 2"):
+            parse_edge_list(f"0 1 1.0\n{big} 1 2.0", weighted=True)
+
+    @pytest.mark.parametrize("big", [4_000_000_000, 2**63 + 5])
+    def test_event_stream(self, big):
+        with pytest.raises(EdgeListError, match="line 1"):
+            load_snapshots(f"0 add 0 {big}", 1.0)
+
+
+class TestGolden:
+    """Outputs pinned to the dict/set implementation this module replaced."""
+
+    @pytest.mark.parametrize("args,digest", [
+        ((300, 4, 1), "4436d36b88d44c4d43bdc193e2b052d5ffb699a7fa01d1e1b007f11d64f4b3fc"),
+        ((4000, 10, 2), "527c0908fea8395a8bf9ff21fff498b6cfa55adea0425588ee0adf21b0cd9b0a"),
+        ((5000, 10, 0), "e7beb0eba353ca92b965044a17f2a411797980311a94be7247f201c2fc5d0fe5"),
+    ])
+    def test_erdos_renyi_content_hash(self, args, digest):
+        assert erdos_renyi(*args).content_hash() == digest
+
+    @staticmethod
+    def _reference_snapshots(events, granularity):
+        """Replay events over a set of live edges; one (edges, t, added, removed) per bucket."""
+        live: set[tuple[int, int]] = set()
+        added = removed = ignored = idx = 0
+        rows = []
+        first = math.floor(events[0][0] / granularity)
+        last = math.floor(events[-1][0] / granularity)
+        for bucket in range(first, last + 1):
+            while idx < len(events) and math.floor(events[idx][0] / granularity) <= bucket:
+                _, op, u, v = events[idx]
+                idx += 1
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v))
+                if op == "add":
+                    if key not in live:
+                        live.add(key)
+                        added += 1
+                elif key in live:
+                    live.remove(key)
+                    removed += 1
+                else:
+                    ignored += 1
+            rows.append((set(live), (bucket + 1) * granularity, added, removed))
+        return rows, ignored
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_load_snapshots_matches_set_replay(self, seed):
+        rng = random.Random(seed)
+        events, t = [], 0.0
+        for _ in range(400):
+            t += rng.choice([0.0, 0.0, 0.1, 0.7, 4.0])
+            events.append((t, rng.choice(["add", "add", "del"]),
+                           rng.randrange(15), rng.randrange(15)))
+        text = "".join(f"{t!r} {op} {u} {v}\n" for t, op, u, v in events)
+        series = load_snapshots(text, 1.5)
+        rows, ignored = self._reference_snapshots(events, 1.5)
+        n = max(max(u, v) for _, _, u, v in events) + 1
+        assert len(series) == len(rows)
+        assert series.ignored_deletes == ignored
+        for g, t_end, added, removed, (live, ref_t, ref_added, ref_removed) in zip(
+            series.snapshots, series.timestamps, series.added, series.removed, rows
+        ):
+            assert g.n == n
+            assert {(u, v) for u, v, _ in g.edges()} == live
+            assert np.all(g.weights == 1.0)
+            assert (t_end, added, removed) == (ref_t, ref_added, ref_removed)
+
+    @staticmethod
+    def _reference_edges(g):
+        for u in range(g.n):
+            for k in range(g.row_offsets[u], g.row_offsets[u + 1]):
+                v = int(g.col_indices[k])
+                if u < v:
+                    yield u, v, float(g.weights[k])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_write_edge_list_bytes(self, weighted):
+        rng = np.random.default_rng(3)
+        lines = [f"{u} {v} {w!r}" for u, v, w in zip(
+            rng.integers(0, 200, 1500).tolist(), rng.integers(0, 200, 1500).tolist(),
+            (rng.random(1500) * 50 + 1e-6).tolist())]
+        g = parse_edge_list("\n".join(lines), weighted=True)
+        reference = list(self._reference_edges(g))
+        assert list(g.edges()) == reference
+        buf = io.StringIO()
+        write_edge_list(g, buf, weighted=weighted)
+        if weighted:
+            expected = "".join(f"{u} {v} {w!r}\n" for u, v, w in reference)
+        else:
+            expected = "".join(f"{u} {v}\n" for u, v, _ in reference)
+        assert buf.getvalue() == expected
