@@ -199,7 +199,10 @@ def netlsd_linear(
     """Heat trace from k exact eigenvalues at each end of the spectrum with a
     linearly interpolated interior. The smallest end is one 0 per connected
     component, then the smallest eigenvalues of the kernel-deflated operator
-    (``_kernel_deflated``). Falls back to the dense route when 2k >= n."""
+    (``_kernel_deflated``). The largest end is not deflated: eigenvalue 2
+    occurs once per bipartite component, and ``extremal_eigenvalues`` may
+    return fewer copies of it than that. Falls back to the dense route when
+    2k >= n."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     grid = grid or TimeGrid()

@@ -171,6 +171,9 @@ def _bulk_rows(text: str, lines: list[str], separator: str | None,
     """
     if comment_prefix in text:
         lines = [line for line in lines if not line.strip().startswith(comment_prefix)]
+    if separator is not None:
+        # np.loadtxt skips whitespace-only lines only when it splits on whitespace
+        lines = [line for line in lines if not line.isspace()]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -284,7 +284,9 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     Krylov method sees one copy of an eigenvalue per start vector, so a
     repeated eigenvalue at the requested end may come back fewer times than
     it occurs: callers that know such an eigenspace deflate it first, as
-    ``netlsd_linear`` does with the Laplacian kernel.
+    ``netlsd_linear`` does with the Laplacian kernel. It does not deflate
+    the normalized Laplacian's eigenvalue 2 (one per bipartite component),
+    so its largest end may hold fewer copies of 2 than the spectrum does.
 
     Raises
     ------

@@ -8,21 +8,22 @@ value is n times the mean per-probe sum. Probe seeds derive from
 numpy.random.SeedSequence(seed, spawn_key=(probe_index,)), which makes
 results independent of scheduling and reproducible probe by probe.
 
-Probes run in blocks of ``BLOCK_WIDTH`` columns through ``lanczos_block``:
-one block operator application per Lanczos step, no reorthogonalization,
-and one batched eigendecomposition for all Gauss rules. The last block is
-zero-padded to the full width, so every probe sits in the same column of an
-identically shaped block whatever n_v or the worker count, and its numbers
-never change with either. On operators of at least ``MIN_PARALLEL_DIM``
-rows, blocks are spread over worker threads (the sparse product releases
-the GIL) and gathered in probe order. f is then applied once per grid
-point to the whole (n_v, s) node array and integrated with one einsum.
+Probes run as columns of zero-padded blocks through ``lanczos_block``: one
+block operator application per Lanczos step, no reorthogonalization, and
+one batched eigendecomposition for all Gauss rules. A column's arithmetic
+does not depend on the block around it, so a probe's numbers change with
+neither n_v, the block layout nor the worker count. Below
+``MIN_PARALLEL_DIM`` rows every probe runs in one block; larger operators
+run blocks of ``BLOCK_WIDTH`` probes over worker threads (the sparse
+product releases the GIL), gathered in probe order. f is applied to the
+whole (n_v, s) node array, and slq_trace_grid applies it to tiles of grid
+points at once; both integrate with one einsum.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,15 +35,20 @@ __all__ = ["SlqConfig", "SlqEstimate", "slq_trace", "slq_trace_grid"]
 
 _DISTRIBUTIONS = ("rademacher", "gaussian")
 
-# Probes per Lanczos block. Fixed, so that a probe's numbers depend on
-# neither n_v nor the worker count.
+# Probes per Lanczos block on operators of at least MIN_PARALLEL_DIM rows,
+# and the unit the single block below it is padded to. Wider blocks gave
+# no gain per column there (an (n, 16) product took twice an (n, 8) one).
 BLOCK_WIDTH = 8
-# Smallest operator that blocks are spread over worker threads for. Below
-# it a Lanczos step is mostly interpreter work that holds the GIL, and a
-# second worker only contends for it: on a 2-core Xeon, two workers took
-# 1.5x as long as one on ER graphs of 100-500 vertices, broke even near
-# 2000, and were 1.4-1.8x faster from 3000 to 10000 vertices.
+# Smallest operator that probes run in BLOCK_WIDTH blocks over worker
+# threads for. Below it a Lanczos step is mostly interpreter work that
+# holds the GIL: on a 2-core Xeon, two workers took 1.5x as long as one on
+# ER graphs of 100-500 vertices, broke even near 2000, and were 1.4-1.8x
+# faster from 3000 to 10000 vertices. So smaller operators run every probe
+# in one block, one product and one set of vector updates per step.
 MIN_PARALLEL_DIM = 2048
+# Node values per tile of slq_trace_grid: 32 grid points at n_v=100, s=10.
+# A bound keeps the (k, n_v, s) temporaries small whatever the grid size.
+_TILE_VALUES = 32_768
 
 
 @dataclass(frozen=True)
@@ -86,11 +92,13 @@ def _draw_probe(rng: np.random.Generator, n: int, distribution: str) -> np.ndarr
     return rng.standard_normal(n)
 
 
-def _probe_block(op: LinearOperator, cfg: SlqConfig, first: int) -> BlockTridiagonal:
-    """Lanczos run of probes first .. first + BLOCK_WIDTH - 1, zero-padded
-    past the last probe."""
-    block = np.zeros((op.dim, BLOCK_WIDTH))
-    for j, index in enumerate(range(first, min(first + BLOCK_WIDTH, cfg.n_v))):
+def _probe_block(
+    op: LinearOperator, cfg: SlqConfig, first: int, width: int = BLOCK_WIDTH
+) -> BlockTridiagonal:
+    """Lanczos run of probes first .. first + width - 1, zero-padded past
+    the last probe."""
+    block = np.zeros((op.dim, width))
+    for j, index in enumerate(range(first, min(first + width, cfg.n_v))):
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
         v = _draw_probe(np.random.default_rng(seq), op.dim, cfg.distribution)
         # not np.linalg.norm: its BLAS dot starts OpenBLAS threads above 10k
@@ -104,8 +112,10 @@ def _probe_rules(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clamped (n_v, s) Gauss nodes and weights of every probe, in probe order."""
     firsts = range(0, cfg.n_v, BLOCK_WIDTH)
-    workers = min(threads, len(firsts)) if op.dim >= MIN_PARALLEL_DIM else 1
-    if workers <= 1:
+    workers = min(threads, len(firsts))
+    if op.dim < MIN_PARALLEL_DIM:
+        blocks = [_probe_block(op, cfg, 0, len(firsts) * BLOCK_WIDTH)]
+    elif workers <= 1:
         blocks = [_probe_block(op, cfg, first) for first in firsts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -121,32 +131,26 @@ def _probe_rules(
 
 
 def _integrate(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    n: int,
-    f: Callable[[np.ndarray], np.ndarray],
-    control_variate: tuple[Sequence[float], float] | None = None,
-) -> SlqEstimate:
-    values = np.asarray(f(nodes), dtype=np.float64)
-    if control_variate is not None:
-        (c0, c1, c2), exact = control_variate
-        values = values - (c0 + c1 * nodes + c2 * nodes * nodes)
+    nodes: np.ndarray, weights: np.ndarray, n: int, values: np.ndarray
+) -> list[SlqEstimate]:
+    """One estimate per leading index of the (k, n_v, s) values of f at the nodes."""
     finite = np.isfinite(values)
     if not finite.all():
-        probe = int(np.flatnonzero(~finite.all(axis=1))[0])
+        probe = int(np.flatnonzero(~finite.all(axis=2))[0]) % len(nodes)
         raise ValueError(
             f"f returned a non-finite value at quadrature nodes {nodes[probe]!r}"
         )
-    per_vector = np.einsum("ij,ij->i", weights, values)
-    n_v = per_vector.size
-    value = n * (float(per_vector.sum()) / n_v)
-    if control_variate is not None:
-        value += exact
+    per_vector = np.einsum("ij,tij->ti", weights, values)
+    n_v = len(nodes)
+    value = n * (per_vector.sum(axis=1) / n_v)
     if n_v > 1:
-        std_error = float(np.std(n * per_vector, ddof=1)) / np.sqrt(n_v)
+        std_error = np.std(n * per_vector, axis=1, ddof=1) / np.sqrt(n_v)
     else:
-        std_error = 0.0
-    return SlqEstimate(value=value, per_vector=per_vector, std_error=std_error)
+        std_error = np.zeros(len(values))
+    return [
+        SlqEstimate(value=float(v), per_vector=p, std_error=float(e))
+        for v, p, e in zip(value, per_vector, std_error)
+    ]
 
 
 def slq_trace(
@@ -172,12 +176,18 @@ def slq_trace(
     supply (e.g. from the closed-form trace identities). Off by default.
     """
     nodes, weights = _probe_rules(op, cfg, threads)
-    return _integrate(nodes, weights, op.dim, f, control_variate)
+    values = np.asarray(f(nodes), dtype=np.float64)
+    if control_variate is None:
+        return _integrate(nodes, weights, op.dim, values[None])[0]
+    (c0, c1, c2), exact = control_variate
+    values = values - (c0 + c1 * nodes + c2 * nodes * nodes)
+    est = _integrate(nodes, weights, op.dim, values[None])[0]
+    return replace(est, value=est.value + exact)
 
 
 def slq_trace_grid(
     op: LinearOperator,
-    f_family: Callable[[float], Callable[[np.ndarray], np.ndarray]],
+    f_family: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
     grid: Sequence[float],
     cfg: SlqConfig,
     *,
@@ -185,9 +195,20 @@ def slq_trace_grid(
 ) -> list[SlqEstimate]:
     """slq_trace for every grid point, reusing every probe's quadrature rule.
 
+    f_family is called with a (k, 1, 1) array of consecutive grid points and
+    must return an f that broadcasts it against the (n_v, s) node array to
+    (k, n_v, s) values, as ``lambda x: np.exp(-t * x)`` does. Grid points go
+    in tiles of at most about 32k node values, each integrated at once.
     Bit-identical to calling slq_trace(op, f_family(t), cfg) per point: the
-    rules depend only on cfg, and each point integrates through the same
-    code path, one f call and one einsum over the whole node array.
+    rules depend only on cfg, f acts elementwise, and every point is summed
+    in the same order.
     """
     nodes, weights = _probe_rules(op, cfg, threads)
-    return [_integrate(nodes, weights, op.dim, f_family(t)) for t in grid]
+    ts = np.asarray(grid, dtype=np.float64).reshape(-1, 1, 1)
+    tile = max(1, _TILE_VALUES // nodes.size)
+    estimates = []
+    for start in range(0, len(ts), tile):
+        t = ts[start : start + tile]
+        values = np.asarray(f_family(t)(nodes), dtype=np.float64)
+        estimates += _integrate(nodes, weights, op.dim, values)
+    return estimates

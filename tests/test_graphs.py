@@ -361,6 +361,18 @@ class TestBulkReaderMatchesLineReader:
         text_, lines = graphs._read_lines(events)
         assert graphs._bulk_events(text_, lines, "#") is not None
 
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \t "])
+    def test_whitespace_line_with_separator_is_read_in_bulk(self, blank):
+        text = f"0,1\n{blank}\n1,2\n\n2 , 3\n"
+
+        def parse():
+            return parse_edge_list(text, separator=",")
+
+        expected = _line_reader_only(parse)
+        with mock.patch.object(graphs, "_line_edges", side_effect=AssertionError):
+            assert parse() == expected
+        assert list(expected.edges()) == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+
 
 class TestVertexIdCap:
     @pytest.mark.parametrize("big", [4_000_000_000, VERTEX_ID_LIMIT, 2**63 + 5])

@@ -1,16 +1,27 @@
 """Stochastic Lanczos quadrature trace estimator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from spectrace.descriptors import TimeGrid, descriptor_to_json, netlsd_slq, vnge_slq
 from spectrace.graphs import erdos_renyi
-from spectrace.lanczos import lanczos_tridiagonalize, quadrature_rule
+from spectrace.lanczos import (
+    BlockTridiagonal,
+    block_quadrature_rules,
+    lanczos_tridiagonalize,
+    quadrature_rule,
+)
 from spectrace.operators import OperatorKind, make_operator, trace_squared
 from spectrace.slq import (
     BLOCK_WIDTH,
     MIN_PARALLEL_DIM,
     SlqConfig,
     _probe_block,
+    _probe_rules,
     slq_trace,
     slq_trace_grid,
 )
@@ -136,6 +147,24 @@ class TestSlqTrace:
             slq_trace(op, lambda x: np.full_like(x, np.nan),
                       SlqConfig(n_v=4, s=4, seed=0))
 
+    def test_nonfinite_f_on_grid_names_the_probe(self):
+        # one (t, probe) pair past the first tile goes non-finite: the error
+        # names that probe's nodes, as the per-point loop did
+        op = make_operator(erdos_renyi(60, 4, seed=3), OperatorKind.NORMALIZED_LAPLACIAN)
+        cfg = SlqConfig(n_v=100, s=10, seed=1)
+        grid = TimeGrid().values
+        nodes, _ = _probe_rules(op, cfg, 1)
+        bad_t, bad = grid[40], nodes[37]
+
+        def f_family(t):
+            return lambda x: np.where((t == bad_t) & (x == bad[3]), np.inf, np.exp(-t * x))
+
+        with pytest.raises(ValueError) as info:
+            slq_trace_grid(op, f_family, grid, cfg)
+        assert str(info.value) == (
+            f"f returned a non-finite value at quadrature nodes {bad!r}"
+        )
+
     def test_nodes_clamped_before_f(self, k2):
         # x ln x stays finite because tiny negative Ritz values are clamped to 0
         op = make_operator(k2, OperatorKind.DENSITY)
@@ -171,14 +200,28 @@ class TestSlqTraceGrid:
         assert np.array_equal(grid_est[0].per_vector, point_est.per_vector)
 
     def test_grid_bit_equals_pointwise_loop(self, k3):
-        op = make_operator(k3, OperatorKind.NORMALIZED_LAPLACIAN)
-        cfg = SlqConfig(n_v=10, s=6, seed=13)
-        grid = np.geomspace(0.01, 100.0, 32)
-        batched = slq_trace_grid(op, lambda t: (lambda x: np.exp(-t * x)), grid, cfg)
-        for t, est in zip(grid, batched):
-            single = slq_trace(op, lambda x: np.exp(-t * x), cfg)
-            assert est.value == single.value
-            assert np.array_equal(est.per_vector, single.per_vector)
+        # the 256-point grid on ER(300) spans several tiles, the last one short
+        er300 = erdos_renyi(300, 4, seed=1)
+        cases = [(k3, 10, 6, np.geomspace(0.01, 100.0, 32))]
+        cases += [(er300, n_v, 10, TimeGrid().values) for n_v in (1, 2, 100, 257)]
+        for g, n_v, s, grid in cases:
+            op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
+            cfg = SlqConfig(n_v=n_v, s=s, seed=13)
+            batched = slq_trace_grid(op, lambda t: (lambda x: np.exp(-t * x)), grid, cfg)
+            assert len(batched) == len(grid)
+            nodes, weights = _probe_rules(op, cfg, 1)
+            for t, est in zip(grid, batched):
+                # the per-point integration the tiles replaced, spelled out
+                per_vector = np.einsum("ij,ij->i", weights, np.exp(-t * nodes))
+                value = op.dim * (float(per_vector.sum()) / n_v)
+                std_error = (float(np.std(op.dim * per_vector, ddof=1)) / np.sqrt(n_v)
+                             if n_v > 1 else 0.0)
+                assert np.array_equal(est.per_vector, per_vector)
+                assert (est.value, est.std_error) == (value, std_error)
+            for t, est in list(zip(grid, batched))[:: len(grid) // 8]:
+                single = slq_trace(op, lambda x: np.exp(-t * x), cfg)
+                assert (single.value, single.std_error) == (est.value, est.std_error)
+                assert np.array_equal(single.per_vector, est.per_vector)
 
     def test_k3_grid_value_at_t_zero(self, k3):
         op = make_operator(k3, OperatorKind.NORMALIZED_LAPLACIAN)
@@ -239,11 +282,85 @@ class TestBlockCore:
     def test_block_with_mixed_breakdowns(self):
         # C6's Laplacian has 4 distinct eigenvalues: with s=4 some sign probes
         # exhaust their Krylov space early and others run every step
-        c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-        op = make_operator(c6, OperatorKind.LAPLACIAN)
+        op = make_operator(_c6(), OperatorKind.LAPLACIAN)
         cfg = SlqConfig(n_v=BLOCK_WIDTH, s=4, seed=0)
         tri = _probe_block(op, cfg, 0)
         assert tri.steps.min() < 4 and tri.steps.max() == 4
         for alpha, beta, k in zip(tri.alpha, tri.beta, tri.steps):
             assert not alpha[k:].any() and not beta[k - 1:].any()
         self._check(op, cfg)
+
+
+def _concatenated_block_rules(op, cfg):
+    """Rules of the BLOCK_WIDTH-wide blocks that operators of at least
+    MIN_PARALLEL_DIM rows run, concatenated in probe order."""
+    blocks = [_probe_block(op, cfg, first) for first in range(0, cfg.n_v, BLOCK_WIDTH)]
+    tri = BlockTridiagonal(
+        *(np.concatenate([getattr(b, name) for b in blocks])[: cfg.n_v]
+          for name in ("alpha", "beta", "steps"))
+    )
+    nodes, weights = block_quadrature_rules(tri)
+    return np.clip(nodes, *op.interval), weights, tri
+
+
+def _c6():
+    return graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+class TestOneBlock:
+    """Below MIN_PARALLEL_DIM all probes run as one block: every probe's
+    numbers equal those of the BLOCK_WIDTH-wide blocks, bit for bit."""
+
+    @staticmethod
+    def _check(op, cfg):
+        assert op.dim < MIN_PARALLEL_DIM
+        nodes, weights, _ = _concatenated_block_rules(op, cfg)
+        got_nodes, got_weights = _probe_rules(op, cfg, 2)
+        assert np.array_equal(got_nodes, nodes)
+        assert np.array_equal(got_weights, weights)
+
+    @given(n=hst.integers(2, 200), degree=hst.floats(0.5, 8.0), graph_seed=hst.integers(0, 99),
+           kind=hst.sampled_from(list(OperatorKind)), n_v=hst.integers(1, 130),
+           s=hst.integers(1, 12), distribution=hst.sampled_from(["rademacher", "gaussian"]),
+           seed=hst.integers(0, 2**32 - 1))
+    @example(n=MIN_PARALLEL_DIM - 1, degree=10.0, graph_seed=2, kind=OperatorKind.DENSITY,
+             n_v=130, s=10, distribution="rademacher", seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_er_width_invariance(self, n, degree, graph_seed, kind, n_v, s, distribution,
+                                 seed):
+        g = erdos_renyi(n, min(degree, n - 1), graph_seed)
+        if g.m == 0 and kind is OperatorKind.DENSITY:
+            return  # the density matrix of an edgeless graph is undefined
+        self._check(make_operator(g, kind), SlqConfig(n_v=n_v, s=s,
+                                                      distribution=distribution, seed=seed))
+
+    @pytest.mark.parametrize("n_v", [1, BLOCK_WIDTH, 3 * BLOCK_WIDTH + 1, 130])
+    def test_mixed_breakdowns(self, n_v):
+        # C6 with s=4: some probes exhaust their Krylov space early
+        op = make_operator(_c6(), OperatorKind.LAPLACIAN)
+        cfg = SlqConfig(n_v=n_v, s=4, seed=0)
+        steps = _concatenated_block_rules(op, cfg)[2].steps
+        if n_v >= BLOCK_WIDTH:
+            assert steps.min() < 4 and steps.max() == 4
+        self._check(op, cfg)
+
+
+class TestGoldenBytes:
+    """descriptor_to_json bytes of the default estimator, pinned to the
+    per-block, per-point implementation that the one-block and tiled paths
+    replaced (numpy 2.4 with OpenBLAS on x86-64)."""
+
+    @pytest.mark.parametrize("args,kind,digest", [
+        ((300, 4, 1), "netlsd",
+         "ccab9afd3e8f2f769c5e47f25d829e2949f379fb30443f71bd7ef9a8cf69fe8b"),
+        ((300, 4, 1), "vnge",
+         "8e169ea422a28b187b94c3c0bc8e3d0681f47e9abaa69554d372d7fa23f42c09"),
+        ((MIN_PARALLEL_DIM - 1, 10, 2), "netlsd",
+         "4b1c4c2ea7e4a14b5470e113614322376117f07fc6c57c15a8f690001bbe7d56"),
+        ((MIN_PARALLEL_DIM - 1, 10, 2), "vnge",
+         "af97fdf6c73f499139985696ff6e195818d56ff348e4725f9969dcda01498750"),
+    ])
+    def test_descriptor_json_digest(self, args, kind, digest):
+        g = erdos_renyi(*args)
+        desc = netlsd_slq(g) if kind == "netlsd" else vnge_slq(g)
+        assert hashlib.sha256(descriptor_to_json(desc).encode()).hexdigest() == digest
