@@ -172,6 +172,10 @@ def knn_accuracy(
     exact distance ties go to the lowest original training index. Splits are
     plain uniform permutations (not stratified), deterministic per seed.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if len(features) == 0:
+        raise ValueError("no features to classify")
     x = _feature_matrix(features)
     y = np.asarray(labels)
     n = x.shape[0]

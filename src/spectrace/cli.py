@@ -10,6 +10,7 @@ inputs give byte-identical outputs regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -76,15 +77,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="worker threads over probe blocks; results never depend on it")
 
 
-def _load_graph(path: str, args) -> Graph:
+def _open(path: str, mode: str):
+    """The file at path, or stdin or stdout for '-', which stays open on exit."""
     if path == "-":
-        return parse_edge_list(
-            sys.stdin,
-            separator=args.separator,
-            comment_prefix=args.comment_prefix,
-            weighted=args.weighted,
-        )
-    with open(path, "r", encoding="utf-8") as fh:
+        return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    return open(path, mode, encoding="utf-8")
+
+
+def _load_graph(path: str, args) -> Graph:
+    with _open(path, "r") as fh:
         return parse_edge_list(
             fh,
             separator=args.separator,
@@ -116,11 +117,8 @@ def _compute(g, args):
 def _cmd_descriptor(args) -> int:
     g = _load_graph(args.input, args)
     desc = _compute(g, args)
-    text = dsc.descriptor_to_json(desc)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
+    with _open(args.output, "w") as out:
+        dsc.descriptor_to_json(desc, out)
     return 0
 
 
@@ -133,12 +131,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
-
-
 def _cmd_bench_error(args) -> int:
     graphs = [(Path(p).name, _load_graph(p, args)) for p in args.inputs]
     methods = args.methods.split(",")
@@ -149,13 +141,9 @@ def _cmd_bench_error(args) -> int:
         graphs, args.kind, methods, grid=_grid(args), cfg=_cfg(args), k=args.k,
         threads=args.threads,
     )
-    out = _open_output(args.output)
-    try:
+    with _open(args.output, "w") as out:
         out.write(_resolved(args, ["kind", "methods", "nv", "steps", "seed", "k"]))
         bench.write_error_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -180,16 +168,12 @@ def _cmd_classify(args) -> int:
         features, labels, train_frac=args.train_frac, repeats=args.repeats,
         seed=args.split_seed,
     )
-    out = _open_output(args.output)
-    try:
+    with _open(args.output, "w") as out:
         out.write(_resolved(args, ["kind", "method", "nv", "steps", "seed",
                                    "train_frac", "repeats", "split_seed"]))
         bench.write_classification_csv(
             Path(args.manifest).stem, args.kind, args.method, result, out
         )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -200,14 +184,10 @@ def _cmd_snapshots(args) -> int:
         series, args.kind, args.method, grid=_grid(args), cfg=_cfg(args), k=args.k,
         threads=args.threads,
     )
-    out = _open_output(args.output)
-    try:
+    with _open(args.output, "w") as out:
         out.write(_resolved(args, ["kind", "method", "nv", "steps", "seed",
                                    "granularity"]))
         bench.write_snapshot_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -215,12 +195,8 @@ def _cmd_generate(args) -> int:
     if args.model != "er":
         raise ValueError(f"unknown generator model {args.model!r}")
     g = erdos_renyi(args.n, args.avg_degree, args.seed)
-    out = _open_output(args.output)
-    try:
+    with _open(args.output, "w") as out:
         write_edge_list(g, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -258,7 +234,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="1-NN accuracy from a 'path,label' manifest")
     p.add_argument("--manifest", required=True, help="CSV of 'path,label' rows")
     p.add_argument("--train-frac", type=float, default=0.8, help="training fraction")
-    p.add_argument("--repeats", type=int, default=1000, help="random splits")
+    p.add_argument("--repeats", type=_positive_int, default=1000, help="random splits")
     p.add_argument("--split-seed", type=int, default=0, help="split RNG seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_graph_options(p)

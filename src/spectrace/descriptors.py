@@ -21,13 +21,13 @@ Q = 1 - tr(L^2)/tr(L)^2 is consistent and exact on a single edge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO
 
 import numpy as np
 
 from .graphs import Graph
-from .lanczos import dense_spectrum, extremal_eigenvalues, DENSE_SPECTRUM_CAP
+from .lanczos import dense_spectrum, extremal_eigenvalues
 from .operators import (
     LinearOperator, OperatorKind, adjacency, degrees, make_operator, trace, trace_squared,
 )
@@ -109,11 +109,10 @@ def _heat_trace(eigenvalues: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.exp(-np.outer(grid.values, lam)).sum(axis=1)
 
 
-def netlsd_exact(g: Graph, grid: TimeGrid | None = None, *,
-                 cap: int = DENSE_SPECTRUM_CAP) -> HeatTraceDescriptor:
+def netlsd_exact(g: Graph, grid: TimeGrid | None = None) -> HeatTraceDescriptor:
     """Heat trace from the full normalized Laplacian spectrum."""
     grid = grid or TimeGrid()
-    eigs = dense_spectrum(g, OperatorKind.NORMALIZED_LAPLACIAN, cap=cap)
+    eigs = dense_spectrum(g, OperatorKind.NORMALIZED_LAPLACIAN)
     return HeatTraceDescriptor(
         grid=grid,
         values=_heat_trace(eigs, grid),
@@ -140,12 +139,7 @@ def netlsd_slq(
         grid=grid,
         values=np.array([e.value for e in estimates]),
         method="slq",
-        params={
-            "n_v": cfg.n_v,
-            "s": cfg.s,
-            "distribution": cfg.distribution,
-            "seed": cfg.seed,
-        },
+        params=asdict(cfg),
         graph_hash=g.content_hash(),
         std_errors=np.array([e.std_error for e in estimates]),
     )
@@ -189,12 +183,11 @@ def _kernel_deflated(g: Graph, op: LinearOperator) -> tuple[LinearOperator, int]
     def apply(x: np.ndarray) -> np.ndarray:
         return op.apply(x) + 2.0 * u * np.bincount(labels, weights=u * x, minlength=count)[labels]
 
-    return LinearOperator(dim=g.n, apply=apply, kind=None, interval=op.interval), count
+    return LinearOperator(dim=g.n, apply=apply, interval=op.interval), count
 
 
 def netlsd_linear(
-    g: Graph, grid: TimeGrid | None = None, k: int = 300, *,
-    cap: int = DENSE_SPECTRUM_CAP,
+    g: Graph, grid: TimeGrid | None = None, k: int = 300
 ) -> HeatTraceDescriptor:
     """Heat trace from k exact eigenvalues at each end of the spectrum with a
     linearly interpolated interior. The smallest end is one 0 per connected
@@ -207,7 +200,7 @@ def netlsd_linear(
         raise ValueError(f"k must be >= 1, got {k}")
     grid = grid or TimeGrid()
     if 2 * k >= g.n:
-        exact = netlsd_exact(g, grid, cap=cap)
+        exact = netlsd_exact(g, grid)
         return HeatTraceDescriptor(
             grid=grid,
             values=exact.values,
@@ -240,9 +233,9 @@ def _entropy_from_spectrum(eigs: np.ndarray) -> float:
     return float(-np.sum(lam[pos] * np.log(lam[pos])))
 
 
-def vnge_exact(g: Graph, *, cap: int = DENSE_SPECTRUM_CAP) -> EntropyValue:
+def vnge_exact(g: Graph) -> EntropyValue:
     """Entropy from the full density-matrix spectrum."""
-    eigs = dense_spectrum(g, OperatorKind.DENSITY, cap=cap)
+    eigs = dense_spectrum(g, OperatorKind.DENSITY)
     return EntropyValue(
         value=_entropy_from_spectrum(eigs),
         method="exact",
@@ -266,12 +259,7 @@ def vnge_slq(g: Graph, cfg: SlqConfig | None = None, *, threads: int = 1) -> Ent
     return EntropyValue(
         value=-est.value,
         method="slq",
-        params={
-            "n_v": cfg.n_v,
-            "s": cfg.s,
-            "distribution": cfg.distribution,
-            "seed": cfg.seed,
-        },
+        params=asdict(cfg),
         graph_hash=g.content_hash(),
         std_error=est.std_error,
     )

@@ -62,12 +62,6 @@ class Tridiagonal:
     beta: np.ndarray
     steps: int
 
-    def to_dense(self) -> np.ndarray:
-        t = np.diag(self.alpha)
-        if self.beta.size:
-            t += np.diag(self.beta, 1) + np.diag(self.beta, -1)
-        return t
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -94,18 +88,13 @@ def lanczos_tridiagonalize(
     q0: np.ndarray,
     s: int,
     reorth: bool | None = None,
-    *,
-    return_basis: bool = False,
-) -> Tridiagonal | tuple[Tridiagonal, np.ndarray]:
+) -> Tridiagonal:
     """Run up to s Lanczos steps on op from the unit start vector q0.
 
     ``reorth=None`` enables full reorthogonalization whenever s <= 100.
     Requested steps beyond op.dim are clamped (the recurrence cannot produce
     more than dim orthonormal vectors). The iteration stops early when the
     residual norm falls to 1e-12 times the spectral radius bound.
-
-    Returns the Tridiagonal, plus the (steps x dim) basis matrix when
-    ``return_basis`` is set.
     """
     if s < 1:
         raise ValueError(f"step budget must be >= 1, got {s}")
@@ -124,8 +113,8 @@ def lanczos_tridiagonalize(
 
     alphas = np.empty(s)
     betas = np.empty(max(s - 1, 0))
-    basis = np.empty((s, n)) if (reorth or return_basis) else None
-    if basis is not None:
+    if reorth:
+        basis = np.empty((s, n))
         basis[0] = q0
 
     q_prev = np.zeros(n)
@@ -147,15 +136,12 @@ def lanczos_tridiagonalize(
             break
         betas[i] = beta
         q_prev, q, beta_prev = q, w / beta, beta
-        if basis is not None:
+        if reorth:
             basis[i + 1] = q
 
-    tri = Tridiagonal(
+    return Tridiagonal(
         alpha=alphas[:steps].copy(), beta=betas[: steps - 1].copy(), steps=steps
     )
-    if return_basis:
-        return tri, basis[:steps]
-    return tri
 
 
 def quadrature_rule(tri: Tridiagonal) -> QuadratureRule:
@@ -323,16 +309,14 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     return np.sort(vals)
 
 
-def dense_spectrum(
-    g: Graph, kind: OperatorKind, *, cap: int = DENSE_SPECTRUM_CAP
-) -> np.ndarray:
+def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     """All eigenvalues of the densified operator, ascending.
 
     This is the exact reference for every approximation in the package; it
-    refuses graphs above ``cap`` vertices.
+    refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices.
     """
-    if g.n > cap:
-        raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {cap}")
+    if g.n > DENSE_SPECTRUM_CAP:
+        raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {DENSE_SPECTRUM_CAP}")
     d = degrees(g)
     adj = np.zeros((g.n, g.n))
     src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))

@@ -51,7 +51,6 @@ class LinearOperator:
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-    kind: OperatorKind | None
     interval: tuple[float, float]
 
 
@@ -139,7 +138,7 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     # are laid out: at n=100k they would otherwise raise the peak RSS
     mat, interval = _matrix(g, kind)
     mat = _row_panels(mat)
-    return LinearOperator(dim=g.n, apply=mat.__matmul__, kind=kind, interval=interval)
+    return LinearOperator(dim=g.n, apply=mat.__matmul__, interval=interval)
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:

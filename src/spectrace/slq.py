@@ -12,18 +12,20 @@ Probes run as columns of zero-padded blocks through ``lanczos_block``: one
 block operator application per Lanczos step, no reorthogonalization, and
 one batched eigendecomposition for all Gauss rules. A column's arithmetic
 does not depend on the block around it, so a probe's numbers change with
-neither n_v, the block layout nor the worker count. Below
-``MIN_PARALLEL_DIM`` rows every probe runs in one block; larger operators
-run blocks of ``BLOCK_WIDTH`` probes over worker threads (the sparse
-product releases the GIL), gathered in probe order. f is applied to the
-whole (n_v, s) node array, and slq_trace_grid applies it to tiles of grid
-points at once; both integrate with one einsum.
+neither n_v, the block layout nor the worker count. Blocks hold
+``BLOCK_WIDTH`` probes on operators of ``MIN_PARALLEL_DIM`` rows or more;
+below that the probes fill the fewest blocks of at most
+``MAX_BLOCK_WIDTH``, so up to that many probes run as one block. Blocks
+run in turn, or over worker threads (the sparse product releases the
+GIL), and are gathered in probe order. f is applied to the whole (n_v, s)
+node array, and slq_trace_grid applies it to tiles of grid points at
+once; both integrate with one einsum.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,16 +38,20 @@ __all__ = ["SlqConfig", "SlqEstimate", "slq_trace", "slq_trace_grid"]
 _DISTRIBUTIONS = ("rademacher", "gaussian")
 
 # Probes per Lanczos block on operators of at least MIN_PARALLEL_DIM rows,
-# and the unit the single block below it is padded to. Wider blocks gave
-# no gain per column there (an (n, 16) product took twice an (n, 8) one).
+# and the unit blocks below it are padded to. Wider blocks gave no gain
+# per column there (an (n, 16) product took twice an (n, 8) one).
 BLOCK_WIDTH = 8
-# Smallest operator that probes run in BLOCK_WIDTH blocks over worker
-# threads for. Below it a Lanczos step is mostly interpreter work that
-# holds the GIL: on a 2-core Xeon, two workers took 1.5x as long as one on
-# ER graphs of 100-500 vertices, broke even near 2000, and were 1.4-1.8x
-# faster from 3000 to 10000 vertices. So smaller operators run every probe
-# in one block, one product and one set of vector updates per step.
+# Smallest operator that probes run in BLOCK_WIDTH blocks for. Below it a
+# Lanczos step is mostly interpreter work that holds the GIL: on a 2-core
+# Xeon, two workers took 1.5x as long as one on ER graphs of 100-500
+# vertices, broke even near 2000, and were 1.4-1.8x faster from 3000 to
+# 10000 vertices. So smaller operators run up to MAX_BLOCK_WIDTH probes in
+# one block, one product and one set of vector updates per step.
 MIN_PARALLEL_DIM = 2048
+# Widest block below MIN_PARALLEL_DIM. A block keeps three (n, width)
+# arrays alive, so the cap bounds memory whatever n_v is: vnge_slq at
+# n = 2047 peaks near 17 MiB, where one block of 4000 probes took 251 MiB.
+MAX_BLOCK_WIDTH = 256
 # Node values per tile of slq_trace_grid: 32 grid points at n_v=100, s=10.
 # A bound keeps the (k, n_v, s) temporaries small whatever the grid size.
 _TILE_VALUES = 32_768
@@ -111,15 +117,22 @@ def _probe_rules(
     op: LinearOperator, cfg: SlqConfig, threads: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clamped (n_v, s) Gauss nodes and weights of every probe, in probe order."""
-    firsts = range(0, cfg.n_v, BLOCK_WIDTH)
-    workers = min(threads, len(firsts))
+    width = BLOCK_WIDTH
     if op.dim < MIN_PARALLEL_DIM:
-        blocks = [_probe_block(op, cfg, 0, len(firsts) * BLOCK_WIDTH)]
-    elif workers <= 1:
-        blocks = [_probe_block(op, cfg, first) for first in firsts]
+        # the fewest blocks that MAX_BLOCK_WIDTH allows, of equal padded width
+        count = -(-cfg.n_v // MAX_BLOCK_WIDTH)
+        width = -(-cfg.n_v // (count * BLOCK_WIDTH)) * BLOCK_WIDTH
+    firsts = range(0, cfg.n_v, width)
+    workers = min(threads, len(firsts))
+
+    def run(first: int) -> BlockTridiagonal:
+        return _probe_block(op, cfg, first, width)
+
+    if workers <= 1:
+        blocks = list(map(run, firsts))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda first: _probe_block(op, cfg, first), firsts))
+            blocks = list(pool.map(run, firsts))
     tri = BlockTridiagonal(
         alpha=np.concatenate([b.alpha for b in blocks])[: cfg.n_v],
         beta=np.concatenate([b.beta for b in blocks])[: cfg.n_v],
@@ -159,7 +172,6 @@ def slq_trace(
     cfg: SlqConfig,
     *,
     threads: int = 1,
-    control_variate: tuple[Sequence[float], float] | None = None,
 ) -> SlqEstimate:
     """Estimate tr(f(op)) with cfg.n_v probes of cfg.s Lanczos steps each.
 
@@ -169,20 +181,10 @@ def slq_trace(
     shortened by breakdown pads its row with zero-weight copies of its last
     node. Deterministic for a fixed cfg regardless of ``threads``: blocks
     are gathered in ascending probe order.
-
-    ``control_variate`` is an experimental variance-reduction hook: a pair
-    ``((c0, c1, c2), exact_trace)`` subtracts the quadratic c0 + c1*x + c2*x^2
-    from f at the nodes and adds back its exact trace, which the caller must
-    supply (e.g. from the closed-form trace identities). Off by default.
     """
     nodes, weights = _probe_rules(op, cfg, threads)
     values = np.asarray(f(nodes), dtype=np.float64)
-    if control_variate is None:
-        return _integrate(nodes, weights, op.dim, values[None])[0]
-    (c0, c1, c2), exact = control_variate
-    values = values - (c0 + c1 * nodes + c2 * nodes * nodes)
-    est = _integrate(nodes, weights, op.dim, values[None])[0]
-    return replace(est, value=est.value + exact)
+    return _integrate(nodes, weights, op.dim, values[None])[0]
 
 
 def slq_trace_grid(

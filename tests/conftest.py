@@ -79,8 +79,7 @@ def explicit_operator(mat: np.ndarray) -> LinearOperator:
     radii = np.sum(np.abs(mat), axis=1) - np.abs(np.diag(mat))
     lo = float(np.min(np.diag(mat) - radii))
     hi = float(np.max(np.diag(mat) + radii))
-    return LinearOperator(dim=mat.shape[0], apply=lambda x: mat @ x, kind=None,
-                          interval=(lo, hi))
+    return LinearOperator(dim=mat.shape[0], apply=lambda x: mat @ x, interval=(lo, hi))
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float, *,

@@ -93,6 +93,16 @@ class TestKnnAccuracy:
         se = np.sqrt(base.std**2 + shuffled.std**2) / np.sqrt(800)
         assert abs(base.mean_accuracy - shuffled.mean_accuracy) <= 4 * se
 
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_nonpositive_repeats_rejected(self, repeats):
+        features = [np.zeros(1), np.zeros(1), np.ones(1), np.ones(1)]
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            knn_accuracy(features, ["a", "a", "b", "b"], repeats=repeats)
+
+    def test_empty_features_rejected(self):
+        with pytest.raises(ValueError, match="no features"):
+            knn_accuracy([], [])
+
     def test_tie_break_lowest_training_index(self):
         # all features equal, first item has the unique label "a": whenever
         # item 0 is in training, every test prediction is "a"

@@ -173,6 +173,25 @@ class TestExitCodes:
         assert exc_info.value.code == 1
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_nonpositive_repeats_is_usage_error(self, capsys, tmp_path, repeats):
+        manifest = tmp_path / "data.csv"
+        manifest.write_text("")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["classify", "--manifest", str(manifest), "--kind", "vnge",
+                  "--repeats", repeats])
+        assert exc_info.value.code == 1
+        assert "--repeats" in capsys.readouterr().err
+
+    def test_empty_manifest_is_data_error(self, capsys, tmp_path):
+        manifest = tmp_path / "data.csv"
+        manifest.write_text("# no graphs\n")
+        code, out, err = run(capsys, "classify", "--manifest", str(manifest),
+                             "--kind", "vnge", "--method", "exact")
+        assert code == 2
+        assert out == ""
+        assert "no features" in err
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "descriptor", "--input", "/nonexistent/x.tsv",
                            "--kind", "vnge", "--method", "exact")
@@ -211,6 +230,64 @@ class TestExitCodes:
                            "vnge", "--method", "exact")
         assert code == 2
         assert "MemoryError" in err
+
+
+class TestDashOutput:
+    """'-' names stdout for --output and stdin for an edge-list input."""
+
+    @staticmethod
+    def _argv(subcommand, tmp_path, p3_file):
+        if subcommand == "descriptor":
+            return ["descriptor", "--input", p3_file, "--kind", "netlsd",
+                    "--grid-points", "8"]
+        if subcommand == "bench-error":
+            return ["bench-error", "--inputs", p3_file, "--kind", "vnge",
+                    "--methods", "exact,slq,taylor"]
+        if subcommand == "classify":
+            for name, text in [("a0.tsv", "0 1\n"), ("a1.tsv", "0 1\n1 2\n0 2\n"),
+                               ("b0.tsv", "0 1\n1 2\n"), ("b1.tsv", "0 1\n1 2\n2 3\n")]:
+                (tmp_path / name).write_text(text)
+            manifest = tmp_path / "data.csv"
+            manifest.write_text("a0.tsv,a\na1.tsv,a\nb0.tsv,b\nb1.tsv,b\n")
+            return ["classify", "--manifest", str(manifest), "--kind", "vnge",
+                    "--method", "exact", "--repeats", "20"]
+        if subcommand == "snapshots":
+            events = tmp_path / "events.txt"
+            events.write_text("0 add 0 1\n1 add 1 2\n2 del 0 1\n")
+            return ["snapshots", "--events", str(events), "--granularity", "1",
+                    "--kind", "vnge", "--method", "exact"]
+        return ["generate", "er", "--n", "20", "--avg-degree", "3", "--seed", "2"]
+
+    @pytest.mark.parametrize("subcommand", ["descriptor", "bench-error", "classify",
+                                            "snapshots", "generate"])
+    def test_file_and_stdout_bytes_match(self, capsys, tmp_path, p3_file, subcommand):
+        argv = self._argv(subcommand, tmp_path, p3_file)
+        out_path = tmp_path / "out"
+        code, _, _ = run(capsys, *argv, "--output", str(out_path))
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--output", "-")
+        assert code == 0
+        assert not sys.stdout.closed
+        expected = out_path.read_text()
+        if subcommand == "bench-error":
+            # the seconds column is a wall time
+            def drop_seconds(text):
+                return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+            out, expected = drop_seconds(out), drop_seconds(expected)
+        assert out == expected
+        assert len(out) > 0
+
+    def test_compare_reads_stdin(self, capsys, monkeypatch, p3_file, k2_file):
+        import io
+        argv = ["compare", "--b", k2_file, "--kind", "netlsd", "--method", "exact"]
+        code, from_file, _ = run(capsys, *argv, "--a", p3_file)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))
+        code, from_stdin, _ = run(capsys, *argv, "--a", "-")
+        assert code == 0
+        assert from_stdin == from_file
+        assert float(from_stdin) > 0.0
 
 
 class TestByteDeterminism:

