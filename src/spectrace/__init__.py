@@ -10,6 +10,7 @@ from .operators import (
     LinearOperator,
     OperatorKind,
     degrees,
+    dense_spectrum,
     make_operator,
     trace,
     trace_squared,
@@ -17,7 +18,6 @@ from .operators import (
 from .lanczos import (
     QuadratureRule,
     Tridiagonal,
-    dense_spectrum,
     extremal_eigenvalues,
     lanczos_error_bound,
     lanczos_tridiagonalize,

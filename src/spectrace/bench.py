@@ -19,6 +19,7 @@ from .graphs import Graph, SnapshotSeries
 from .slq import SlqConfig
 
 __all__ = [
+    "METHODS",
     "ErrorRow",
     "compute_descriptor",
     "ClassificationResult",
@@ -58,6 +59,24 @@ class SnapshotRow:
     removed: int
 
 
+# Each descriptor kind's methods, by CLI name: (g, grid, cfg, k, threads) -> descriptor
+METHODS: dict[str, dict[str, Callable]] = {
+    "netlsd": {
+        "exact": lambda g, grid, cfg, k, threads: dsc.netlsd_exact(g, grid),
+        "slq": lambda g, grid, cfg, k, threads: dsc.netlsd_slq(g, grid, cfg, threads=threads),
+        "taylor": lambda g, grid, cfg, k, threads: dsc.netlsd_taylor(g, grid),
+        "linear": lambda g, grid, cfg, k, threads: dsc.netlsd_linear(g, grid, k),
+    },
+    "vnge": {
+        "exact": lambda g, grid, cfg, k, threads: dsc.vnge_exact(g),
+        "slq": lambda g, grid, cfg, k, threads: dsc.vnge_slq(g, cfg, threads=threads),
+        "taylor": lambda g, grid, cfg, k, threads: dsc.vnge_taylor(g),
+        "finger-hat": lambda g, grid, cfg, k, threads: dsc.vnge_finger(g, "hat"),
+        "finger-bar": lambda g, grid, cfg, k, threads: dsc.vnge_finger(g, "bar"),
+    },
+}
+
+
 def compute_descriptor(
     g: Graph,
     kind: str,
@@ -67,27 +86,10 @@ def compute_descriptor(
     k: int,
     threads: int = 1,
 ):
-    if kind == "netlsd":
-        if method == "exact":
-            return dsc.netlsd_exact(g, grid)
-        if method == "slq":
-            return dsc.netlsd_slq(g, grid, cfg, threads=threads)
-        if method == "taylor":
-            return dsc.netlsd_taylor(g, grid)
-        if method == "linear":
-            return dsc.netlsd_linear(g, grid, k)
-    elif kind == "vnge":
-        if method == "exact":
-            return dsc.vnge_exact(g)
-        if method == "slq":
-            return dsc.vnge_slq(g, cfg, threads=threads)
-        if method == "taylor":
-            return dsc.vnge_taylor(g)
-        if method == "finger-hat":
-            return dsc.vnge_finger(g, "hat")
-        if method == "finger-bar":
-            return dsc.vnge_finger(g, "bar")
-    raise ValueError(f"unknown descriptor method {method!r} for kind {kind!r}")
+    route = METHODS.get(kind, {}).get(method)
+    if route is None:
+        raise ValueError(f"unknown descriptor method {method!r} for kind {kind!r}")
+    return route(g, grid, cfg, k, threads)
 
 
 def error_benchmark(

@@ -20,8 +20,6 @@ from .errors import ConvergenceError, EdgeListError, TridiagonalEigenError
 from .graphs import Graph, erdos_renyi, load_snapshots, parse_edge_list, write_edge_list
 from .slq import SlqConfig
 
-_METHODS = ("exact", "slq", "taylor", "linear", "finger-hat", "finger-bar")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that shows defaults and exits 1 on usage errors
@@ -48,17 +46,19 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
 def _add_descriptor_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("netlsd", "vnge"), required=True,
                    help="descriptor family")
-    p.add_argument("--method", choices=_METHODS, default="slq",
-                   help="computation route")
-    p.add_argument("--nv", type=int, default=100, help="probe vectors")
-    p.add_argument("--steps", type=int, default=10, help="Lanczos steps per probe")
+    p.add_argument("--method", default="slq", help="computation route: " + "; ".join(
+        f"{kind}: {', '.join(methods)}" for kind, methods in bench.METHODS.items()))
+    p.add_argument("--nv", type=_positive_int, default=100, help="probe vectors")
+    p.add_argument("--steps", type=_positive_int, default=10,
+                   help="Lanczos steps per probe")
     p.add_argument("--distribution", choices=("rademacher", "gaussian"),
                    default="rademacher", help="probe distribution")
     p.add_argument("--seed", type=int, default=0, help="estimator master seed")
     p.add_argument("--t-min", type=float, default=1e-2, help="first heat time")
     p.add_argument("--t-max", type=float, default=1e2, help="last heat time")
-    p.add_argument("--grid-points", type=int, default=256, help="heat time count")
-    p.add_argument("--k", type=int, default=300,
+    p.add_argument("--grid-points", type=_positive_int, default=256,
+                   help="heat time count")
+    p.add_argument("--k", type=_positive_int, default=300,
                    help="extremal eigenvalues per end for --method linear")
 
 
@@ -133,13 +133,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench_error(args) -> int:
     graphs = [(Path(p).name, _load_graph(p, args)) for p in args.inputs]
-    methods = args.methods.split(",")
-    for method in methods:
-        if method not in _METHODS:
-            raise ValueError(f"unknown method {method!r}")
     rows = bench.error_benchmark(
-        graphs, args.kind, methods, grid=_grid(args), cfg=_cfg(args), k=args.k,
-        threads=args.threads,
+        graphs, args.kind, args.methods.split(","), grid=_grid(args), cfg=_cfg(args),
+        k=args.k, threads=args.threads,
     )
     with _open(args.output, "w") as out:
         out.write(_resolved(args, ["kind", "methods", "nv", "steps", "seed", "k"]))
@@ -253,7 +249,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic benchmark graph")
     p.add_argument("model", choices=("er",), help="generator family")
-    p.add_argument("--n", type=int, required=True, help="vertex count")
+    p.add_argument("--n", type=_positive_int, required=True, help="vertex count")
     p.add_argument("--avg-degree", type=float, required=True, help="expected degree")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
@@ -263,9 +259,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_methods(parser: _Parser, args) -> None:
+    """Exit 1 unless every requested method is one of --kind's, before any
+    input is read."""
+    if not hasattr(args, "kind"):
+        return
+    requested = [("--method", args.method)]
+    if hasattr(args, "methods"):
+        requested += [("--methods", name) for name in args.methods.split(",")]
+    known = bench.METHODS[args.kind]
+    for flag, name in requested:
+        if name not in known:
+            parser.error(f"argument {flag}: {name!r} is not a {args.kind} method "
+                         f"(choose from {', '.join(known)})")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_methods(parser, args)
     try:
         return args.func(args)
     except (EdgeListError, ConvergenceError, TridiagonalEigenError, ValueError,

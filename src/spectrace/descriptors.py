@@ -27,9 +27,10 @@ from typing import IO
 import numpy as np
 
 from .graphs import Graph
-from .lanczos import dense_spectrum, extremal_eigenvalues
+from .lanczos import extremal_eigenvalues
 from .operators import (
-    LinearOperator, OperatorKind, adjacency, degrees, make_operator, trace, trace_squared,
+    LinearOperator, OperatorKind, adjacency, degrees, dense_spectrum, make_operator, trace,
+    trace_squared,
 )
 from .slq import SlqConfig, slq_trace, slq_trace_grid
 
@@ -230,7 +231,9 @@ def netlsd_linear(
 def _entropy_from_spectrum(eigs: np.ndarray) -> float:
     lam = np.clip(eigs, 0.0, 1.0)
     pos = lam > 0
-    return float(-np.sum(lam[pos] * np.log(lam[pos])))
+    # 0.0 - x, not -x: a zero entropy is 0.0, not -0.0, and any other value
+    # is the same float either way
+    return 0.0 - float(np.sum(lam[pos] * np.log(lam[pos])))
 
 
 def vnge_exact(g: Graph) -> EntropyValue:
@@ -257,18 +260,12 @@ def vnge_slq(g: Graph, cfg: SlqConfig | None = None, *, threads: int = 1) -> Ent
     op = make_operator(g, OperatorKind.DENSITY)
     est = slq_trace(op, _xlogx, cfg, threads=threads)
     return EntropyValue(
-        value=-est.value,
+        value=0.0 - est.value,
         method="slq",
         params=asdict(cfg),
         graph_hash=g.content_hash(),
         std_error=est.std_error,
     )
-
-
-def _taylor_quadratic(g: Graph) -> float:
-    tr_l = trace(g, OperatorKind.LAPLACIAN)
-    tr_l2 = trace_squared(g, OperatorKind.LAPLACIAN)
-    return 1.0 - tr_l2 / (tr_l * tr_l)
 
 
 def vnge_taylor(g: Graph, variant: str = "corrected") -> EntropyValue:
@@ -283,7 +280,7 @@ def vnge_taylor(g: Graph, variant: str = "corrected") -> EntropyValue:
     if g.m == 0:
         raise ValueError("entropy undefined for a graph without edges")
     if variant == "corrected":
-        value = _taylor_quadratic(g)
+        value = 1.0 - trace_squared(g, OperatorKind.DENSITY)
     else:
         tr_l = trace(g, OperatorKind.LAPLACIAN)
         tr_l2 = trace_squared(g, OperatorKind.LAPLACIAN)
@@ -309,7 +306,7 @@ def vnge_finger(g: Graph, variant: str = "hat") -> EntropyValue:
         raise ValueError(f"variant must be 'hat' or 'bar', got {variant!r}")
     if g.m == 0:
         raise ValueError("entropy undefined for a graph without edges")
-    q = _taylor_quadratic(g)
+    q = 1.0 - trace_squared(g, OperatorKind.DENSITY)
     if variant == "hat":
         op = make_operator(g, OperatorKind.DENSITY)
         lam_max = float(extremal_eigenvalues(op, 1, "largest")[-1])
@@ -320,7 +317,7 @@ def vnge_finger(g: Graph, variant: str = "hat") -> EntropyValue:
     if scale <= 0:
         raise ValueError(f"nonpositive spectral scale {scale} for log")
     return EntropyValue(
-        value=float(-q * np.log(scale)),
+        value=0.0 - float(q * np.log(scale)),
         method="finger",
         params={"variant": variant},
         graph_hash=g.content_hash(),

@@ -1,4 +1,4 @@
-"""Lanczos tridiagonalization, Gauss quadrature rules, and spectral oracles.
+"""Lanczos tridiagonalization, Gauss quadrature rules, and extremal eigenvalues.
 
 The s-step Lanczos recurrence reduces a symmetric operator to a tridiagonal
 matrix whose eigenvalues (Ritz values) and squared first eigenvector
@@ -27,8 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, TridiagonalEigenError
-from .graphs import Graph
-from .operators import LinearOperator, OperatorKind, degrees
+from .operators import LinearOperator
 
 __all__ = [
     "Tridiagonal",
@@ -39,12 +38,8 @@ __all__ = [
     "lanczos_block",
     "block_quadrature_rules",
     "extremal_eigenvalues",
-    "dense_spectrum",
     "lanczos_error_bound",
-    "DENSE_SPECTRUM_CAP",
 ]
-
-DENSE_SPECTRUM_CAP = 20_000
 
 _BREAKDOWN_REL_TOL = 1e-12
 _FULL_REORTH_MAX_STEPS = 100
@@ -307,35 +302,6 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
             best_estimates=np.sort(exc.eigenvalues),
         ) from exc
     return np.sort(vals)
-
-
-def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
-    """All eigenvalues of the densified operator, ascending.
-
-    This is the exact reference for every approximation in the package; it
-    refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices.
-    """
-    if g.n > DENSE_SPECTRUM_CAP:
-        raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {DENSE_SPECTRUM_CAP}")
-    d = degrees(g)
-    adj = np.zeros((g.n, g.n))
-    src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
-    adj[src, g.col_indices] = g.weights
-    if kind is OperatorKind.LAPLACIAN:
-        mat = np.diag(d) - adj
-    elif kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        pos = d > 0
-        dinv_sqrt = np.zeros(g.n)
-        dinv_sqrt[pos] = 1.0 / np.sqrt(d[pos])
-        mat = np.diag(pos.astype(np.float64)) - dinv_sqrt[:, None] * adj * dinv_sqrt[None, :]
-    elif kind is OperatorKind.DENSITY:
-        tr_l = float(d.sum())
-        if g.m == 0 or tr_l <= 0:
-            raise ValueError("density matrix undefined for a graph without edges")
-        mat = (np.diag(d) - adj) / tr_l
-    else:
-        raise ValueError(f"unknown operator kind: {kind!r}")
-    return scipy.linalg.eigvalsh(mat)
 
 
 def lanczos_error_bound(t: float, s: int) -> float:

@@ -7,7 +7,8 @@ is 0), and the trace-one density matrix ``L / tr(L)``. Each is assembled once
 as a single sparse matrix, its entries laid out in row panels, so applying
 it to a vector or to an (n, W) block of vectors is one sparse product: one
 pass over the edges. Traces and squared traces come from closed-form
-identities.
+identities. ``dense_spectrum``, the exact reference, densifies the same
+sparse matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .graphs import Graph
@@ -27,9 +29,13 @@ __all__ = [
     "adjacency",
     "degrees",
     "make_operator",
+    "dense_spectrum",
     "trace",
     "trace_squared",
+    "DENSE_SPECTRUM_CAP",
 ]
+
+DENSE_SPECTRUM_CAP = 20_000
 
 
 class OperatorKind(Enum):
@@ -139,6 +145,19 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     mat, interval = _matrix(g, kind)
     mat = _row_panels(mat)
     return LinearOperator(dim=g.n, apply=mat.__matmul__, interval=interval)
+
+
+def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
+    """All eigenvalues of the densified operator, ascending.
+
+    This is the exact reference for every approximation in the package; it
+    refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices. The dense array
+    belongs to this call, so LAPACK works in it: one n x n copy is held.
+    """
+    if g.n > DENSE_SPECTRUM_CAP:
+        raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {DENSE_SPECTRUM_CAP}")
+    mat, _ = _matrix(g, kind)
+    return scipy.linalg.eigvalsh(mat.toarray(order="F"), overwrite_a=True)
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:

@@ -43,6 +43,13 @@ class TestDescriptor:
         assert abs(obj["value"]) < 1e-12
         assert obj["method"] == "exact"
 
+    @pytest.mark.parametrize("method", ["exact", "finger-hat", "finger-bar"])
+    def test_k2_zero_entropy_is_positive_zero(self, capsys, k2_file, method):
+        code, out, _ = run(capsys, "descriptor", "--input", k2_file, "--kind", "vnge",
+                           "--method", method)
+        assert code == 0
+        assert '"value": 0.0\n' in out
+
     def test_netlsd_json_to_stdout(self, capsys, p3_file):
         code, out, _ = run(capsys, "descriptor", "--input", p3_file, "--kind",
                            "netlsd", "--method", "slq", "--grid-points", "8",
@@ -99,11 +106,27 @@ class TestBenchError:
         assert lines[1] == "graph,method,kind,rel_error,seconds"
         assert len(lines) == 4
 
-    def test_unknown_method_is_data_error(self, capsys, p3_file):
-        code, _, err = run(capsys, "bench-error", "--inputs", p3_file, "--kind",
-                           "vnge", "--methods", "magic")
-        assert code == 2
-        assert "magic" in err
+    def test_unknown_method_is_usage_error(self, capsys, p3_file):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench-error", "--inputs", p3_file, "--kind", "vnge",
+                  "--methods", "magic"])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "--methods" in err and "magic" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["descriptor", "--input", "/nonexistent/x.tsv", "--kind", "netlsd",
+         "--method", "finger-hat"],
+        ["bench-error", "--inputs", "/nonexistent/x.tsv", "--kind", "netlsd",
+         "--methods", "slq,finger-bar"],
+    ], ids=["descriptor", "bench-error"])
+    def test_kind_method_mismatch_is_usage_error_before_input(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "finger-" in err
+        assert "nonexistent" not in err
 
 
 class TestSnapshots:
@@ -165,13 +188,25 @@ class TestExitCodes:
             main([])
         assert exc_info.value.code == 1
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_nonpositive_threads_is_usage_error(self, capsys, p3_file, threads):
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--threads", "0", id="0"),
+        pytest.param("--threads", "-1", id="-1"),
+        ("--nv", "0"),
+        ("--steps", "0"),
+        ("--grid-points", "0"),
+        ("--k", "0"),
+        ("--k", "-5"),
+        ("--n", "0"),
+    ])
+    def test_nonpositive_threads_is_usage_error(self, capsys, p3_file, flag, value):
+        if flag == "--n":
+            argv = ["generate", "er", "--avg-degree", "4"]
+        else:
+            argv = ["descriptor", "--input", p3_file, "--kind", "netlsd"]
         with pytest.raises(SystemExit) as exc_info:
-            main(["descriptor", "--input", p3_file, "--kind", "vnge",
-                  "--threads", threads])
+            main(argv + [flag, value])
         assert exc_info.value.code == 1
-        assert "--threads" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("repeats", ["0", "-3"])
     def test_nonpositive_repeats_is_usage_error(self, capsys, tmp_path, repeats):

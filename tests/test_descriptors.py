@@ -28,8 +28,7 @@ from spectrace.descriptors import (
     vnge_taylor,
 )
 from spectrace.graphs import erdos_renyi, parse_edge_list
-from spectrace.lanczos import dense_spectrum
-from spectrace.operators import OperatorKind
+from spectrace.operators import OperatorKind, dense_spectrum
 from spectrace.slq import SlqConfig
 
 from conftest import disjoint_edges, empty_graph, graph_from_edges, random_graph

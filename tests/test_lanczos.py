@@ -1,6 +1,7 @@
 """Lanczos recurrence, quadrature rules, extremal eigenvalues, oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,21 +11,20 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from spectrace.errors import ConvergenceError
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
-    DENSE_SPECTRUM_CAP,
-    dense_spectrum,
     extremal_eigenvalues,
     lanczos_error_bound,
     lanczos_tridiagonalize,
     quadrature_rule,
     Tridiagonal,
 )
-from spectrace.operators import OperatorKind, make_operator
+from spectrace.operators import DENSE_SPECTRUM_CAP, OperatorKind, dense_spectrum, make_operator
 
 from conftest import (
     dense_operator_matrix,
     disjoint_edges,
     empty_graph,
     explicit_operator,
+    pad_vertices,
     random_graph,
 )
 
@@ -252,10 +252,23 @@ class TestDenseSpectrum:
     def test_matches_independent_densify(self):
         rng = np.random.default_rng(11)
         g = random_graph(rng, n=35, p=0.25, weighted=True)
+        for graph in (g, pad_vertices(g, 42)):
+            for kind in OperatorKind:
+                mine = dense_spectrum(graph, kind)
+                oracle = np.linalg.eigvalsh(dense_operator_matrix(graph, kind))
+                assert np.allclose(mine, oracle, atol=1e-10)
+
+    def test_holds_about_one_dense_copy(self):
+        g = erdos_renyi(1200, 10, 0)
+        copy_bytes = 8 * g.n * g.n
         for kind in OperatorKind:
-            mine = dense_spectrum(g, kind)
-            oracle = np.linalg.eigvalsh(dense_operator_matrix(g, kind))
-            assert np.allclose(mine, oracle, atol=1e-10)
+            tracemalloc.start()
+            try:
+                dense_spectrum(g, kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * copy_bytes, (kind, peak / copy_bytes)
 
 
 class TestErrorBound:

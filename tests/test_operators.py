@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spectrace import operators
-from spectrace.lanczos import dense_spectrum
 from spectrace.operators import (
     OperatorKind,
     degrees,
+    dense_spectrum,
     make_operator,
     trace,
     trace_squared,
