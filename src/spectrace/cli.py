@@ -22,11 +22,16 @@ from .slq import SlqConfig
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that shows defaults and exits 1 on usage errors
-    (2 is reserved for data errors)."""
+    """argparse that shows defaults, takes no abbreviated flags and exits 1
+    on usage errors (2 is reserved for data errors).
+
+    Without abbreviations, bench-error's --methods cannot swallow a stray
+    --method, and a new flag never changes what an existing argv means.
+    """
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
 
     def error(self, message):
@@ -43,11 +48,14 @@ def _add_graph_options(p: argparse.ArgumentParser) -> None:
                    help="expect a third weight field per edge line")
 
 
-def _add_descriptor_options(p: argparse.ArgumentParser) -> None:
+def _add_descriptor_options(p: argparse.ArgumentParser, method: bool = True) -> None:
+    """Estimator options; --method only where the subcommand reads it
+    (bench-error takes --methods instead)."""
     p.add_argument("--kind", choices=("netlsd", "vnge"), required=True,
                    help="descriptor family")
-    p.add_argument("--method", default="slq", help="computation route: " + "; ".join(
-        f"{kind}: {', '.join(methods)}" for kind, methods in bench.METHODS.items()))
+    if method:
+        p.add_argument("--method", default="slq", help="computation route: " + "; ".join(
+            f"{kind}: {', '.join(methods)}" for kind, methods in bench.METHODS.items()))
     p.add_argument("--nv", type=_positive_int, default=100, help="probe vectors")
     p.add_argument("--steps", type=_positive_int, default=10,
                    help="Lanczos steps per probe")
@@ -99,10 +107,6 @@ def _resolved(args, keys) -> str:
     return "# spectrace " + args.subcommand + " " + " ".join(parts) + "\n"
 
 
-def _grid(args) -> dsc.TimeGrid:
-    return dsc.TimeGrid(t_min=args.t_min, t_max=args.t_max, count=args.grid_points)
-
-
 def _cfg(args) -> SlqConfig:
     return SlqConfig(n_v=args.nv, s=args.steps, distribution=args.distribution,
                      seed=args.seed)
@@ -110,7 +114,7 @@ def _cfg(args) -> SlqConfig:
 
 def _compute(g, args):
     return bench.compute_descriptor(
-        g, args.kind, args.method, _grid(args), _cfg(args), args.k, args.threads
+        g, args.kind, args.method, args.grid, _cfg(args), args.k, args.threads
     )
 
 
@@ -134,7 +138,7 @@ def _cmd_compare(args) -> int:
 def _cmd_bench_error(args) -> int:
     graphs = [(Path(p).name, _load_graph(p, args)) for p in args.inputs]
     rows = bench.error_benchmark(
-        graphs, args.kind, args.methods.split(","), grid=_grid(args), cfg=_cfg(args),
+        graphs, args.kind, args.methods.split(","), grid=args.grid, cfg=_cfg(args),
         k=args.k, threads=args.threads,
     )
     with _open(args.output, "w") as out:
@@ -177,7 +181,7 @@ def _cmd_snapshots(args) -> int:
     with open(args.events, "r", encoding="utf-8") as fh:
         series = load_snapshots(fh, args.granularity)
     rows = bench.snapshot_distance_series(
-        series, args.kind, args.method, grid=_grid(args), cfg=_cfg(args), k=args.k,
+        series, args.kind, args.method, grid=args.grid, cfg=_cfg(args), k=args.k,
         threads=args.threads,
     )
     with _open(args.output, "w") as out:
@@ -223,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="slq,taylor", help="comma-separated methods")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_graph_options(p)
-    _add_descriptor_options(p)
+    _add_descriptor_options(p, method=False)
     _add_common(p)
     p.set_defaults(func=_cmd_bench_error)
 
@@ -264,9 +268,10 @@ def _check_methods(parser: _Parser, args) -> None:
     input is read."""
     if not hasattr(args, "kind"):
         return
-    requested = [("--method", args.method)]
     if hasattr(args, "methods"):
-        requested += [("--methods", name) for name in args.methods.split(",")]
+        requested = [("--methods", name) for name in args.methods.split(",")]
+    else:
+        requested = [("--method", args.method)]
     known = bench.METHODS[args.kind]
     for flag, name in requested:
         if name not in known:
@@ -274,10 +279,23 @@ def _check_methods(parser: _Parser, args) -> None:
                          f"(choose from {', '.join(known)})")
 
 
+def _resolve_grid(parser: _Parser, args) -> None:
+    """Set args.grid from the heat-time flags, or exit 1 before any input is
+    read if they make no grid."""
+    if not hasattr(args, "t_min"):
+        return
+    try:
+        args.grid = dsc.TimeGrid(t_min=args.t_min, t_max=args.t_max,
+                                 count=args.grid_points)
+    except ValueError as exc:
+        parser.error(f"arguments --t-min, --t-max, --grid-points: {exc}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_methods(parser, args)
+    _resolve_grid(parser, args)
     try:
         return args.func(args)
     except (EdgeListError, ConvergenceError, TridiagonalEigenError, ValueError,

