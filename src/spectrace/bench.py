@@ -115,34 +115,20 @@ def error_benchmark(
         try:
             reference = compute_descriptor(g, kind, "exact", grid, cfg, k, threads)
         except ValueError:
-            for method in methods:
-                rows.append(ErrorRow(graph_id, method, kind, float("nan"), 0.0, True))
-            continue
+            reference = None
         for method in methods:
-            start = time.perf_counter()
-            approx = compute_descriptor(g, kind, method, grid, cfg, k, threads)
-            elapsed = time.perf_counter() - start
-            distance = dsc.descriptor_distance(approx, reference)
-            if distance == 0.0:
-                rel = 0.0  # exact match stays well-defined even at zero norm
-                skipped = False
-            else:
+            rel, elapsed, skipped = float("nan"), 0.0, reference is None
+            if not skipped:
+                start = time.perf_counter()
+                approx = compute_descriptor(g, kind, method, grid, cfg, k, threads)
+                elapsed = time.perf_counter() - start
+                distance = dsc.descriptor_distance(approx, reference)
                 try:
-                    rel = dsc.relative_error(approx, reference)
-                    skipped = False
+                    # an exact match stays well-defined even at zero norm
+                    rel = 0.0 if distance == 0.0 else dsc.relative_error(approx, reference)
                 except ValueError:
-                    rel = float("nan")
                     skipped = True
-            rows.append(
-                ErrorRow(
-                    graph_id=graph_id,
-                    method=method,
-                    kind=kind,
-                    rel_error=rel,
-                    seconds=elapsed,
-                    skipped=skipped,
-                )
-            )
+            rows.append(ErrorRow(graph_id, method, kind, rel, elapsed, skipped))
     return rows
 
 

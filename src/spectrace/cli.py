@@ -80,6 +80,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _float_where(ok, wanted: str):
+    """argparse type: a float for which ok holds (NaN fails every comparison)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker threads over probe blocks; results never depend on it")
@@ -192,8 +207,9 @@ def _cmd_snapshots(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.model != "er":
-        raise ValueError(f"unknown generator model {args.model!r}")
+    if not 0 <= args.avg_degree <= args.n - 1:
+        args.parser.error(f"argument --avg-degree: must lie in [0, {args.n - 1}] "
+                          f"for --n {args.n}, got {args.avg_degree}")
     g = erdos_renyi(args.n, args.avg_degree, args.seed)
     with _open(args.output, "w") as out:
         write_edge_list(g, out)
@@ -233,7 +249,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="1-NN accuracy from a 'path,label' manifest")
     p.add_argument("--manifest", required=True, help="CSV of 'path,label' rows")
-    p.add_argument("--train-frac", type=float, default=0.8, help="training fraction")
+    p.add_argument("--train-frac", type=_float_where(lambda x: 0 < x < 1, "in (0, 1)"),
+                   default=0.8, help="training fraction")
     p.add_argument("--repeats", type=_positive_int, default=1000, help="random splits")
     p.add_argument("--split-seed", type=int, default=0, help="split RNG seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
@@ -244,7 +261,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("snapshots", help="descriptor drift over an event stream")
     p.add_argument("--events", required=True, help="'t op src dst' event file")
-    p.add_argument("--granularity", type=float, required=True, help="bucket width")
+    p.add_argument("--granularity", type=_float_where(lambda x: x > 0, "> 0"),
+                   required=True, help="bucket width")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_graph_options(p)
     _add_descriptor_options(p)
@@ -260,10 +278,13 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=_cmd_generate)
 
+    # usage errors found after parsing print the subcommand's usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
-def _check_methods(parser: _Parser, args) -> None:
+def _check_methods(args) -> None:
     """Exit 1 unless every requested method is one of --kind's, before any
     input is read."""
     if not hasattr(args, "kind"):
@@ -275,11 +296,11 @@ def _check_methods(parser: _Parser, args) -> None:
     known = bench.METHODS[args.kind]
     for flag, name in requested:
         if name not in known:
-            parser.error(f"argument {flag}: {name!r} is not a {args.kind} method "
-                         f"(choose from {', '.join(known)})")
+            args.parser.error(f"argument {flag}: {name!r} is not a {args.kind} method "
+                              f"(choose from {', '.join(known)})")
 
 
-def _resolve_grid(parser: _Parser, args) -> None:
+def _resolve_grid(args) -> None:
     """Set args.grid from the heat-time flags, or exit 1 before any input is
     read if they make no grid."""
     if not hasattr(args, "t_min"):
@@ -288,14 +309,13 @@ def _resolve_grid(parser: _Parser, args) -> None:
         args.grid = dsc.TimeGrid(t_min=args.t_min, t_max=args.t_max,
                                  count=args.grid_points)
     except ValueError as exc:
-        parser.error(f"arguments --t-min, --t-max, --grid-points: {exc}")
+        args.parser.error(f"arguments --t-min, --t-max, --grid-points: {exc}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_methods(parser, args)
-    _resolve_grid(parser, args)
+    args = build_parser().parse_args(argv)
+    _check_methods(args)
+    _resolve_grid(args)
     try:
         return args.func(args)
     except (EdgeListError, ConvergenceError, TridiagonalEigenError, ValueError,

@@ -31,6 +31,7 @@ __all__ = [
     "Graph",
     "SnapshotSeries",
     "VERTEX_ID_LIMIT",
+    "BUCKET_LIMIT",
     "parse_edge_list",
     "erdos_renyi",
     "load_snapshots",
@@ -39,6 +40,9 @@ __all__ = [
 
 VERTEX_ID_LIMIT = 1 << 31
 """Vertex ids must be below this, so that the pair key ``lo * n + hi`` fits in int64."""
+
+BUCKET_LIMIT = 1 << 20
+"""Most snapshots an event stream may span; each costs a descriptor downstream."""
 
 
 @dataclass(frozen=True)
@@ -218,42 +222,54 @@ def _bulk_edges(text, lines, separator, comment_prefix, weighted):
     return (u, v, w) if _ids_in_range(u, v) else None
 
 
-def _line_edges(lines, separator, comment_prefix, weighted):
-    """(u, v, w) read line by line; raises EdgeListError with the line number."""
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    expected = 3 if weighted else 2
+def _line_rows(lines, separator, comment_prefix, fields, parse, empty):
+    """Rows read line by line; raises EdgeListError with the line number.
+
+    Blank and comment lines are skipped. Every other line must split into
+    ``fields`` fields, which ``parse(fields, line, lineno)`` turns into as
+    many numbers or rejects. Returns a float64 array of one row per line;
+    ``empty`` is the message when no row is found. Vertex ids are exact in
+    float64, as they lie below ``VERTEX_ID_LIMIT``; one flat list of numbers
+    is faster to fill and convert than a list of row tuples.
+    """
+    values = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(comment_prefix):
             continue
-        fields = line.split(separator)
-        if len(fields) != expected:
-            raise EdgeListError(
-                f"expected {expected} fields, got {len(fields)}: {line!r}", lineno
-            )
+        split = line.split(separator)
+        if len(split) != fields:
+            raise EdgeListError(f"expected {fields} fields, got {len(split)}: {line!r}", lineno)
+        values.extend(parse(split, line, lineno))
+    if not values:
+        raise EdgeListError(empty)
+    return np.array(values, dtype=np.float64).reshape(-1, fields)
+
+
+def _line_edges(lines, separator, comment_prefix, weighted):
+    """(u, v, w) read line by line; raises EdgeListError with the line number."""
+
+    def parse(fields, line, lineno):
         try:
             u = int(fields[0])
             v = int(fields[1])
         except ValueError:
             raise EdgeListError(f"vertex ids must be integers: {line!r}", lineno)
         _check_id(u, v, line, lineno)
-        if weighted:
-            try:
-                w = float(fields[2])
-            except ValueError:
-                raise EdgeListError(f"weight must be a number: {line!r}", lineno)
-            if not math.isfinite(w) or w <= 0:
-                raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
-        else:
-            w = 1.0
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    if not us:
-        raise EdgeListError("empty input: no edges or vertices found")
-    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
+        if not weighted:
+            return u, v
+        try:
+            w = float(fields[2])
+        except ValueError:
+            raise EdgeListError(f"weight must be a number: {line!r}", lineno)
+        if not math.isfinite(w) or w <= 0:
+            raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
+        return u, v, w
+
+    rows = _line_rows(lines, separator, comment_prefix, 3 if weighted else 2, parse,
+                      "empty input: no edges or vertices found")
+    ids = rows[:, :2].astype(np.int64)
+    return ids[:, 0], ids[:, 1], rows[:, 2] if weighted else np.ones(len(rows))
 
 
 def parse_edge_list(
@@ -372,18 +388,10 @@ def _bulk_events(text, lines, comment_prefix):
 
 def _line_events(lines, comment_prefix):
     """(t, is_add, u, v) read line by line; raises EdgeListError with the line number."""
-    ts: list[float] = []
-    adds: list[bool] = []
-    us: list[int] = []
-    vs: list[int] = []
     prev_t = -math.inf
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment_prefix):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise EdgeListError(f"expected 4 fields, got {len(fields)}: {line!r}", lineno)
+
+    def parse(fields, line, lineno):
+        nonlocal prev_t
         try:
             t = float(fields[0])
             u = int(fields[2])
@@ -399,14 +407,11 @@ def _line_events(lines, comment_prefix):
             raise EdgeListError(f"timestamps must be nondecreasing: {line!r}", lineno)
         _check_id(u, v, line, lineno)
         prev_t = t
-        ts.append(t)
-        adds.append(op == "add")
-        us.append(u)
-        vs.append(v)
-    if not ts:
-        raise EdgeListError("empty input: no events found")
-    return (np.array(ts), np.array(adds), np.array(us, dtype=np.int64),
-            np.array(vs, dtype=np.int64))
+        return t, op == "add", u, v
+
+    rows = _line_rows(lines, None, comment_prefix, 4, parse, "empty input: no events found")
+    ids = rows[:, 2:].astype(np.int64)
+    return rows[:, 0], rows[:, 1] == 1, ids[:, 0], ids[:, 1]
 
 
 def load_snapshots(
@@ -426,8 +431,11 @@ def load_snapshots(
     EdgeListError
         On malformed lines, unknown op tokens, nonfinite or unsorted
         timestamps, or vertex ids outside ``[0, VERTEX_ID_LIMIT)``.
+    ValueError
+        If granularity is not positive, or if the events span more than
+        ``BUCKET_LIMIT`` buckets.
     """
-    if granularity <= 0:
+    if not granularity > 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
     text, lines = _read_lines(stream)
     events = _bulk_events(text, lines, comment_prefix)
@@ -435,9 +443,17 @@ def load_snapshots(
         events = _line_events(lines, comment_prefix)
     t, is_add, u, v = events
     n = int(max(u.max(), v.max())) + 1
-    first_bucket = math.floor(float(t[0]) / granularity)
-    last_bucket = math.floor(float(t[-1]) / granularity)
-    bucket = np.floor(t / granularity)
+    with np.errstate(over="ignore"):  # an infinite quotient fails the span check
+        bucket = np.floor(t / granularity)
+    first = float(bucket[0])
+    count = float(bucket[-1]) - first + 1
+    if not count <= BUCKET_LIMIT:
+        raise ValueError(f"the events span {count:.0f} buckets of width {granularity!r}, "
+                         f"more than BUCKET_LIMIT = {BUCKET_LIMIT}")
+    count = int(count)
+    # Bucket numbers counted from the first; exact, as every difference is an
+    # integer below BUCKET_LIMIT.
+    bucket -= first
 
     # Self-loop events count for n and the bucket range, nothing else.
     edge = u != v
@@ -451,41 +467,30 @@ def load_snapshots(
     follows_add[1:] = is_add[by_key[:-1]] & (key_index[by_key[1:]] == key_index[by_key[:-1]])
     was_live = np.empty_like(follows_add)
     was_live[by_key] = follows_add
-    added = np.cumsum(is_add & ~was_live)
-    removed = np.cumsum(~is_add & was_live)
+    # Counts after the first i edge events, i = 0 .. events.
+    added = np.append(0, np.cumsum(is_add & ~was_live))
+    removed = np.append(0, np.cumsum(~is_add & was_live))
     ignored = int(np.count_nonzero(~is_add & ~was_live))
 
-    # Event range [start, end) of each bucket that has edge events.
-    filled, starts = np.unique(bucket, return_index=True)
-    ends = np.append(starts[1:], bucket.size)
-    ranges = dict(zip(filled.tolist(), zip(starts.tolist(), ends.tolist())))
-
+    # ends[b] is the number of edge events in buckets 0 .. b.
+    ends = np.searchsorted(bucket, np.arange(count), side="right")
     live = np.zeros(live_keys.size, dtype=bool)
-    graph = None
-    count_added = count_removed = 0
     snapshots: list[Graph] = []
-    timestamps: list[float] = []
-    added_series: list[int] = []
-    removed_series: list[int] = []
-    for b in range(first_bucket, last_bucket + 1):
-        if b in ranges:
-            start, end = ranges[b]
+    start, graph = 0, None
+    for end in ends.tolist():
+        if end > start:
             # The last event of each edge in the bucket sets its state.
             last, at = np.unique(key_index[start:end][::-1], return_index=True)
             live[last] = is_add[start:end][::-1][at]
-            graph = None
-            count_added, count_removed = int(added[end - 1]), int(removed[end - 1])
+            start, graph = end, None
         if graph is None:
             lo, hi = np.divmod(live_keys[live], n)
             graph = _build_csr(n, lo, hi, np.ones(lo.size))
         snapshots.append(graph)
-        timestamps.append((b + 1) * granularity)
-        added_series.append(count_added)
-        removed_series.append(count_removed)
     return SnapshotSeries(
         snapshots=snapshots,
-        timestamps=timestamps,
-        added=added_series,
-        removed=removed_series,
+        timestamps=((first + np.arange(1, count + 1)) * granularity).tolist(),
+        added=added[ends].tolist(),
+        removed=removed[ends].tolist(),
         ignored_deletes=ignored,
     )

@@ -26,6 +26,9 @@ def p3_file(tmp_path):
     return str(path)
 
 
+MISSING = "/nonexistent/x.tsv"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -152,6 +155,15 @@ class TestSnapshots:
         assert lines[1] == "index,distance,added,removed"
         assert lines[2] == "0,0.0,1,0"
 
+    def test_span_beyond_bucket_limit_is_data_error(self, capsys, tmp_path):
+        # the quotient 1e300 / 1e-10 is infinite, so no bucket number exists
+        events = tmp_path / "events.txt"
+        events.write_text("0 add 0 1\n1e300 add 1 2\n")
+        code, out, err = run(capsys, "snapshots", "--events", str(events),
+                             "--granularity", "1e-10", "--kind", "vnge")
+        assert code == 2 and out == ""
+        assert "inf buckets" in err and "BUCKET_LIMIT" in err
+
 
 class TestClassify:
     def test_manifest_flow(self, capsys, tmp_path):
@@ -207,16 +219,43 @@ class TestExitCodes:
         ("--k", "0"),
         ("--k", "-5"),
         ("--n", "0"),
+        ("--granularity", "0"),
+        ("--granularity", "-1"),
+        ("--granularity", "nan"),
+        ("--train-frac", "0"),
+        ("--train-frac", "1"),
+        ("--train-frac", "1.5"),
+        ("--train-frac", "nan"),
+        ("--avg-degree", "-1"),
+        ("--avg-degree", "4.5"),
+        ("--avg-degree", "nan"),
     ])
-    def test_nonpositive_threads_is_usage_error(self, capsys, p3_file, flag, value):
-        if flag == "--n":
-            argv = ["generate", "er", "--avg-degree", "4"]
-        else:
-            argv = ["descriptor", "--input", p3_file, "--kind", "netlsd"]
+    def test_nonpositive_threads_is_usage_error(self, capsys, flag, value):
+        # flag values that make no run exit 1 before any input is read
+        argv = {
+            "--n": ["generate", "er", "--avg-degree", "4"],
+            "--avg-degree": ["generate", "er", "--n", "5"],
+            "--granularity": ["snapshots", "--events", MISSING, "--kind", "vnge"],
+            "--train-frac": ["classify", "--manifest", MISSING, "--kind", "vnge"],
+        }.get(flag, ["descriptor", "--input", MISSING, "--kind", "netlsd"])
         with pytest.raises(SystemExit) as exc_info:
             main(argv + [flag, value])
         assert exc_info.value.code == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and "nonexistent" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-min", "0"],
+        ["--nv", "0"],
+        ["--method", "finger-hat"],
+    ], ids=["t-min", "nv", "method"])
+    def test_usage_error_prints_subcommand_usage(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["descriptor", "--input", MISSING, "--kind", "netlsd"] + flags)
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("usage: spectrace descriptor ")
+        assert "spectrace descriptor: error: argument" in err and flags[0] in err
 
     @pytest.mark.parametrize("subcommand", ["descriptor", "bench-error"])
     @pytest.mark.parametrize("flags", [

@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 from spectrace import graphs
 from spectrace.errors import EdgeListError
 from spectrace.graphs import (
+    BUCKET_LIMIT,
     VERTEX_ID_LIMIT,
     erdos_renyi,
     load_snapshots,
@@ -187,6 +188,22 @@ class TestLoadSnapshots:
         with pytest.raises(EdgeListError, match="unknown op"):
             load_snapshots("0 mark 0 1", granularity=1.0)
 
+    @pytest.mark.parametrize("text,granularity,count", [
+        ("0 add 0 1\n2e6 add 1 2", 1.0, "2000001"),
+        ("0 add 0 1\n1e9 add 1 2", 1.0, "1000000001"),
+        ("0 add 0 1\n1e300 add 1 2", 1e-10, "inf"),
+        ("1e300 add 0 1\n1e300 add 1 2", 1e-10, "nan"),
+    ])
+    def test_span_beyond_bucket_limit(self, text, granularity, count):
+        # refused before any snapshot is built, not after 2e6 or 1e9 of them
+        with pytest.raises(ValueError, match=f"span {count} buckets.*BUCKET_LIMIT"):
+            load_snapshots(text, granularity)
+
+    def test_span_at_bucket_limit(self):
+        s = load_snapshots(f"0 add 0 1\n{BUCKET_LIMIT - 1} add 1 2", granularity=1.0)
+        assert len(s) == BUCKET_LIMIT
+        assert s.snapshots[-2].m == 1 and s.snapshots[-1].m == 2
+
     def test_timestamps_strictly_increasing(self):
         s = load_snapshots("0 add 0 1\n5 add 1 2", granularity=2.0)
         assert all(b > a for a, b in zip(s.timestamps, s.timestamps[1:]))
@@ -343,6 +360,16 @@ class TestBulkReaderMatchesLineReader:
         ("0 add 0 1\n1 add 1", 2, "expected 4 fields"),
         ("0 add 0 1\nnan add 1 2", 2, "finite"),
         ("0 add 0 1\n1 add 1 2 3", 2, "expected 4 fields"),
+        # one line, two faults: the first check in line order reports
+        ("2 add 0 1\n1 mark 1 2", 2, "unknown op"),
+        ("0 add 0 1\nnan mark 1 2", 2, "finite"),
+        ("1 add 0 1\n0 add -1 2", 2, "timestamps"),
+        ("0 add 0 1\n1 mark -1 2", 2, "unknown op"),
+        ("0 add 0 1\ninf mark 0 x", 2, "bad timestamp or vertex id"),
+        # two faulty lines: the earlier one reports
+        ("0 add 0 1\n1 mark 1 2\n0 add 1 2", 2, "unknown op"),
+        ("0 add 0 1\n\n# c\n0 add -1 2\n1 mark 0 1", 4, "nonnegative"),
+        ("0 add 0 1\n1 add 1 2 3\nnan add 1 2", 2, "expected 4 fields"),
     ])
     def test_event_table(self, text, lineno, message):
         def load():
@@ -350,6 +377,27 @@ class TestBulkReaderMatchesLineReader:
 
         got = _outcome(load)
         assert got == _line_reader_only(load)
+        assert got[:2] == ("EdgeListError", lineno)
+        assert message in got[2]
+
+    @pytest.mark.parametrize("text,weighted,lineno,message", [
+        # one line, two faults: the first check in line order reports
+        ("0 1 1\n-1 2 0", True, 2, "nonnegative"),
+        ("0 1 1\nx 2 0", True, 2, "integers"),
+        ("0 1 1\n4000000000 2 nan", True, 2, "below"),
+        ("0 1 1\n1 2 3 4\n1 x 1", True, 2, "expected 3 fields"),
+        # two faulty lines: the earlier one reports
+        ("0 1\n-1 2\n1 x", False, 2, "nonnegative"),
+        ("0 1\nx 1\n-1 2", False, 2, "integers"),
+        ("0 1 1\n1 2 0\n-1 2 1", True, 2, "strictly positive"),
+        ("0 1\n\n# c\n1 2 3\n-1 2", False, 4, "expected 2 fields"),
+    ])
+    def test_edge_list_precedence(self, text, weighted, lineno, message):
+        def parse():
+            return parse_edge_list(text, weighted=weighted)
+
+        got = _outcome(parse)
+        assert got == _line_reader_only(parse)
         assert got[:2] == ("EdgeListError", lineno)
         assert message in got[2]
 
@@ -386,6 +434,15 @@ class TestVertexIdCap:
     def test_event_stream(self, big):
         with pytest.raises(EdgeListError, match="line 1"):
             load_snapshots(f"0 add 0 {big}", 1.0)
+
+    def test_line_reader_keeps_largest_ids_exact(self):
+        top = VERTEX_ID_LIMIT - 1
+        u, v, w = graphs._line_edges([f"{top} {top - 1} 0.5"], None, "#", True)
+        assert (u.tolist(), v.tolist(), w.tolist()) == ([top], [top - 1], [0.5])
+        t, is_add, u, v = graphs._line_events([f"1.5 del {top} {top - 1}"], "#")
+        assert (t.tolist(), is_add.tolist(), u.tolist(), v.tolist()) == (
+            [1.5], [False], [top], [top - 1])
+        assert u.dtype == np.int64 and is_add.dtype == bool
 
 
 class TestGolden:
