@@ -56,28 +56,33 @@ def _add_descriptor_options(p: argparse.ArgumentParser, method: bool = True) -> 
     if method:
         p.add_argument("--method", default="slq", help="computation route: " + "; ".join(
             f"{kind}: {', '.join(methods)}" for kind, methods in bench.METHODS.items()))
-    p.add_argument("--nv", type=_positive_int, default=100, help="probe vectors")
-    p.add_argument("--steps", type=_positive_int, default=10,
+    p.add_argument("--nv", type=_int_at_least(1), default=100, help="probe vectors")
+    p.add_argument("--steps", type=_int_at_least(1), default=10,
                    help="Lanczos steps per probe")
     p.add_argument("--distribution", choices=("rademacher", "gaussian"),
                    default="rademacher", help="probe distribution")
-    p.add_argument("--seed", type=int, default=0, help="estimator master seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="estimator master seed")
     p.add_argument("--t-min", type=float, default=1e-2, help="first heat time")
     p.add_argument("--t-max", type=float, default=1e2, help="last heat time")
-    p.add_argument("--grid-points", type=_positive_int, default=256,
+    p.add_argument("--grid-points", type=_int_at_least(1), default=256,
                    help="heat time count")
-    p.add_argument("--k", type=_positive_int, default=300,
+    p.add_argument("--k", type=_int_at_least(1), default=300,
                    help="extremal eigenvalues per end for --method linear")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _float_where(ok, wanted: str):
@@ -96,7 +101,7 @@ def _float_where(ok, wanted: str):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
                    help="worker threads over probe blocks; results never depend on it")
 
 
@@ -251,8 +256,8 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, help="CSV of 'path,label' rows")
     p.add_argument("--train-frac", type=_float_where(lambda x: 0 < x < 1, "in (0, 1)"),
                    default=0.8, help="training fraction")
-    p.add_argument("--repeats", type=_positive_int, default=1000, help="random splits")
-    p.add_argument("--split-seed", type=int, default=0, help="split RNG seed")
+    p.add_argument("--repeats", type=_int_at_least(1), default=1000, help="random splits")
+    p.add_argument("--split-seed", type=_int_at_least(0), default=0, help="split RNG seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_graph_options(p)
     _add_descriptor_options(p)
@@ -271,9 +276,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic benchmark graph")
     p.add_argument("model", choices=("er",), help="generator family")
-    p.add_argument("--n", type=_positive_int, required=True, help="vertex count")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="vertex count")
     p.add_argument("--avg-degree", type=float, required=True, help="expected degree")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_common(p)
     p.set_defaults(func=_cmd_generate)

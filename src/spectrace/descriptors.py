@@ -29,7 +29,7 @@ import numpy as np
 from .graphs import Graph
 from .lanczos import extremal_eigenvalues
 from .operators import (
-    LinearOperator, OperatorKind, adjacency, degrees, dense_spectrum, make_operator, trace,
+    LinearOperator, OperatorKind, degrees, dense_spectrum, make_operator, trace,
     trace_squared,
 )
 from .slq import SlqConfig, slq_trace, slq_trace_grid
@@ -172,11 +172,12 @@ def _kernel_deflated(g: Graph, op: LinearOperator) -> tuple[LinearOperator, int]
     exactly: adding 2 u u^T for every u puts these eigenvalues at the top of
     the spectral interval [0, 2].
     """
-    # imported on first use, as in extremal_eigenvalues: it costs every CLI
-    # start about 2 MB of RSS
+    # imported on first use, as in make_operator and extremal_eigenvalues
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    count, labels = connected_components(adjacency(g), directed=False)
+    adj = csr_matrix((g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n))
+    count, labels = connected_components(adj, directed=False)
     d = degrees(g)
     u = np.where(d > 0, np.sqrt(d), 1.0)
     u /= np.sqrt(np.bincount(labels, weights=u * u))[labels]

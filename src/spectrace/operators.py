@@ -4,11 +4,11 @@ Three symmetric operators are exposed without materializing anything dense:
 the Laplacian ``D - A``, the normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``
 (isolated vertices contribute a zero row and column, so their eigenvalue
 is 0), and the trace-one density matrix ``L / tr(L)``. Each is assembled once
-as a single sparse matrix, its entries laid out in row panels, so applying
-it to a vector or to an (n, W) block of vectors is one sparse product: one
-pass over the edges. Traces and squared traces come from closed-form
-identities. ``dense_spectrum``, the exact reference, densifies the same
-sparse matrix.
+in numpy, straight from the graph's CSR arrays, its entries laid out in row
+panels; applying it to a vector or to an (n, W) block of vectors is one
+sparse product (scipy.sparse, loaded on first use): one pass over the
+edges. Traces and squared traces come from closed-form identities.
+``dense_spectrum``, the exact reference, densifies the same entries.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Graph
 
 __all__ = [
     "OperatorKind",
     "LinearOperator",
-    "adjacency",
     "degrees",
     "make_operator",
     "dense_spectrum",
@@ -59,79 +57,86 @@ class LinearOperator:
     interval: tuple[float, float]
 
 
-# Rows per panel of an operator's entries (see _row_panels). For an
-# 8-column block a panel's rows of the product take 512 KB, which stay in
-# cache.
+# Rows per panel of an operator's entries (see _entries). For an 8-column
+# block a panel's rows of the product take 512 KB, which stay in cache.
 PANEL_ROWS = 8192
 
 
-def _row_panels(mat: sp.csr_matrix) -> sp.coo_matrix:
-    """mat's entries panel by panel, each panel of PANEL_ROWS rows in column order.
-
-    A product then reads the input rows of each panel in ascending address
-    order instead of jumping across the whole input as a CSR product does:
-    1.8x faster for an (n, 8) block at n=100k on a 2-core Xeon with 2 MB of
-    L2 per core, where the input outgrows the cache; a graph of at most
-    PANEL_ROWS vertices is one panel, and its (n, 8) products take as long as
-    CSR's. Within every row the entries keep their column order, so every
-    product entry is summed in the same order, bit for bit, as with mat.
-    """
-    n_rows, n_cols = mat.shape
-    rows = np.empty(mat.nnz, dtype=mat.indices.dtype)
-    cols = np.empty_like(rows)
-    vals = np.empty(mat.nnz)
-    for lo in range(0, n_rows, PANEL_ROWS):
-        hi = min(lo + PANEL_ROWS, n_rows)
-        panel = mat[lo:hi].tocsc()
-        span = slice(mat.indptr[lo], mat.indptr[hi])
-        rows[span] = panel.indices + lo
-        cols[span] = np.repeat(np.arange(n_cols, dtype=rows.dtype), np.diff(panel.indptr))
-        vals[span] = panel.data
-    return sp.coo_matrix((vals, (rows, cols)), shape=mat.shape)
-
-
-def adjacency(g: Graph) -> sp.csr_matrix:
-    """The weighted adjacency matrix of g, sharing g's CSR arrays."""
-    return sp.csr_matrix(
-        (g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n), copy=False
-    )
+def _sources(g: Graph) -> np.ndarray:
+    """The row of each entry of g's CSR arrays."""
+    return np.repeat(np.arange(g.n), np.diff(g.row_offsets))
 
 
 def degrees(g: Graph) -> np.ndarray:
     """Weighted degree vector: entry i is the sum of weights incident to i."""
-    if g.m == 0:
-        return np.zeros(g.n)
-    return adjacency(g) @ np.ones(g.n)
+    # summed in CSR order, as the product of the adjacency matrix with ones
+    return np.bincount(_sources(g), weights=g.weights, minlength=g.n)
 
 
-def _matrix(g: Graph, kind: OperatorKind) -> tuple[sp.csr_matrix, tuple[float, float]]:
-    """The operator of the requested kind for g as CSR, with its spectral interval."""
-    adj = adjacency(g)
+def _entries(
+    g: Graph, kind: OperatorKind
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
+    """The operator's entries as (rows, cols, vals) in row panels, with its
+    spectral interval.
+
+    Panels of PANEL_ROWS rows follow one another; within a panel the entries
+    run in column order, then row order. A product then reads the input rows
+    of each panel in ascending address order instead of jumping across the
+    whole input as a CSR product does: 1.8x faster for an (n, 8) block at
+    n=100k on a 2-core Xeon with 2 MB of L2 per core, where the input
+    outgrows the cache; a graph of at most PANEL_ROWS vertices is one panel,
+    and its (n, 8) products take as long as CSR's. Within every row the
+    entries keep their column order, so every product entry is summed in the
+    same order, bit for bit, as with the CSR matrix.
+
+    Each value is computed in the operation order of the sparse algebra
+    ``diags(d) - A``, ``diags(d > 0) - S A S`` with ``S = diags(d^{-1/2})``
+    and ``(diags(d) - A) * (1 / tr L)``, so it equals that algebra's entry
+    bit for bit. Only vertices with an edge get a diagonal entry, as the
+    algebra drops zero diagonals. An off-diagonal entry of the normalized
+    Laplacian that underflows stays as +0.0, where the algebra drops it;
+    this changes no product and no dense entry.
+    """
     d = degrees(g)
-    if kind is OperatorKind.LAPLACIAN:
-        return sp.csr_matrix(sp.diags(d) - adj), (0.0, 2.0 * float(d.max(initial=0.0)))
+    tr_l = float(d.sum())
+    if kind is OperatorKind.DENSITY and (g.m == 0 or tr_l <= 0):
+        raise ValueError("density matrix undefined for a graph without edges")
+    # each diagonal entry goes in its row before the first column above it;
+    # it holds -d, which the negation below turns into d
+    src = _sources(g)
+    diag = np.flatnonzero(d > 0)
+    at = g.row_offsets[diag] + np.bincount(src[g.col_indices < src], minlength=g.n)[diag]
+    # the operator is symmetric, so its column-ordered panels are its CSR
+    # with rows and columns swapped, stably partitioned by panel; the key's
+    # dtype holds every panel index (numpy radix-sorts 8- and 16-bit keys)
+    rows = np.insert(g.col_indices, at, diag)
+    key = (rows // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS))
+    order = np.argsort(key, kind="stable")
+    rows = rows[order]
+    cols = np.insert(src, at, diag)[order]
+    vals = np.insert(g.weights, at, -d[diag])[order]
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        pos = d > 0
-        dinv_sqrt = np.zeros(g.n)
-        dinv_sqrt[pos] = 1.0 / np.sqrt(d[pos])
-        src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
-        scaled = sp.csr_matrix(
-            (dinv_sqrt[src] * g.weights * dinv_sqrt[g.col_indices], g.col_indices,
-             g.row_offsets),
-            shape=(g.n, g.n),
-        )
-        return sp.csr_matrix(sp.diags(pos.astype(np.float64)) - scaled), (0.0, 2.0)
+        scale = np.zeros(g.n)
+        scale[diag] = 1.0 / np.sqrt(d[diag])
+        vals *= scale[rows]
+        vals *= scale[cols]
+    # 0.0 - x, not -x: an underflowed +0.0 stays +0.0, which densifies as
+    # the algebra's dropped entry does
+    np.subtract(0.0, vals, out=vals)
+    if kind is OperatorKind.LAPLACIAN:
+        return rows, cols, vals, (0.0, 2.0 * float(d.max(initial=0.0)))
+    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
+        vals[rows == cols] = 1.0
+        return rows, cols, vals, (0.0, 2.0)
     if kind is OperatorKind.DENSITY:
-        tr_l = float(d.sum())
-        if g.m == 0 or tr_l <= 0:
-            raise ValueError("density matrix undefined for a graph without edges")
-        return sp.csr_matrix((sp.diags(d) - adj) * (1.0 / tr_l)), (0.0, 1.0)
+        vals *= 1.0 / tr_l
+        return rows, cols, vals, (0.0, 1.0)
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     """Build the operator of the requested kind for g as one sparse matrix
-    in row panels (``_row_panels``).
+    in row panels (``_entries``).
 
     Raises
     ------
@@ -139,10 +144,12 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         If the density matrix is requested for an edgeless graph
         (tr(L) = 0 leaves it undefined).
     """
-    # built in a helper so that its temporaries are gone before the panels
-    # are laid out: at n=100k they would otherwise raise the peak RSS
-    mat, interval = _matrix(g, kind)
-    mat = _row_panels(mat)
+    # imported on first use: no other route needs it, and importing it cost
+    # every CLI start about 0.3 s on a 2-core Xeon
+    import scipy.sparse
+
+    rows, cols, vals, interval = _entries(g, kind)
+    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n))
     return LinearOperator(dim=g.n, apply=mat.__matmul__, interval=interval)
 
 
@@ -159,8 +166,11 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     # cost every CLI start about 70 ms and 8 MB of RSS on a 2-core Xeon
     import scipy.linalg
 
-    mat, _ = _matrix(g, kind)
-    return scipy.linalg.eigvalsh(mat.toarray(order="F"), overwrite_a=True)
+    rows, cols, vals, _ = _entries(g, kind)
+    dense = np.zeros((g.n, g.n), order="F")
+    # added to zeros, as a sparse matrix densifies: -0.0 lands as +0.0
+    dense[rows, cols] += vals
+    return scipy.linalg.eigvalsh(dense, overwrite_a=True)
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:
@@ -189,9 +199,7 @@ def trace_squared(g: Graph, kind: OperatorKind) -> float:
         return float(np.sum(d * d) + np.sum(g.weights * g.weights))
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         diag = float(np.count_nonzero(d > 0))
-        if g.m == 0:
-            return diag
-        src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
+        src = _sources(g)
         denom = d[src] * d[g.col_indices]
         return diag + float(np.sum(g.weights * g.weights / denom))
     if kind is OperatorKind.DENSITY:

@@ -81,6 +81,8 @@ class SlqConfig:
             raise ValueError(f"n_v must be >= 1, got {self.n_v}")
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(
                 f"distribution must be one of {_DISTRIBUTIONS}, got {self.distribution!r}"

@@ -229,6 +229,8 @@ class TestExitCodes:
         ("--avg-degree", "-1"),
         ("--avg-degree", "4.5"),
         ("--avg-degree", "nan"),
+        ("--seed", "-1"),
+        ("--split-seed", "-1"),
     ])
     def test_nonpositive_threads_is_usage_error(self, capsys, flag, value):
         # flag values that make no run exit 1 before any input is read
@@ -237,6 +239,7 @@ class TestExitCodes:
             "--avg-degree": ["generate", "er", "--n", "5"],
             "--granularity": ["snapshots", "--events", MISSING, "--kind", "vnge"],
             "--train-frac": ["classify", "--manifest", MISSING, "--kind", "vnge"],
+            "--split-seed": ["classify", "--manifest", MISSING, "--kind", "vnge"],
         }.get(flag, ["descriptor", "--input", MISSING, "--kind", "netlsd"])
         with pytest.raises(SystemExit) as exc_info:
             main(argv + [flag, value])
@@ -256,6 +259,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith("usage: spectrace descriptor ")
         assert "spectrace descriptor: error: argument" in err and flags[0] in err
+
+    def test_negative_generator_seed_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "g.tsv"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["generate", "er", "--n", "5", "--avg-degree", "2", "--seed", "-3",
+                  "--output", str(out)])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("usage: spectrace generate ")
+        assert "argument --seed: must be >= 0, got -3" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["descriptor", "bench-error"])
     @pytest.mark.parametrize("flags", [
@@ -344,6 +358,34 @@ def test_estimator_never_imports_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_only_the_estimator_imports_scipy_sparse(tmp_path):
+    # the operators' entries are built in numpy and scipy.sparse is loaded
+    # for their product only; importing it cost every CLI start about 0.3 s
+    src = str(Path(spectrace.__file__).resolve().parents[1])
+    out = tmp_path / "d.json"
+    code = """
+import sys
+from spectrace.cli import main
+graph, out = sys.argv[1:]
+def loaded(*argv):
+    assert not argv or main(list(argv)) == 0
+    return 'scipy.sparse' in sys.modules
+print(loaded())
+print(loaded('generate', 'er', '--n', '300', '--avg-degree', '4', '--output', graph))
+for kind in ('netlsd', 'vnge'):
+    for method in ('taylor', 'exact'):
+        print(loaded('descriptor', '--input', graph, '--kind', kind, '--method', method,
+                     '--output', out))
+print(loaded('descriptor', '--input', graph, '--kind', 'vnge', '--output', out))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.tsv"), str(out)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.split() == ["False"] * 6 + ["True"]
+    desc = json.loads(out.read_text())
+    assert desc["method"] == "slq" and desc["value"] > 0
 
 
 class TestDashOutput:

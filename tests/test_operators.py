@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
-from spectrace import operators
+from spectrace import erdos_renyi, operators
 from spectrace.operators import (
     OperatorKind,
     degrees,
@@ -18,10 +20,29 @@ from conftest import (
     disjoint_edges,
     empty_graph,
     graph_from_edges,
+    pad_vertices,
     random_graph,
 )
 
 ALL_KINDS = list(OperatorKind)
+
+
+def _algebra_csr(g, kind):
+    """The operator in scipy's sparse algebra, D - A, diags(d > 0) - S A S
+    with S = diags(d^{-1/2}) and (D - A) * (1 / tr L), as CSR."""
+    adj = sp.csr_matrix((g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n))
+    d = adj @ np.ones(g.n)
+    if kind is OperatorKind.LAPLACIAN:
+        return sp.csr_matrix(sp.diags(d) - adj)
+    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
+        pos = d > 0
+        s = np.zeros(g.n)
+        s[pos] = 1.0 / np.sqrt(d[pos])
+        src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
+        scaled = sp.csr_matrix((s[src] * g.weights * s[g.col_indices], g.col_indices,
+                                g.row_offsets), shape=(g.n, g.n))
+        return sp.csr_matrix(sp.diags(pos.astype(np.float64)) - scaled)
+    return sp.csr_matrix((sp.diags(d) - adj) * (1.0 / float(d.sum())))
 
 
 class TestDegrees:
@@ -69,20 +90,56 @@ class TestMakeOperator:
                 assert np.allclose(op.apply(x), mat @ x, atol=1e-12)
 
     def test_row_panels_match_csr_bit_for_bit(self, monkeypatch):
-        # the operator stores its entries in row panels; with one panel or
-        # several, products equal the plain CSR matrix's bit for bit
+        # the operator's entries are the sparse algebra's, laid out in row
+        # panels: panel by panel, then by column, then by row. With one
+        # panel or many, its products, the dense spectrum and the degrees
+        # equal the algebra's bit for bit
         rng = np.random.default_rng(7)
-        g = random_graph(rng, n=40, p=0.2, weighted=True)
-        x = rng.standard_normal(g.n)
-        block = rng.standard_normal((g.n, 8))
-        for kind in ALL_KINDS:
-            csr, _ = operators._matrix(g, kind)
-            for panel_rows in (operators.PANEL_ROWS, 7):
-                monkeypatch.setattr(operators, "PANEL_ROWS", panel_rows)
-                panels = make_operator(g, kind)
-                assert panels.apply.__self__.format == "coo"
-                assert np.array_equal(panels.apply(x), csr @ x)
-                assert np.array_equal(panels.apply(block), csr @ block)
+        graphs = [
+            random_graph(rng, n=40, p=0.2, weighted=True),
+            pad_vertices(random_graph(rng, n=30, p=0.1), 45),
+            empty_graph(1),
+            empty_graph(5),
+            disjoint_edges(4),
+            graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)]),
+            graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324), (2, 0, 5e-324)]),
+            # 5e-324 next to 1e300: normalized and density entries underflow
+            graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
+                                 (4, 5, 1.0), (6, 7, 5e-324)]),
+        ]
+        cases = [(g, panel_rows) for g in graphs
+                 for panel_rows in (operators.PANEL_ROWS, 7, 1)]
+        # 70,000 panels: a 16-bit panel key would wrap
+        cases.append((erdos_renyi(70_000, 2, 0), 1))
+        for g, panel_rows in cases:
+            monkeypatch.setattr(operators, "PANEL_ROWS", panel_rows)
+            adj = sp.csr_matrix((g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n))
+            assert degrees(g).tobytes() == (adj @ np.ones(g.n)).tobytes()
+            x = rng.standard_normal(g.n)
+            block = rng.standard_normal((g.n, 8))
+            for kind in ALL_KINDS:
+                if kind is OperatorKind.DENSITY and g.m == 0:
+                    continue
+                ref = _algebra_csr(g, kind)
+                op = make_operator(g, kind)
+                mat = op.apply.__self__
+                assert mat.format == "coo"
+                assert op.apply(x).tobytes() == (ref @ x).tobytes()
+                assert op.apply(block).tobytes() == (ref @ block).tobytes()
+                # the algebra drops a normalized entry that underflows to 0;
+                # the panels keep it as +0.0, which changes no product
+                extra = (mat.data == 0) & (kind is OperatorKind.NORMALIZED_LAPLACIAN)
+                assert not np.signbit(mat.data[extra]).any()
+                rows, cols, vals = (np.delete(a, extra) for a in (mat.row, mat.col, mat.data))
+                coo = ref.tocoo()
+                order = np.lexsort((coo.row, coo.col, coo.row // panel_rows))
+                assert rows.dtype == cols.dtype == coo.row.dtype == np.int32
+                assert np.array_equal(rows, coo.row[order])
+                assert np.array_equal(cols, coo.col[order])
+                assert vals.tobytes() == coo.data[order].tobytes()
+                if g.n <= 50 and panel_rows == 1 and np.isfinite(ref.data).all():
+                    exact = scipy.linalg.eigvalsh(ref.toarray(order="F"), overwrite_a=True)
+                    assert dense_spectrum(g, kind).tobytes() == exact.tobytes()
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)

@@ -51,6 +51,8 @@ class TestConfig:
             SlqConfig(s=0)
         with pytest.raises(ValueError):
             SlqConfig(distribution="uniform")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SlqConfig(seed=-1)
 
 
 class TestSlqTrace:
