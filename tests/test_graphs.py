@@ -224,12 +224,16 @@ class TestFixtures:
 
 
 def _outcome(call):
-    """A call's result, or the type, line number and message of its
-    ValueError: an EdgeListError, or an event span beyond BUCKET_LIMIT."""
+    """A call's result, or the line number and message of its EdgeListError,
+    or the message of the ValueError for an event span beyond BUCKET_LIMIT."""
     try:
         return call()
+    except EdgeListError as exc:
+        return ("EdgeListError", exc.line_number, str(exc))
     except ValueError as exc:
-        return (type(exc).__name__, getattr(exc, "line_number", None), str(exc))
+        if "more than BUCKET_LIMIT" not in str(exc):
+            raise
+        return ("ValueError", None, str(exc))
 
 
 def _line_reader_only(call):
