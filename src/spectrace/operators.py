@@ -6,15 +6,21 @@ the Laplacian ``D - A``, the normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``
 is 0), and the trace-one density matrix ``L / tr(L)``. Each is assembled once
 in numpy, straight from the graph's CSR arrays, its entries laid out in row
 panels; applying it to a vector or to an (n, W) block of vectors is one
-sparse product (scipy.sparse, loaded on first use): one pass over the
-edges. Traces and squared traces come from closed-form identities.
+call of scipy's compiled COO product kernel, loaded by file so that
+``scipy.sparse`` is never imported: one pass over the edges. Traces and
+squared traces come from closed-form identities.
 ``dense_spectrum``, the exact reference, densifies the same entries.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -63,8 +69,8 @@ PANEL_ROWS = 8192
 
 
 def _sources(g: Graph) -> np.ndarray:
-    """The row of each entry of g's CSR arrays."""
-    return np.repeat(np.arange(g.n), np.diff(g.row_offsets))
+    """The row of each entry of g's CSR arrays, as int32."""
+    return np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.row_offsets))
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -96,11 +102,20 @@ def _entries(
     algebra drops zero diagonals. An off-diagonal entry of the normalized
     Laplacian that underflows stays as +0.0, where the algebra drops it;
     this changes no product and no dense entry.
+
+    Rows and columns are int32 (vertex ids lie below 2**31) and every one
+    lies in [0, n): the product kernel does no bounds checks, so a
+    hand-built graph whose column indices leave that range raises
+    ValueError here.
     """
+    if g.col_indices.size:
+        lo, hi = int(g.col_indices.min()), int(g.col_indices.max())
+        if lo < 0 or hi >= g.n:
+            raise ValueError(f"column index {lo if lo < 0 else hi} outside [0, {g.n})")
     d = degrees(g)
     tr_l = float(d.sum())
-    if kind is OperatorKind.DENSITY and (g.m == 0 or tr_l <= 0):
-        raise ValueError("density matrix undefined for a graph without edges")
+    if kind is OperatorKind.DENSITY:
+        _check_density(g, tr_l)
     # each diagonal entry goes in its row before the first column above it;
     # it holds -d, which the negation below turns into d
     src = _sources(g)
@@ -109,7 +124,7 @@ def _entries(
     # the operator is symmetric, so its column-ordered panels are its CSR
     # with rows and columns swapped, stably partitioned by panel; the key's
     # dtype holds every panel index (numpy radix-sorts 8- and 16-bit keys)
-    rows = np.insert(g.col_indices, at, diag)
+    rows = np.insert(g.col_indices.astype(np.int32), at, diag)
     key = (rows // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS))
     order = np.argsort(key, kind="stable")
     rows = rows[order]
@@ -134,23 +149,96 @@ def _entries(
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 
+def _check_density(g: Graph, tr_l: float) -> None:
+    """Raise ValueError unless the density matrix L / tr(L) is defined.
+
+    It is not for a graph without edges, nor when tr(L)^2, which
+    trace_squared divides by, underflows to 0 (tr(L) below about 1.5e-154);
+    the second covers every tr(L) whose inverse overflows.
+    """
+    if g.m == 0 or tr_l <= 0:
+        raise ValueError("density matrix undefined for a graph without edges")
+    if tr_l * tr_l == 0:
+        raise ValueError(f"density matrix undefined: tr(L)={tr_l} is too small to normalize")
+
+
+_KERNEL_MODULE = "scipy.sparse._sparsetools"
+
+
+@cache
+def _coo_kernels() -> tuple[Callable, Callable] | None:
+    """scipy's compiled ``coo_matvec`` and ``coo_matmat_dense``, or None if
+    they cannot be loaded.
+
+    The extension module is loaded by file, so ``scipy.sparse``'s package
+    init, which costs about 0.2 s on a 2-core Xeon, does not run; if that
+    package already loaded it, its module is used as it is.
+    """
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None or not scipy_spec.submodule_search_locations:
+            return None
+        folder = Path(scipy_spec.submodule_search_locations[0], "sparse")
+        paths = (folder / f"_sparsetools{s}" for s in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            return None
+        try:
+            spec = importlib.util.spec_from_file_location(_KERNEL_MODULE, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            return None
+        finally:
+            # the extension registers itself in sys.modules; left there
+            # without its package, scipy.sparse would later import it
+            # without setting its own ``_sparsetools`` attribute
+            sys.modules.pop(_KERNEL_MODULE, None)
+    kernels = (getattr(module, "coo_matvec", None), getattr(module, "coo_matmat_dense", None))
+    return None if None in kernels else kernels
+
+
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
-    """Build the operator of the requested kind for g as one sparse matrix
-    in row panels (``_entries``).
+    """Build the operator of the requested kind for g from its entries in
+    row panels (``_entries``).
+
+    A product makes the input C-contiguous float64 and runs scipy's compiled
+    COO kernel on the entries: the calls ``coo_matrix.__matmul__`` makes, so
+    every product has the same bits. If the kernel cannot be loaded by file,
+    the product is a ``scipy.sparse.coo_matrix``'s.
 
     Raises
     ------
     ValueError
-        If the density matrix is requested for an edgeless graph
-        (tr(L) = 0 leaves it undefined).
+        If the density matrix is requested for an edgeless graph or one
+        whose tr(L) is too small to normalize, or if a column index of g
+        lies outside [0, n).
     """
-    # imported on first use: no other route needs it, and importing it cost
-    # every CLI start about 0.3 s on a 2-core Xeon
-    import scipy.sparse
-
     rows, cols, vals, interval = _entries(g, kind)
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    return LinearOperator(dim=g.n, apply=mat.__matmul__, interval=interval)
+    kernels = _coo_kernels()
+    if kernels is None:
+        import scipy.sparse
+
+        mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+        return LinearOperator(dim=g.n, apply=mat.__matmul__, interval=interval)
+    matvec, matmat = kernels
+    n, nnz = g.n, len(vals)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        # the kernel reads x without bounds checks
+        if x.ndim > 2 or x.shape[0] != n:
+            raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
+        if x.ndim == 1:
+            out = np.zeros(n)
+            matvec(nnz, rows, cols, vals, x, out)
+        else:
+            out = np.zeros((n, x.shape[1]))
+            matmat(nnz, x.shape[1], rows, cols, vals, x.ravel("C"), out)
+        return out
+
+    return LinearOperator(dim=g.n, apply=apply, interval=interval)
 
 
 def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
@@ -204,7 +292,6 @@ def trace_squared(g: Graph, kind: OperatorKind) -> float:
         return diag + float(np.sum(g.weights * g.weights / denom))
     if kind is OperatorKind.DENSITY:
         tr_l = trace(g, OperatorKind.LAPLACIAN)
-        if g.m == 0 or tr_l <= 0:
-            raise ValueError("density matrix undefined for a graph without edges")
+        _check_density(g, tr_l)
         return trace_squared(g, OperatorKind.LAPLACIAN) / (tr_l * tr_l)
     raise ValueError(f"unknown operator kind: {kind!r}")

@@ -332,6 +332,17 @@ class TestExitCodes:
         assert "line 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("method", ["taylor", "slq", "exact"])
+    def test_denormal_weights_are_data_error(self, capsys, tmp_path, method):
+        # tr(L) = 3e-323: 1 / tr(L) overflows and tr(L)^2 underflows to 0
+        graph = tmp_path / "g.tsv"
+        graph.write_text("0 1 5e-324\n1 2 5e-324\n2 0 5e-324\n")
+        code, out, err = run(capsys, "descriptor", "--input", str(graph), "--kind", "vnge",
+                             "--weighted", "--method", method)
+        assert code == 2 and out == ""
+        assert err.strip() == ("spectrace: error: density matrix undefined: "
+                               "tr(L)=3e-323 is too small to normalize")
+
     def test_memory_error_is_data_error(self, capsys, monkeypatch, p3_file):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -357,32 +368,50 @@ def test_estimator_never_imports_scipy_linalg():
     assert proc.stdout.strip() == "False"
 
 
-def test_only_the_estimator_imports_scipy_sparse(tmp_path):
-    # the operators' entries are built in numpy and scipy.sparse is loaded
-    # for their product only; importing it cost every CLI start about 0.3 s
+def test_descriptor_routes_never_import_scipy_sparse(tmp_path):
+    # the operators' products run in scipy's compiled COO kernel, loaded by
+    # file; importing scipy.sparse costs about 0.2 s. Only where that kernel
+    # cannot be loaded do the slq routes fall back to scipy.sparse
+    from scipy.sparse import _sparsetools
+
+    # the kernel loads wherever this scipy has both functions
+    available = all(hasattr(_sparsetools, name) for name in ("coo_matvec", "coo_matmat_dense"))
     src = str(Path(spectrace.__file__).resolve().parents[1])
-    out = tmp_path / "d.json"
+    for name, text in [("a0.tsv", "0 1\n1 2\n"), ("a1.tsv", "0 1\n1 2\n0 2\n"),
+                       ("b0.tsv", "0 1\n1 2\n2 3\n"), ("b1.tsv", "0 1\n1 2\n2 3\n3 0\n")]:
+        (tmp_path / name).write_text(text)
+    (tmp_path / "data.csv").write_text("a0.tsv,a\na1.tsv,a\nb0.tsv,b\nb1.tsv,b\n")
+    (tmp_path / "events.txt").write_text("0 add 0 1\n1 add 1 2\n2 add 2 0\n")
     code = """
 import sys
+from spectrace import operators
 from spectrace.cli import main
-graph, out = sys.argv[1:]
+folder = sys.argv[1]
 def loaded(*argv):
-    assert not argv or main(list(argv)) == 0
+    assert not argv or main([*argv, '--output', f'{folder}/{argv[0]}.out']) == 0
     return 'scipy.sparse' in sys.modules
 print(loaded())
-print(loaded('generate', 'er', '--n', '300', '--avg-degree', '4', '--output', graph))
+print(loaded('generate', 'er', '--n', '300', '--avg-degree', '4'))
+graph = f'{folder}/generate.out'
 for kind in ('netlsd', 'vnge'):
     for method in ('taylor', 'exact'):
-        print(loaded('descriptor', '--input', graph, '--kind', kind, '--method', method,
-                     '--output', out))
-print(loaded('descriptor', '--input', graph, '--kind', 'vnge', '--output', out))
+        print(loaded('descriptor', '--input', graph, '--kind', kind, '--method', method))
+print(loaded('descriptor', '--input', graph, '--kind', 'netlsd'))
+print(loaded('descriptor', '--input', graph, '--kind', 'vnge'))
+print(loaded('classify', '--manifest', f'{folder}/data.csv', '--kind', 'vnge',
+             '--method', 'slq', '--repeats', '5'))
+print(loaded('snapshots', '--events', f'{folder}/events.txt', '--granularity', '1',
+             '--kind', 'vnge', '--method', 'slq'))
+print(operators._coo_kernels() is not None)
 """
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.tsv"), str(out)],
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.split() == ["False"] * 6 + ["True"]
-    desc = json.loads(out.read_text())
+    assert proc.stdout.split() == ["False"] * 6 + [str(not available)] * 4 + [str(available)]
+    desc = json.loads((tmp_path / "descriptor.out").read_text())
     assert desc["method"] == "slq" and desc["value"] > 0
+    assert (tmp_path / "classify.out").read_text().splitlines()[2].startswith("data,vnge,slq,")
+    assert (tmp_path / "snapshots.out").read_text().splitlines()[2] == "0,0.0,1,0"
 
 
 class TestDashOutput:

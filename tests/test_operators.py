@@ -1,11 +1,19 @@
 """Operator matvecs and trace identities against dense oracles."""
 
+import contextlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
 from spectrace import erdos_renyi, operators
+from spectrace.graphs import Graph
 from spectrace.operators import (
     OperatorKind,
     degrees,
@@ -25,6 +33,27 @@ from conftest import (
 )
 
 ALL_KINDS = list(OperatorKind)
+
+
+@contextlib.contextmanager
+def _product_path(loader_fails):
+    """make_operator's kernel loaded by file, as in a process that has not
+    imported scipy.sparse, or, if loader_fails, its scipy.sparse fallback."""
+
+    def fail(*args, **kwargs):
+        raise ImportError("extension cannot be loaded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(sys.modules, operators._KERNEL_MODULE, raising=False)
+        if loader_fails:
+            mp.setattr(importlib.util, "spec_from_file_location", fail)
+        operators._coo_kernels.cache_clear()
+        try:
+            if loader_fails:
+                assert operators._coo_kernels() is None
+            yield
+        finally:
+            operators._coo_kernels.cache_clear()
 
 
 def _algebra_csr(g, kind):
@@ -92,17 +121,22 @@ class TestMakeOperator:
     def test_row_panels_match_csr_bit_for_bit(self, monkeypatch):
         # the operator's entries are the sparse algebra's, laid out in row
         # panels: panel by panel, then by column, then by row. With one
-        # panel or many, its products, the dense spectrum and the degrees
-        # equal the algebra's bit for bit
+        # panel or many, and with the kernel loaded by file or the
+        # scipy.sparse fallback, its products, the dense spectrum and the
+        # degrees equal the algebra's bit for bit
         rng = np.random.default_rng(7)
+        # tr(L) = 3e-323: 1 / tr(L) overflows, so its density matrix is undefined
+        denormal = graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324), (2, 0, 5e-324)])
+        # tr(L) = 6e-300: tr(L)^2 underflows, and the density matrix is undefined too
+        tiny = graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)])
         graphs = [
             random_graph(rng, n=40, p=0.2, weighted=True),
             pad_vertices(random_graph(rng, n=30, p=0.1), 45),
             empty_graph(1),
             empty_graph(5),
             disjoint_edges(4),
-            graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)]),
-            graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324), (2, 0, 5e-324)]),
+            tiny,
+            denormal,
             # 5e-324 next to 1e300: normalized and density entries underflow
             graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
                                  (4, 5, 1.0), (6, 7, 5e-324)]),
@@ -117,29 +151,72 @@ class TestMakeOperator:
             assert degrees(g).tobytes() == (adj @ np.ones(g.n)).tobytes()
             x = rng.standard_normal(g.n)
             block = rng.standard_normal((g.n, 8))
+            # a strided block, one column, and the identity that
+            # extremal_eigenvalues densifies the operator with at k == n
+            inputs = [x, block, block[:, ::3], block[:, :1]]
+            if g.n <= 50:
+                inputs.append(np.eye(g.n))
             for kind in ALL_KINDS:
                 if kind is OperatorKind.DENSITY and g.m == 0:
                     continue
+                if kind is OperatorKind.DENSITY and g in (denormal, tiny):
+                    for loader_fails in (False, True):
+                        with _product_path(loader_fails):
+                            with pytest.raises(ValueError, match="too small to normalize"):
+                                make_operator(g, kind)
+                    with pytest.raises(ValueError, match="too small to normalize"):
+                        trace_squared(g, kind)
+                    continue
                 ref = _algebra_csr(g, kind)
-                op = make_operator(g, kind)
-                mat = op.apply.__self__
-                assert mat.format == "coo"
-                assert op.apply(x).tobytes() == (ref @ x).tobytes()
-                assert op.apply(block).tobytes() == (ref @ block).tobytes()
+                rows, cols, vals, _ = operators._entries(g, kind)
                 # the algebra drops a normalized entry that underflows to 0;
                 # the panels keep it as +0.0, which changes no product
-                extra = (mat.data == 0) & (kind is OperatorKind.NORMALIZED_LAPLACIAN)
-                assert not np.signbit(mat.data[extra]).any()
-                rows, cols, vals = (np.delete(a, extra) for a in (mat.row, mat.col, mat.data))
+                extra = (vals == 0) & (kind is OperatorKind.NORMALIZED_LAPLACIAN)
+                assert not np.signbit(vals[extra]).any()
+                rows, cols, vals = (np.delete(a, extra) for a in (rows, cols, vals))
                 coo = ref.tocoo()
                 order = np.lexsort((coo.row, coo.col, coo.row // panel_rows))
-                assert rows.dtype == cols.dtype == coo.row.dtype == np.int32
+                assert rows.dtype == cols.dtype == np.int32
                 assert np.array_equal(rows, coo.row[order])
                 assert np.array_equal(cols, coo.col[order])
                 assert vals.tobytes() == coo.data[order].tobytes()
-                if g.n <= 50 and panel_rows == 1 and np.isfinite(ref.data).all():
+                for loader_fails in (False, True):
+                    with _product_path(loader_fails):
+                        op = make_operator(g, kind)
+                    for v in inputs:
+                        assert op.apply(v).tobytes() == (ref @ v).tobytes()
+                if g.n <= 50 and panel_rows == 1:
                     exact = scipy.linalg.eigvalsh(ref.toarray(order="F"), overwrite_a=True)
                     assert dense_spectrum(g, kind).tobytes() == exact.tobytes()
+
+    def test_column_index_out_of_range(self):
+        # the kernel does no bounds checks, so the entries are checked first
+        for col in (5, 3, -1):
+            g = Graph(3, np.array([0, 1, 2, 2]), np.array([1, col]), np.ones(2), 1)
+            for loader_fails in (False, True):
+                for kind in ALL_KINDS:
+                    with _product_path(loader_fails):
+                        with pytest.raises(ValueError, match=f"column index {col} outside"):
+                            make_operator(g, kind)
+
+    def test_kernel_loads_by_file(self):
+        # the extension leaves sys.modules as it found it, and a later
+        # scipy.sparse import still sets its _sparsetools attribute
+        code = """
+import sys
+from spectrace import operators
+print(operators._coo_kernels() is not None)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+import scipy.sparse
+print(scipy.sparse._sparsetools.coo_matvec is not None)
+"""
+        src = str(Path(operators.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
+        # the kernel loads wherever this scipy has both functions
+        available = all(hasattr(sp._sparsetools, name)
+                        for name in ("coo_matvec", "coo_matmat_dense"))
+        assert proc.stdout.split("\n")[:3] == [str(available), "[]", "True"]
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
