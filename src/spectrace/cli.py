@@ -39,13 +39,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_graph_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--separator", default=None,
-                   help="field separator (None: any whitespace)")
+def _add_graph_options(p: argparse.ArgumentParser, edge_list: bool = True) -> None:
+    """Input options; --separator and --weighted only where the input is an
+    edge list (event lines are whitespace-separated and unweighted)."""
     p.add_argument("--comment-prefix", default="#",
                    help="lines starting with this are skipped")
-    p.add_argument("--weighted", action="store_true",
-                   help="expect a third weight field per edge line")
+    if edge_list:
+        p.add_argument("--separator", help="field separator (None: any whitespace)")
+        p.add_argument("--weighted", action="store_true",
+                       help="expect a third weight field per edge line")
 
 
 def _add_descriptor_options(p: argparse.ArgumentParser, method: bool = True) -> None:
@@ -199,7 +201,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_snapshots(args) -> int:
     with open(args.events, "r", encoding="utf-8") as fh:
-        series = load_snapshots(fh, args.granularity)
+        series = load_snapshots(fh, args.granularity, comment_prefix=args.comment_prefix)
     rows = bench.snapshot_distance_series(
         series, args.kind, args.method, grid=args.grid, cfg=_cfg(args), k=args.k,
         threads=args.threads,
@@ -269,7 +271,7 @@ def build_parser() -> _Parser:
     p.add_argument("--granularity", type=_float_where(lambda x: x > 0, "> 0"),
                    required=True, help="bucket width")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    _add_graph_options(p)
+    _add_graph_options(p, edge_list=False)
     _add_descriptor_options(p)
     _add_common(p)
     p.set_defaults(func=_cmd_snapshots)
@@ -318,7 +320,9 @@ def _resolve_grid(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the subcommand's parser, which prints its usage
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     _check_methods(args)
     _resolve_grid(args)
     try:

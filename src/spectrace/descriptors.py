@@ -12,10 +12,10 @@ taylor    second-order trace identities (closed form, no spectrum)
 linear    exact extremal eigenvalues, linearly interpolated interior
 finger    entropy only: taylor quadratic times a log spectral-scale factor
 
-The entropy taylor expansion is also available exactly as commonly printed
-(``variant="printed"``), which mixes a first-order term into the quadratic
-normalizer and can go negative; the default ``"corrected"`` form
-Q = 1 - tr(L^2)/tr(L)^2 is consistent and exact on a single edge.
+The entropy taylor expansion is the consistent quadratic
+Q = 1 - tr(L^2)/tr(L)^2, exact on a single edge. Every entropy route
+refuses a graph whose density matrix is undefined (no edges, or tr(L) too
+small to normalize) with the ValueError of the ``operators`` module.
 """
 
 from __future__ import annotations
@@ -271,27 +271,13 @@ def vnge_slq(g: Graph, cfg: SlqConfig | None = None, *, threads: int = 1) -> Ent
     )
 
 
-def vnge_taylor(g: Graph, variant: str = "corrected") -> EntropyValue:
-    """Quadratic entropy expansion from trace identities.
-
-    ``corrected`` (default) is Q = 1 - tr(L^2)/tr(L)^2. ``printed`` evaluates
-    the commonly printed form 1 - (tr(L) + 2 tr(L^2))/tr(L)^2 verbatim, which
-    mixes orders and can be negative; it is kept for fidelity comparisons.
-    """
-    if variant not in ("corrected", "printed"):
-        raise ValueError(f"variant must be 'corrected' or 'printed', got {variant!r}")
-    if g.m == 0:
-        raise ValueError("entropy undefined for a graph without edges")
-    if variant == "corrected":
-        value = 1.0 - trace_squared(g, OperatorKind.DENSITY)
-    else:
-        tr_l = trace(g, OperatorKind.LAPLACIAN)
-        tr_l2 = trace_squared(g, OperatorKind.LAPLACIAN)
-        value = 1.0 - (tr_l + 2.0 * tr_l2) / (tr_l * tr_l)
+def vnge_taylor(g: Graph) -> EntropyValue:
+    """Quadratic entropy expansion Q = 1 - tr(L^2)/tr(L)^2 from trace
+    identities."""
     return EntropyValue(
-        value=value,
+        value=1.0 - trace_squared(g, OperatorKind.DENSITY),
         method="taylor",
-        params={"variant": variant},
+        params={"variant": "corrected"},
         graph_hash=g.content_hash(),
     )
 
@@ -307,8 +293,6 @@ def vnge_finger(g: Graph, variant: str = "hat") -> EntropyValue:
     """
     if variant not in ("hat", "bar"):
         raise ValueError(f"variant must be 'hat' or 'bar', got {variant!r}")
-    if g.m == 0:
-        raise ValueError("entropy undefined for a graph without edges")
     q = 1.0 - trace_squared(g, OperatorKind.DENSITY)
     if variant == "hat":
         op = make_operator(g, OperatorKind.DENSITY)

@@ -340,11 +340,9 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
         mask = rng.random(n_pairs) < p
         return _build_csr(n, iu[mask], ju[mask], np.ones(int(mask.sum())))
     m_target = int(rng.binomial(n_pairs, p))
-    chosen: list[np.ndarray] = []
     seen = np.empty(0, dtype=np.int64)
-    count = 0
-    while count < m_target:
-        batch = max(2 * (m_target - count), 1024)
+    while seen.size < m_target:
+        batch = max(2 * (m_target - seen.size), 1024)
         u = rng.integers(0, n, size=batch, dtype=np.int64)
         v = rng.integers(0, n, size=batch, dtype=np.int64)
         ok = u != v
@@ -357,13 +355,9 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
         keys = keys[np.sort(first)]
         if seen.size:
             keys = keys[~np.isin(keys, seen)]
-        take = keys[: m_target - count]
-        chosen.append(take)
-        seen = np.concatenate([seen, take])
-        count += take.size
-    all_keys = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    lo, hi = np.divmod(all_keys, n)
-    return _build_csr(n, lo, hi, np.ones(all_keys.size))
+        seen = np.concatenate([seen, keys[: m_target - seen.size]])
+    lo, hi = np.divmod(seen, n)
+    return _build_csr(n, lo, hi, np.ones(seen.size))
 
 
 _EVENT = np.dtype([("t", np.float64), ("op", "U4"), ("u", np.int64), ("v", np.int64)])

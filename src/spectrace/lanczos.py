@@ -145,7 +145,8 @@ def quadrature_rule(tri: Tridiagonal) -> QuadratureRule:
     Raises
     ------
     TridiagonalEigenError
-        If the symmetric tridiagonal eigensolver fails to converge.
+        If the symmetric tridiagonal eigensolver fails to converge or
+        refuses a non-finite entry.
     """
     # imported on first use, like scipy.linalg in operators.dense_spectrum:
     # the estimator path never needs it
@@ -153,7 +154,7 @@ def quadrature_rule(tri: Tridiagonal) -> QuadratureRule:
 
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(tri.alpha, tri.beta)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
         raise TridiagonalEigenError(
             f"tridiagonal eigensolver failed: {exc}", alpha=tri.alpha, beta=tri.beta
         ) from exc

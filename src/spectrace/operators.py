@@ -154,7 +154,9 @@ def _check_density(g: Graph, tr_l: float) -> None:
 
     It is not for a graph without edges, nor when tr(L)^2, which
     trace_squared divides by, underflows to 0 (tr(L) below about 1.5e-154);
-    the second covers every tr(L) whose inverse overflows.
+    the second covers every tr(L) whose inverse overflows. This is the one
+    place that decides: every entropy route reaches it through
+    ``make_operator``, ``dense_spectrum``, ``trace`` or ``trace_squared``.
     """
     if g.m == 0 or tr_l <= 0:
         raise ValueError("density matrix undefined for a graph without edges")
@@ -262,15 +264,15 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:
-    """Exact operator trace from degree identities (no matvecs)."""
+    """Exact operator trace from degree identities (no matvecs); the density
+    matrix's is 1 wherever ``_check_density`` finds it defined."""
     d = degrees(g)
     if kind is OperatorKind.LAPLACIAN:
         return float(d.sum())
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         return float(np.count_nonzero(d > 0))
     if kind is OperatorKind.DENSITY:
-        if g.m == 0:
-            raise ValueError("density matrix undefined for a graph without edges")
+        _check_density(g, float(d.sum()))
         return 1.0
     raise ValueError(f"unknown operator kind: {kind!r}")
 

@@ -10,9 +10,10 @@ results independent of scheduling and reproducible probe by probe.
 
 Probes run as columns of zero-padded blocks through ``lanczos_block``: one
 block operator application per Lanczos step, no reorthogonalization, and
-one batched eigendecomposition for all Gauss rules. A column's arithmetic
-does not depend on the block around it, so a probe's numbers change with
-neither n_v, the block layout nor the worker count. Blocks hold
+one batched eigendecomposition for the Gauss rules of each block, run by
+the block's worker. A column's arithmetic does not depend on the block
+around it, so a probe's numbers change with neither n_v, the block layout
+nor the worker count. Blocks hold
 ``BLOCK_WIDTH`` probes on operators of ``MIN_PARALLEL_DIM`` rows or more;
 below that the probes fill the fewest blocks of at most
 ``MAX_BLOCK_WIDTH``, so up to that many probes run as one block. Blocks
@@ -168,20 +169,15 @@ def _probe_rules(
     firsts = range(0, cfg.n_v, width)
     workers = min(threads, len(firsts))
 
-    def run(first: int) -> BlockTridiagonal:
-        return _probe_block(op, cfg, first, width)
+    def run(first: int) -> tuple[np.ndarray, np.ndarray]:
+        return block_quadrature_rules(_probe_block(op, cfg, first, width))
 
     if workers <= 1:
-        blocks = list(map(run, firsts))
+        rules = list(map(run, firsts))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, firsts))
-    tri = BlockTridiagonal(
-        alpha=np.concatenate([b.alpha for b in blocks])[: cfg.n_v],
-        beta=np.concatenate([b.beta for b in blocks])[: cfg.n_v],
-        steps=np.concatenate([b.steps for b in blocks])[: cfg.n_v],
-    )
-    nodes, weights = block_quadrature_rules(tri)
+            rules = list(pool.map(run, firsts))
+    nodes, weights = (np.concatenate(part)[: cfg.n_v] for part in zip(*rules))
     lo, hi = op.interval
     return np.clip(nodes, lo, hi), weights
 

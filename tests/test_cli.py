@@ -32,7 +32,7 @@ MISSING = "/nonexistent/x.tsv"
 USAGE_PREFIX = {
     "descriptor": ["descriptor", "--input", MISSING, "--kind", "netlsd"],
     "generate": ["generate", "er", "--n", "5", "--avg-degree", "4"],
-    "snapshots": ["snapshots", "--events", MISSING, "--kind", "vnge"],
+    "snapshots": ["snapshots", "--events", MISSING, "--kind", "vnge", "--granularity", "1"],
     "classify": ["classify", "--manifest", MISSING, "--kind", "vnge"],
 }
 
@@ -167,6 +167,35 @@ class TestSnapshots:
         assert lines[1] == "index,distance,added,removed"
         assert lines[2] == "0,0.0,1,0"
 
+    def test_weighted_is_usage_error(self, capsys, tmp_path):
+        # event lines carry no weight, so snapshots has no --weighted
+        events = tmp_path / "events.txt"
+        events.write_text("0 add 0 1\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["snapshots", "--events", str(events), "--granularity", "1",
+                  "--kind", "vnge", "--method", "exact", "--weighted"])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("usage: spectrace snapshots ")
+        assert "unrecognized arguments: --weighted" in err
+
+    def test_comment_prefix_is_read(self, capsys, tmp_path):
+        # a commented stream gives the CSV of the same stream without comments
+        stream = "{c} header\n0 add 0 1\n{c} between\n1 add 2 3\n2 add 1 2\n"
+        outputs = []
+        for prefix, text in [("#", stream.replace("{c}", "#")),
+                             ("#", "0 add 0 1\n1 add 2 3\n2 add 1 2\n"),
+                             ("%", stream.replace("{c}", "%"))]:
+            events = tmp_path / f"events{len(outputs)}.txt"
+            events.write_text(text)
+            code, out, _ = run(capsys, "snapshots", "--events", str(events),
+                               "--granularity", "1", "--kind", "vnge", "--method",
+                               "exact", "--comment-prefix", prefix)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 5
+
     def test_span_beyond_bucket_limit_is_data_error(self, capsys, tmp_path):
         # the quotient 1e300 / 1e-10 is infinite, so no bucket number exists
         events = tmp_path / "events.txt"
@@ -234,6 +263,7 @@ class TestExitCodes:
         _usage_case("snapshots", "--granularity", "0"),
         _usage_case("snapshots", "--granularity", "-1"),
         _usage_case("snapshots", "--granularity", "nan"),
+        _usage_case("snapshots", "--separator", ","),
         _usage_case("classify", "--train-frac", "0"),
         _usage_case("classify", "--train-frac", "1"),
         _usage_case("classify", "--train-frac", "1.5"),
@@ -332,7 +362,7 @@ class TestExitCodes:
         assert "line 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("method", ["taylor", "slq", "exact"])
+    @pytest.mark.parametrize("method", ["taylor", "slq", "exact", "finger-hat", "finger-bar"])
     def test_denormal_weights_are_data_error(self, capsys, tmp_path, method):
         # tr(L) = 3e-323: 1 / tr(L) overflows and tr(L)^2 underflows to 0
         graph = tmp_path / "g.tsv"

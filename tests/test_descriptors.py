@@ -28,7 +28,7 @@ from spectrace.descriptors import (
     vnge_taylor,
 )
 from spectrace.graphs import erdos_renyi, parse_edge_list
-from spectrace.operators import OperatorKind, dense_spectrum
+from spectrace.operators import OperatorKind, dense_spectrum, trace
 from spectrace.slq import SlqConfig
 
 from conftest import disjoint_edges, empty_graph, graph_from_edges, random_graph
@@ -287,13 +287,6 @@ class TestVngeTaylor:
     def test_p3_corrected(self, p3):
         assert vnge_taylor(p3).value == pytest.approx(0.375, abs=1e-12)
 
-    def test_k2_printed_form(self, k2):
-        assert vnge_taylor(k2, variant="printed").value == pytest.approx(-1.5, abs=1e-12)
-
-    def test_bad_variant(self, k2):
-        with pytest.raises(ValueError):
-            vnge_taylor(k2, variant="other")
-
 
 class TestVngeFinger:
     def test_k2_both_zero(self, k2):
@@ -311,6 +304,32 @@ class TestVngeFinger:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
             vnge_finger(empty_graph(2), "hat")
+
+
+# Graphs without a density matrix: no edges, a tr(L) of 3e-323 whose
+# inverse overflows, and a tr(L) of 6e-300 whose square underflows.
+UNDEFINED_DENSITY = {
+    "edgeless": empty_graph(3),
+    "denormal-triangle": graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324),
+                                              (2, 0, 5e-324)]),
+    "tiny-weights": graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)]),
+}
+DENSITY_ROUTES = {
+    "exact": vnge_exact,
+    "slq": vnge_slq,
+    "taylor": vnge_taylor,
+    "finger-hat": lambda g: vnge_finger(g, "hat"),
+    "finger-bar": lambda g: vnge_finger(g, "bar"),
+    "trace": lambda g: trace(g, OperatorKind.DENSITY),
+}
+
+
+@pytest.mark.parametrize("route", DENSITY_ROUTES)
+@pytest.mark.parametrize("graph", UNDEFINED_DENSITY)
+def test_undefined_density_is_refused_alike(graph, route):
+    # one check decides for every entropy route and for the density trace
+    with pytest.raises(ValueError, match="density matrix undefined"):
+        DENSITY_ROUTES[route](UNDEFINED_DENSITY[graph])
 
 
 class TestDistances:

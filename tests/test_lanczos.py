@@ -8,9 +8,11 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from spectrace.errors import ConvergenceError
+from spectrace.errors import ConvergenceError, TridiagonalEigenError
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
+    BlockTridiagonal,
+    block_quadrature_rules,
     extremal_eigenvalues,
     lanczos_error_bound,
     lanczos_tridiagonalize,
@@ -160,6 +162,20 @@ class TestQuadratureRule:
                 vec = op.apply(vec) + c * q0
             direct = float(np.dot(q0, vec))
             assert abs(quad - direct) <= 1e-8 * abs(direct)
+
+    def test_nan_entry_is_eigen_error(self):
+        # both rule builders report a failed solve as TridiagonalEigenError
+        # carrying the tridiagonal, whether the solver refuses the NaN or
+        # fails to converge on it
+        alpha, beta = np.array([1.0, np.nan, 0.5]), np.array([0.3, 0.2])
+        with pytest.raises(TridiagonalEigenError) as single:
+            quadrature_rule(Tridiagonal(alpha, beta, 3))
+        with pytest.raises(TridiagonalEigenError) as block:
+            block_quadrature_rules(BlockTridiagonal(alpha[None], beta[None], np.array([3])))
+        for exc in (single.value, block.value):
+            assert "tridiagonal eigensolver failed" in str(exc)
+            assert np.array_equal(np.ravel(exc.alpha), alpha, equal_nan=True)
+            assert np.array_equal(np.ravel(exc.beta), beta)
 
 
 class TestExtremalEigenvalues:
