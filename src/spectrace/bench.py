@@ -40,7 +40,6 @@ class ErrorRow:
     kind: str
     rel_error: float
     seconds: float
-    skipped: bool = False
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class ClassificationResult:
     mean_accuracy: float
     std: float
     repeats: int
-    train_frac: float
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,10 @@ def error_benchmark(
 ) -> list[ErrorRow]:
     """Relative error of each method against the exact descriptor, per graph.
 
-    Graphs too large for the dense reference produce rows marked skipped
-    (rel_error NaN) rather than failing the whole run. Wall time covers the
-    descriptor computation only.
+    Graphs the exact route refuses (too large for the dense reference, or
+    with no defined reference) give skipped rows, marked by a NaN rel_error,
+    rather than failing the whole run; so does a reference of zero norm.
+    Wall time covers the descriptor computation only.
     """
     grid = grid or dsc.TimeGrid()
     cfg = cfg or SlqConfig()
@@ -117,8 +116,8 @@ def error_benchmark(
         except ValueError:
             reference = None
         for method in methods:
-            rel, elapsed, skipped = float("nan"), 0.0, reference is None
-            if not skipped:
+            rel, elapsed = float("nan"), 0.0
+            if reference is not None:
                 start = time.perf_counter()
                 approx = compute_descriptor(g, kind, method, grid, cfg, k, threads)
                 elapsed = time.perf_counter() - start
@@ -127,8 +126,8 @@ def error_benchmark(
                     # an exact match stays well-defined even at zero norm
                     rel = 0.0 if distance == 0.0 else dsc.relative_error(approx, reference)
                 except ValueError:
-                    skipped = True
-            rows.append(ErrorRow(graph_id, method, kind, rel, elapsed, skipped))
+                    pass  # a reference of zero norm: rel stays NaN
+            rows.append(ErrorRow(graph_id, method, kind, rel, elapsed))
     return rows
 
 
@@ -196,7 +195,6 @@ def knn_accuracy(
         mean_accuracy=float(accuracies.mean()),
         std=float(accuracies.std()),
         repeats=repeats,
-        train_frac=train_frac,
     )
 
 
@@ -211,15 +209,18 @@ def snapshot_distance_series(
     threads: int = 1,
 ) -> list[SnapshotRow]:
     """Descriptor distance of every snapshot to snapshot 0, with cumulative
-    edge churn."""
+    edge churn. A snapshot that is the previous one's Graph object (a bucket
+    without edge events) reuses its descriptor."""
     if len(series) == 0:
         raise ValueError("empty snapshot series")
     grid = grid or dsc.TimeGrid()
     cfg = cfg or SlqConfig()
-    base = compute_descriptor(series.snapshots[0], kind, method, grid, cfg, k, threads)
+    snapshots = series.snapshots
+    base = desc = compute_descriptor(snapshots[0], kind, method, grid, cfg, k, threads)
     distances = [0.0]
-    for g in series.snapshots[1:]:
-        desc = compute_descriptor(g, kind, method, grid, cfg, k, threads)
+    for prev, g in zip(snapshots, snapshots[1:]):
+        if g is not prev:
+            desc = compute_descriptor(g, kind, method, grid, cfg, k, threads)
         distances.append(dsc.descriptor_distance(desc, base))
     return [
         SnapshotRow(index=i, distance=dist, added=series.added[i], removed=series.removed[i])

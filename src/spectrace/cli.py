@@ -42,10 +42,11 @@ class _Parser(argparse.ArgumentParser):
 def _add_graph_options(p: argparse.ArgumentParser, edge_list: bool = True) -> None:
     """Input options; --separator and --weighted only where the input is an
     edge list (event lines are whitespace-separated and unweighted)."""
-    p.add_argument("--comment-prefix", default="#",
+    p.add_argument("--comment-prefix", type=_nonempty, default="#",
                    help="lines starting with this are skipped")
     if edge_list:
-        p.add_argument("--separator", help="field separator (None: any whitespace)")
+        p.add_argument("--separator", type=_nonempty,
+                       help="field separator (None: any whitespace)")
         p.add_argument("--weighted", action="store_true",
                        help="expect a third weight field per edge line")
 
@@ -85,6 +86,13 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _nonempty(text: str) -> str:
+    """argparse type: a string of at least one character."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _float_where(ok, wanted: str):

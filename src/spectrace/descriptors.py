@@ -21,7 +21,7 @@ small to normalize) with the ValueError of the ``operators`` module.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO
 
 import numpy as np
@@ -75,9 +75,8 @@ class TimeGrid:
                 raise ValueError(
                     f"need 0 < t_min < t_max, got t_min={self.t_min}, t_max={self.t_max}"
                 )
+            # geomspace returns t_min and t_max exactly as its endpoints
             values = np.geomspace(self.t_min, self.t_max, self.count)
-            values[0] = self.t_min
-            values[-1] = self.t_max
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -204,14 +203,8 @@ def netlsd_linear(
         raise ValueError(f"k must be >= 1, got {k}")
     grid = grid or TimeGrid()
     if 2 * k >= g.n:
-        exact = netlsd_exact(g, grid)
-        return HeatTraceDescriptor(
-            grid=grid,
-            values=exact.values,
-            method="linear",
-            params={"k": k, "fallback": "exact"},
-            graph_hash=g.content_hash(),
-        )
+        return replace(netlsd_exact(g, grid), method="linear",
+                       params={"k": k, "fallback": "exact"})
     op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
     deflated, zeros = _kernel_deflated(g, op)
     low = np.zeros(k)
@@ -296,8 +289,7 @@ def vnge_finger(g: Graph, variant: str = "hat") -> EntropyValue:
     q = 1.0 - trace_squared(g, OperatorKind.DENSITY)
     if variant == "hat":
         op = make_operator(g, OperatorKind.DENSITY)
-        lam_max = float(extremal_eigenvalues(op, 1, "largest")[-1])
-        scale = lam_max
+        scale = float(extremal_eigenvalues(op, 1, "largest")[-1])
     else:
         d = degrees(g)
         scale = 2.0 * float(d.max()) / trace(g, OperatorKind.LAPLACIAN)

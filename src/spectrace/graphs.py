@@ -9,10 +9,11 @@ streams use one event per line, ``timestamp op src dst`` with
 ``op in {add, del}``; snapshots are cumulative per time bucket and treat
 edges as unweighted. Vertex ids must lie below ``VERTEX_ID_LIMIT``.
 
-Text is read in bulk with ``np.loadtxt``. Input that the bulk reader cannot
-take whole (a malformed line, or a token only Python's ``int``/``float``
-accept, such as ``1_0``) is re-read line by line; that reader is the
-authority on what is valid and reports errors with their line number.
+Text is read in bulk with ``np.loadtxt``, one record per line. Input that
+the bulk reader cannot take whole (a malformed line, or a token only
+Python's ``int``/``float`` accept, such as ``1_0``) is re-read line by line;
+that reader is the authority on what is valid and reports errors with their
+line number.
 """
 
 from __future__ import annotations
@@ -59,26 +60,27 @@ class Graph:
         Neighbor indices, sorted within each row.
     weights : ndarray, float64
         Strictly positive edge weights (1.0 everywhere if unweighted).
-    m : int
-        Number of undirected edges.
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     weights: np.ndarray
-    m: int
 
     def __post_init__(self):
         for arr in (self.row_offsets, self.col_indices, self.weights):
             arr.flags.writeable = False
+
+    @property
+    def m(self) -> int:
+        """Number of undirected edges: each is stored once in either row."""
+        return self.col_indices.size // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         return (
             self.n == other.n
-            and self.m == other.m
             and np.array_equal(self.row_offsets, other.row_offsets)
             and np.array_equal(self.col_indices, other.col_indices)
             and np.array_equal(self.weights, other.weights)
@@ -147,7 +149,6 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
         row_offsets=row_offsets,
         col_indices=cols[order],
         weights=np.concatenate([w, w])[order],
-        m=starts.size,
     )
 
 
@@ -181,8 +182,7 @@ def _bulk_rows(text: str, lines: list[str], separator: str | None,
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=dtype, comments=None, delimiter=separator,
-                              ndmin=1 if dtype.names else 2)
+            rows = np.loadtxt(lines, dtype=dtype, comments=None, delimiter=separator, ndmin=1)
     except (ValueError, TypeError, Warning):
         return None
     return rows if rows.size else None
@@ -201,25 +201,24 @@ def _check_id(u: int, v: int, line: str, lineno: int) -> None:
         )
 
 
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _WEIGHTED_EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def _bulk_edges(text, lines, separator, comment_prefix, weighted):
-    """(u, v, w) read in bulk, or None where the line reader must decide."""
+    """(u, v, w) read in bulk, or None where the line reader must decide.
+
+    A record dtype makes ``np.loadtxt`` refuse a line with the wrong field
+    count; unweighted rows get weight 1.0 and pass the same checks."""
     rows = _bulk_rows(text, lines, separator, comment_prefix,
-                      _WEIGHTED_EDGE if weighted else np.dtype(np.int64))
+                      _WEIGHTED_EDGE if weighted else _EDGE)
     if rows is None:
         return None
-    if weighted:
-        u, v, w = rows["u"], rows["v"], rows["w"]
-        if not (np.isfinite(w).all() and (w > 0).all()):
-            return None
-    else:
-        if rows.shape[1] != 2:
-            return None
-        u, v = rows[:, 0], rows[:, 1]
-        w = np.ones(u.size)
-    return (u, v, w) if _ids_in_range(u, v) else None
+    u, v = rows["u"], rows["v"]
+    w = rows["w"] if weighted else np.ones(u.size)
+    if not (np.isfinite(w).all() and (w > 0).all() and _ids_in_range(u, v)):
+        return None
+    return u, v, w
 
 
 def _line_rows(lines, separator, comment_prefix, fields, parse, empty):
@@ -297,7 +296,12 @@ def parse_edge_list(
     EdgeListError
         On malformed lines (with line number), negative vertex ids or ids of
         at least ``VERTEX_ID_LIMIT``, nonpositive weights, or empty input.
+    ValueError
+        If separator or comment_prefix is the empty string.
     """
+    for name, value in (("separator", separator), ("comment_prefix", comment_prefix)):
+        if value == "":
+            raise ValueError(f"{name} must not be empty")
     text, lines = _read_lines(stream)
     edges = _bulk_edges(text, lines, separator, comment_prefix, weighted)
     if edges is None:
@@ -316,7 +320,8 @@ def write_edge_list(g: Graph, stream: IO[str], *, weighted: bool = False) -> Non
 
 
 def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
-    """Sample G(n, p) with p = avg_degree / (n - 1), deterministically per seed.
+    """Sample G(n, p) with p = avg_degree / (n - 1) (0 at n = 1), deterministically
+    per seed.
 
     Small pair counts use a direct Bernoulli mask over all pairs. Large ones
     draw the edge count from the exact binomial and then a uniform set of
@@ -325,14 +330,9 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        if avg_degree != 0:
-            raise ValueError("avg_degree must be 0 for a single-vertex graph")
-        none = np.empty(0, dtype=np.int64)
-        return _build_csr(1, none, none, np.empty(0))
     if not 0 <= avg_degree <= n - 1:
         raise ValueError(f"avg_degree must lie in [0, {n - 1}], got {avg_degree}")
-    p = avg_degree / (n - 1)
+    p = avg_degree / max(n - 1, 1)
     rng = np.random.default_rng(seed)
     n_pairs = n * (n - 1) // 2
     if n_pairs <= 1 << 23:
@@ -426,11 +426,13 @@ def load_snapshots(
         On malformed lines, unknown op tokens, nonfinite or unsorted
         timestamps, or vertex ids outside ``[0, VERTEX_ID_LIMIT)``.
     ValueError
-        If granularity is not positive, or if the events span more than
-        ``BUCKET_LIMIT`` buckets.
+        If granularity is not positive, comment_prefix is the empty string,
+        or the events span more than ``BUCKET_LIMIT`` buckets.
     """
     if not granularity > 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
+    if not comment_prefix:
+        raise ValueError("comment_prefix must not be empty")
     text, lines = _read_lines(stream)
     events = _bulk_events(text, lines, comment_prefix)
     if events is None:

@@ -115,7 +115,7 @@ def _entries(
     d = degrees(g)
     tr_l = float(d.sum())
     if kind is OperatorKind.DENSITY:
-        _check_density(g, tr_l)
+        _check_density(tr_l)
     # each diagonal entry goes in its row before the first column above it;
     # it holds -d, which the negation below turns into d
     src = _sources(g)
@@ -149,16 +149,16 @@ def _entries(
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 
-def _check_density(g: Graph, tr_l: float) -> None:
+def _check_density(tr_l: float) -> None:
     """Raise ValueError unless the density matrix L / tr(L) is defined.
 
-    It is not for a graph without edges, nor when tr(L)^2, which
-    trace_squared divides by, underflows to 0 (tr(L) below about 1.5e-154);
-    the second covers every tr(L) whose inverse overflows. This is the one
-    place that decides: every entropy route reaches it through
+    It is not for a graph without edges, whose tr(L) is 0, nor when tr(L)^2,
+    which trace_squared divides by, underflows to 0 (tr(L) below about
+    1.5e-154); the second covers every tr(L) whose inverse overflows. This
+    is the one place that decides: every entropy route reaches it through
     ``make_operator``, ``dense_spectrum``, ``trace`` or ``trace_squared``.
     """
-    if g.m == 0 or tr_l <= 0:
+    if tr_l <= 0:
         raise ValueError("density matrix undefined for a graph without edges")
     if tr_l * tr_l == 0:
         raise ValueError(f"density matrix undefined: tr(L)={tr_l} is too small to normalize")
@@ -272,7 +272,7 @@ def trace(g: Graph, kind: OperatorKind) -> float:
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         return float(np.count_nonzero(d > 0))
     if kind is OperatorKind.DENSITY:
-        _check_density(g, float(d.sum()))
+        _check_density(float(d.sum()))
         return 1.0
     raise ValueError(f"unknown operator kind: {kind!r}")
 
@@ -294,6 +294,6 @@ def trace_squared(g: Graph, kind: OperatorKind) -> float:
         return diag + float(np.sum(g.weights * g.weights / denom))
     if kind is OperatorKind.DENSITY:
         tr_l = trace(g, OperatorKind.LAPLACIAN)
-        _check_density(g, tr_l)
+        _check_density(tr_l)
         return trace_squared(g, OperatorKind.LAPLACIAN) / (tr_l * tr_l)
     raise ValueError(f"unknown operator kind: {kind!r}")

@@ -58,7 +58,9 @@ BLOCK_WIDTH = 8
 # Xeon, two workers took 1.5x as long as one on ER graphs of 100-500
 # vertices, broke even near 2000, and were 1.4-1.8x faster from 3000 to
 # 10000 vertices. So smaller operators run up to MAX_BLOCK_WIDTH probes in
-# one block, one product and one set of vector updates per step.
+# one block, one product and one set of vector updates per step. The probe
+# bank's rows have MIN_PARALLEL_DIM - 1 entries, which must stay at or below
+# 8192 (see _probe_block).
 MIN_PARALLEL_DIM = 2048
 # Widest block below MIN_PARALLEL_DIM. A block keeps three (n, width)
 # arrays alive, so the cap bounds memory whatever n_v is: vnge_slq at
@@ -137,7 +139,10 @@ def _probe_block(
     (``_probe_bank``): the first n values of a longer ``integers(0, 2)`` or
     ``standard_normal`` draw equal an n-long draw, and the row einsum sums
     each probe as the per-probe one does, so the block holds the same bits
-    either way. The bank takes at most 4.2 MB. Larger operators draw probe
+    either way. That holds only up to 8192 entries, the size of numpy's
+    einsum buffer: at 8193 the two sums differ (numpy 2.4.6), so the bank's
+    rows, MIN_PARALLEL_DIM - 1 entries, must not outgrow it. The bank takes
+    at most 4.2 MB. Larger operators draw probe
     by probe: stacking their draws was slower (an 8-probe block took 3.8
     instead of 2.7 ms at n=20k on a 2-core Xeon). The bank is copied, never
     used as the block, because lanczos_block overwrites its start.

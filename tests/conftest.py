@@ -26,7 +26,6 @@ def graph_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int,
             row_offsets=np.zeros(n + 1, dtype=np.int64),
             col_indices=np.empty(0, dtype=np.int64),
             weights=np.empty(0, dtype=np.float64),
-            m=0,
         )
     g = parse_edge_list("\n".join(lines), weighted=weighted)
     if g.n < n:
@@ -41,7 +40,7 @@ def pad_vertices(g: Graph, n: int) -> Graph:
         [g.row_offsets, np.full(n - g.n, g.row_offsets[-1], dtype=np.int64)]
     )
     return Graph(n=n, row_offsets=row_offsets, col_indices=g.col_indices.copy(),
-                 weights=g.weights.copy(), m=g.m)
+                 weights=g.weights.copy())
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from spectrace import bench
 from spectrace.bench import (
     error_benchmark,
     knn_accuracy,
@@ -12,7 +13,7 @@ from spectrace.bench import (
     write_error_csv,
     write_snapshot_csv,
 )
-from spectrace.descriptors import TimeGrid
+from spectrace.descriptors import TimeGrid, vnge_exact
 from spectrace.graphs import erdos_renyi, load_snapshots
 from spectrace.slq import SlqConfig
 
@@ -37,8 +38,8 @@ class TestErrorBenchmark:
         rows = error_benchmark([("empty", empty_graph(3)), ("p3", p3), ("k2", k2)],
                                "vnge", ["taylor"])
         by_graph = {r.graph_id: r for r in rows}
-        assert by_graph["empty"].skipped and np.isnan(by_graph["empty"].rel_error)
-        assert not by_graph["p3"].skipped
+        assert np.isnan(by_graph["empty"].rel_error)
+        assert not np.isnan(by_graph["p3"].rel_error)
         assert by_graph["k2"].rel_error == 0.0  # exact agreement at zero norm
 
     def test_er_slq_small_errors(self):
@@ -165,6 +166,24 @@ class TestSnapshotSeries:
         ra = snapshot_distance_series(batched, "vnge", "exact")
         rb = snapshot_distance_series(spread, "vnge", "exact")
         assert [r.distance for r in ra] == [r.distance for r in rb]
+
+    def test_repeated_snapshot_is_described_once(self, monkeypatch):
+        # 10 buckets, 2 distinct graphs: buckets 1-8 hold no edge event and
+        # repeat bucket 0's Graph object
+        series = load_snapshots("0 add 0 1\n0 add 1 2\n9 add 2 3", granularity=1.0)
+        assert len(series) == 10
+        route, described = bench.METHODS["vnge"]["exact"], []
+
+        def counted(g, *args):
+            described.append(g)
+            return route(g, *args)
+
+        monkeypatch.setitem(bench.METHODS["vnge"], "exact", counted)
+        rows = snapshot_distance_series(series, "vnge", "exact")
+        assert described == [series.snapshots[0], series.snapshots[9]]
+        base = vnge_exact(series.snapshots[0]).value
+        assert [r.distance for r in rows] == [0.0] + [
+            abs(vnge_exact(g).value - base) for g in series.snapshots[1:]]
 
     def test_csv_format(self):
         series = load_snapshots("0 add 0 1\n1 add 2 3", granularity=1.0)

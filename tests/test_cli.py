@@ -264,6 +264,9 @@ class TestExitCodes:
         _usage_case("snapshots", "--granularity", "-1"),
         _usage_case("snapshots", "--granularity", "nan"),
         _usage_case("snapshots", "--separator", ","),
+        _usage_case("descriptor", "--comment-prefix", "", id="empty-comment-prefix"),
+        _usage_case("snapshots", "--comment-prefix", "", id="snapshots-empty-comment-prefix"),
+        _usage_case("descriptor", "--separator", "", id="empty-separator"),
         _usage_case("classify", "--train-frac", "0"),
         _usage_case("classify", "--train-frac", "1"),
         _usage_case("classify", "--train-frac", "1.5"),

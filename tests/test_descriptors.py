@@ -27,7 +27,7 @@ from spectrace.descriptors import (
     vnge_slq,
     vnge_taylor,
 )
-from spectrace.graphs import erdos_renyi, parse_edge_list
+from spectrace.graphs import Graph, erdos_renyi, parse_edge_list
 from spectrace.operators import OperatorKind, dense_spectrum, trace
 from spectrace.slq import SlqConfig
 
@@ -80,6 +80,31 @@ class TestTimeGrid:
 
     def test_single_point(self):
         assert np.array_equal(GRID_T1.values, [1.0])
+
+    @pytest.mark.parametrize("t_min, t_max, count", [
+        (1e-2, 1e2, 256),
+        (0.1, 10.0, 8),
+        (0.5, 1.0, 2),
+        (1e-12, 1.0, 16),
+        (1.0, 1e6, 8),
+        (1e-300, 1e300, 3),
+        (0.3, 0.7, 1000),
+        (3.7, 3.7000000000000006, 7),
+        (2.0, 3.0, 5),
+        (1.0, 1.0, 1),
+    ])
+    def test_endpoints_are_exact(self, t_min, t_max, count):
+        # np.geomspace returns t_min and t_max themselves as its endpoints
+        values = TimeGrid(t_min, t_max, count).values
+        assert values.size == count
+        assert values[0] == t_min and values[-1] == t_max
+
+    def test_random_endpoints_are_exact(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            t_min, t_max = np.sort(10.0 ** rng.uniform(-8, 8, 2)).tolist()
+            values = TimeGrid(t_min, t_max, int(rng.integers(2, 300))).values
+            assert values[0] == t_min and values[-1] == t_max
 
 
 class TestNetlsdExact:
@@ -330,6 +355,15 @@ def test_undefined_density_is_refused_alike(graph, route):
     # one check decides for every entropy route and for the density trace
     with pytest.raises(ValueError, match="density matrix undefined"):
         DENSITY_ROUTES[route](UNDEFINED_DENSITY[graph])
+
+
+def test_hand_built_one_edge_graph_is_computed_by_every_route():
+    # the edge count comes from the arrays, so no route takes it for edgeless
+    g = Graph(2, np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0]))
+    assert g.m == 1
+    k2 = parse_edge_list("0 1")
+    for route in DENSITY_ROUTES.values():
+        assert route(g) == route(k2)
 
 
 class TestDistances:

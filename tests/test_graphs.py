@@ -15,6 +15,7 @@ from spectrace.errors import EdgeListError
 from spectrace.graphs import (
     BUCKET_LIMIT,
     VERTEX_ID_LIMIT,
+    Graph,
     erdos_renyi,
     load_snapshots,
     parse_edge_list,
@@ -154,6 +155,17 @@ class TestErdosRenyi:
         g = erdos_renyi(1, 0, seed=0)
         assert g.n == 1 and g.m == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_single_vertex_is_the_sampled_empty_graph(self, seed):
+        single = Graph(1, np.zeros(2, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.empty(0))
+        g = erdos_renyi(1, 0, seed)
+        assert g == single and g.content_hash() == single.content_hash()
+
+    def test_single_vertex_needs_zero_degree(self):
+        with pytest.raises(ValueError, match=r"avg_degree must lie in \[0, 0\], got 0.5"):
+            erdos_renyi(1, 0.5, seed=0)
+
 
 class TestLoadSnapshots:
     def test_single_bucket(self):
@@ -207,6 +219,53 @@ class TestLoadSnapshots:
     def test_timestamps_strictly_increasing(self):
         s = load_snapshots("0 add 0 1\n5 add 1 2", granularity=2.0)
         assert all(b > a for a, b in zip(s.timestamps, s.timestamps[1:]))
+
+
+def _distinct_pairs(g):
+    """The undirected pairs of g's CSR entries, each direction counted once."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
+    lo, hi = np.minimum(rows, g.col_indices), np.maximum(rows, g.col_indices)
+    return set(zip(lo.tolist(), hi.tolist()))
+
+
+class TestEdgeCount:
+    """Graph.m is derived from the arrays: the number of distinct edges."""
+
+    def test_parsed_list_with_duplicates_mirrors_and_self_loops(self):
+        text = "0 1\n1 0\n0 1\n2 2\n1 2\n3 1\n1 3\n4 4\n"
+        g = parse_edge_list(text)
+        assert g.m == len(_distinct_pairs(g)) == 3
+
+    # a Bernoulli mask over all pairs, and a binomial count of distinct pairs
+    @pytest.mark.parametrize("n, degree", [(300, 4), (5000, 4)])
+    def test_erdos_renyi_samplers(self, n, degree):
+        g = erdos_renyi(n, degree, seed=1)
+        assert g.m == len(_distinct_pairs(g)) == len(list(g.edges()))
+
+    def test_every_snapshot(self):
+        rng = random.Random(2)
+        events, t = [], 0.0
+        for _ in range(300):
+            t += rng.choice([0.0, 0.3, 1.0, 3.0])
+            events.append((t, rng.choice(["add", "add", "del"]),
+                           rng.randrange(12), rng.randrange(12)))
+        text = "".join(f"{t!r} {op} {u} {v}\n" for t, op, u, v in events)
+        series = load_snapshots(text, 1.0)
+        rows, _ = TestGolden._reference_snapshots(events, 1.0)
+        assert [g.m for g in series.snapshots] == [len(live) for live, *_ in rows]
+
+
+class TestEmptyInputOptions:
+    """An empty separator or comment prefix is refused before any input is read."""
+
+    @pytest.mark.parametrize("option", ["separator", "comment_prefix"])
+    def test_edge_list(self, option):
+        with pytest.raises(ValueError, match=f"{option} must not be empty"):
+            parse_edge_list("0 1\n", **{option: ""})
+
+    def test_event_stream(self):
+        with pytest.raises(ValueError, match="comment_prefix must not be empty"):
+            load_snapshots("0 add 0 1\n", 1.0, comment_prefix="")
 
 
 class TestFixtures:
@@ -405,6 +464,22 @@ class TestBulkReaderMatchesLineReader:
         assert got == _line_reader_only(parse)
         assert got[:2] == ("EdgeListError", lineno)
         assert message in got[2]
+
+    @pytest.mark.parametrize("text,separator,lineno,message", [
+        ("0 1\n5", None, 2, "expected 2 fields, got 1"),
+        ("5\n0 1", None, 1, "expected 2 fields, got 1"),
+        ("0 1\n1 2 7", None, 2, "expected 2 fields, got 3"),
+        ("0,1\n1,2,7", ",", 2, "expected 2 fields, got 3"),
+        ("0 1\n3 4.0", None, 2, "vertex ids must be integers"),
+        ("4.0 1\n0 1", None, 1, "vertex ids must be integers"),
+    ])
+    def test_unweighted_refusals_reach_line_reader(self, text, separator, lineno, message):
+        # the (u, v) record read refuses these, and the line reader words the error
+        text_, lines = graphs._read_lines(text)
+        assert graphs._bulk_edges(text_, lines, separator, "#", False) is None
+        with pytest.raises(EdgeListError, match=message) as exc_info:
+            parse_edge_list(text, separator=separator)
+        assert exc_info.value.line_number == lineno
 
     def test_clean_input_is_read_in_bulk(self):
         text = "# header\r\n0\t1\r\n  # indented\r\n  2 1 \r\n\r\n1 0\r\n"

@@ -192,7 +192,7 @@ class TestMakeOperator:
     def test_column_index_out_of_range(self):
         # the kernel does no bounds checks, so the entries are checked first
         for col in (5, 3, -1):
-            g = Graph(3, np.array([0, 1, 2, 2]), np.array([1, col]), np.ones(2), 1)
+            g = Graph(3, np.array([0, 1, 2, 2]), np.array([1, col]), np.ones(2))
             for loader_fails in (False, True):
                 for kind in ALL_KINDS:
                     with _product_path(loader_fails):
