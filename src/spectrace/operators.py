@@ -123,13 +123,21 @@ def _entries(
     at = g.row_offsets[diag] + np.bincount(src[g.col_indices < src], minlength=g.n)[diag]
     # the operator is symmetric, so its column-ordered panels are its CSR
     # with rows and columns swapped, stably partitioned by panel; the key's
-    # dtype holds every panel index (numpy radix-sorts 8- and 16-bit keys)
-    rows = np.insert(g.col_indices.astype(np.int32), at, diag)
-    key = (rows // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS))
+    # dtype holds every panel index (numpy radix-sorts 8- and 16-bit keys).
+    # The results are allocated before the scratch that fills them, so that
+    # they do not sit above the freed scratch in the heap (see _build_csr).
+    size = src.size + diag.size
+    rows, cols, vals = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
+    inserted = np.insert(g.col_indices.astype(np.int32), at, diag)
+    key = (inserted // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS))
     order = np.argsort(key, kind="stable")
-    rows = rows[order]
-    cols = np.insert(src, at, diag)[order]
-    vals = np.insert(g.weights, at, -d[diag])[order]
+    del key
+    np.take(inserted, order, out=rows, mode="clip")
+    del inserted
+    np.take(np.insert(src, at, diag), order, out=cols, mode="clip")
+    del src
+    np.take(np.insert(g.weights, at, -d[diag]), order, out=vals, mode="clip")
+    del order
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         scale = np.zeros(g.n)
         scale[diag] = 1.0 / np.sqrt(d[diag])

@@ -11,15 +11,16 @@ results independent of scheduling and reproducible probe by probe.
 Probes run as columns of zero-padded blocks through ``lanczos_block``: one
 block operator application per Lanczos step, no reorthogonalization, and
 one batched eigendecomposition for the Gauss rules of each block, run by
-the block's worker. A column's arithmetic does not depend on the block
+the block's thread. A column's arithmetic does not depend on the block
 around it, so a probe's numbers change with neither n_v, the block layout
-nor the worker count. Blocks hold
+nor the thread count. Blocks hold
 ``BLOCK_WIDTH`` probes on operators of ``MIN_PARALLEL_DIM`` rows or more;
 below that the probes fill the fewest blocks of at most
-``MAX_BLOCK_WIDTH``, so up to that many probes run as one block. Blocks
-run in turn, or over worker threads (the compiled sparse product
-releases the GIL: two workers ran ``vnge_slq`` at n=20k 1.2-1.8x faster
-than one on a 2-core Xeon), and are gathered in probe order. f is
+``MAX_BLOCK_WIDTH``, so up to that many probes run as one block. The
+calling thread and ``threads - 1`` helper threads each take the next
+block not yet started (the compiled sparse product releases the GIL: two
+threads ran ``vnge_slq`` at n=20k 1.2-1.8x faster than one on a 2-core
+Xeon), and the blocks' rules are gathered in probe order. f is
 applied to the whole (n_v, s) node array, and slq_trace_grid applies it
 to tiles of grid points at once; both integrate with one einsum.
 
@@ -36,7 +37,7 @@ latest (seed, distribution, n_v) is kept.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -172,16 +173,35 @@ def _probe_rules(
         count = -(-cfg.n_v // MAX_BLOCK_WIDTH)
         width = -(-cfg.n_v // (count * BLOCK_WIDTH)) * BLOCK_WIDTH
     firsts = range(0, cfg.n_v, width)
-    workers = min(threads, len(firsts))
+    # The calling thread runs blocks next to threads - 1 helpers, each thread
+    # taking the next block not yet started: an idle calling thread would
+    # cost one more thread's block scratch, which each thread frees into its
+    # own malloc arena for no other thread to reuse (about 30 MB at n=100k).
+    # Every block runs, and the lowest failing block's error is raised.
+    rules, errors, taken = [None] * len(firsts), {}, iter(range(len(firsts)))
+    lock = threading.Lock()
 
-    def run(first: int) -> tuple[np.ndarray, np.ndarray]:
-        return block_quadrature_rules(_probe_block(op, cfg, first, width))
+    def work() -> None:
+        while True:
+            with lock:
+                index = next(taken, None)
+            if index is None:
+                return
+            try:
+                rules[index] = block_quadrature_rules(_probe_block(op, cfg, firsts[index], width))
+            except Exception as exc:
+                errors[index] = exc
 
-    if workers <= 1:
-        rules = list(map(run, firsts))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rules = list(pool.map(run, firsts))
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(firsts)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
     nodes, weights = (np.concatenate(part)[: cfg.n_v] for part in zip(*rules))
     lo, hi = op.interval
     return np.clip(nodes, lo, hi), weights

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -110,6 +111,32 @@ class TestParseEdgeList:
         assert (a is None) == (b is None)
         if a is not None:
             assert a == b
+
+    def test_peak_memory(self):
+        # numpy reports its arrays to tracemalloc, so this peak does not
+        # depend on the allocator; it read 8.9x the graph while the text,
+        # its lines and every sort temporary lived to the end of the parse
+        g = erdos_renyi(20_000, 10, seed=0)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        stream = io.StringIO(buf.getvalue())
+        graph_bytes = g.row_offsets.nbytes + g.col_indices.nbytes + g.weights.nbytes
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * graph_bytes
+        # an independent build: every mirrored pair once, sorted by (row, col)
+        pairs = np.array(buf.getvalue().split(), dtype=np.int64).reshape(-1, 2)
+        pairs = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
+        assert parsed == Graph(
+            n=g.n,
+            row_offsets=np.searchsorted(pairs[:, 0], np.arange(g.n + 1)),
+            col_indices=pairs[:, 1].copy(),
+            weights=np.ones(len(pairs)),
+        )
 
 
 class TestErdosRenyi:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -117,9 +118,11 @@ class TestSlqTrace:
         op = make_operator(erdos_renyi(MIN_PARALLEL_DIM, 6, seed=2), OperatorKind.DENSITY)
         cfg = SlqConfig(n_v=n_v, s=8, seed=3)
         seq = slq_trace(op, np.exp, cfg, threads=1)
-        par = slq_trace(op, np.exp, cfg, threads=3)
-        assert seq.value == par.value
-        assert np.array_equal(seq.per_vector, par.per_vector)
+        # 13 blocks at most: 14 threads are more than any case has blocks
+        for threads in (2, 3, 14):
+            par = slq_trace(op, np.exp, cfg, threads=threads)
+            assert seq.value == par.value
+            assert np.array_equal(seq.per_vector, par.per_vector)
 
     def test_unbiased_on_explicit_matrix(self):
         rng = np.random.default_rng(7)
@@ -188,6 +191,61 @@ class TestSlqTrace:
 
         est = slq_trace(op, xlogx, SlqConfig(n_v=8, s=5, seed=2))
         assert abs(est.value) <= 1e-10  # density spectrum {0, 1}: f vanishes
+
+
+class TestBlockScheduling:
+    """The calling thread runs probe blocks next to threads - 1 helpers."""
+
+    @staticmethod
+    def _op():
+        return make_operator(erdos_renyi(MIN_PARALLEL_DIM, 6, seed=2), OperatorKind.DENSITY)
+
+    @pytest.mark.parametrize("threads,blocks", [(1, 3), (2, 2), (2, 5), (3, 4), (5, 2), (4, 1)])
+    def test_threads_that_run_blocks(self, monkeypatch, threads, blocks):
+        # the first blocks meet at a barrier, so each runs in its own thread
+        starters = min(threads, blocks)
+        barrier = threading.Barrier(starters, timeout=30)
+        lock = threading.Lock()
+        idents = []
+
+        def lanczos_block(*args):
+            with lock:
+                idents.append(threading.get_ident())
+                first_round = len(idents) <= starters
+            if first_round:
+                barrier.wait()
+            return real(*args)
+
+        real = slq.lanczos_block
+        monkeypatch.setattr(slq, "lanczos_block", lanczos_block)
+        slq_trace(self._op(), np.exp, SlqConfig(n_v=blocks * BLOCK_WIDTH, s=4), threads=threads)
+        assert len(idents) == blocks
+        assert threading.get_ident() in idents
+        assert len(set(idents)) == starters <= threads
+
+    @pytest.mark.parametrize("lower_in_caller", [False, True])
+    def test_lowest_failing_block_raises(self, monkeypatch, lower_in_caller):
+        # two threads run four blocks in two rounds, one block each per
+        # round; one thread fails in the first round, the other in the second
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=30)
+        failed = []
+
+        def probe_block(op, cfg, first, width):
+            barrier.wait()
+            index = first // width
+            if (threading.get_ident() == caller) == (lower_in_caller == (index < 2)):
+                failed.append((index, threading.get_ident() == caller))
+                raise ValueError(f"block {index}")
+            return real(op, cfg, first, width)
+
+        real = slq._probe_block
+        monkeypatch.setattr(slq, "_probe_block", probe_block)
+        with pytest.raises(ValueError) as info:
+            slq_trace(self._op(), np.exp, SlqConfig(n_v=4 * BLOCK_WIDTH, s=4), threads=2)
+        (low, low_in_caller), (high, _) = sorted(failed)
+        assert low < 2 <= high and low_in_caller == lower_in_caller
+        assert str(info.value) == f"block {low}"
 
 
 class TestSlqTraceGrid:
