@@ -210,18 +210,24 @@ def snapshot_distance_series(
 ) -> list[SnapshotRow]:
     """Descriptor distance of every snapshot to snapshot 0, with cumulative
     edge churn. A snapshot that is the previous one's Graph object (a bucket
-    without edge events) reuses its descriptor."""
+    without edge events) reuses its descriptor.
+
+    The snapshots are walked once, as the series builds them: only the
+    previous Graph and snapshot 0's descriptor are held, so memory does not
+    grow with the number of snapshots."""
     if len(series) == 0:
         raise ValueError("empty snapshot series")
     grid = grid or dsc.TimeGrid()
     cfg = cfg or SlqConfig()
-    snapshots = series.snapshots
-    base = desc = compute_descriptor(snapshots[0], kind, method, grid, cfg, k, threads)
+    snapshots = iter(series.snapshots)
+    prev = next(snapshots)
+    base = desc = compute_descriptor(prev, kind, method, grid, cfg, k, threads)
     distances = [0.0]
-    for prev, g in zip(snapshots, snapshots[1:]):
+    for g in snapshots:
         if g is not prev:
             desc = compute_descriptor(g, kind, method, grid, cfg, k, threads)
         distances.append(dsc.descriptor_distance(desc, base))
+        prev = g
     return [
         SnapshotRow(index=i, distance=dist, added=series.added[i], removed=series.removed[i])
         for i, dist in enumerate(distances)

@@ -7,7 +7,10 @@ edge per line, ``src dst [weight]``, whitespace separated by default, with
 and duplicate edges collapse to the maximum weight seen. Temporal event
 streams use one event per line, ``timestamp op src dst`` with
 ``op in {add, del}``; snapshots are cumulative per time bucket and treat
-edges as unweighted. Vertex ids must lie below ``VERTEX_ID_LIMIT``.
+edges as unweighted. ``load_snapshots`` reads and checks the whole stream
+at once but builds no graph: its series builds each snapshot as it is
+reached, so memory does not grow with the bucket count. Vertex ids must lie
+below ``VERTEX_ID_LIMIT``.
 
 Text is read in bulk with ``np.loadtxt``, one record per line. Input that
 the bulk reader cannot take whole (a malformed line, or a token only
@@ -21,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -106,16 +111,67 @@ class Graph:
         return h.hexdigest()
 
 
+class _Snapshots(Sequence):
+    """The cumulative graphs of an event stream, built one at a time by replay.
+
+    Holds only what the replay needs: the vertex count ``n``, the sorted edge
+    keys ``lo * n + hi``, each edge event's index into them and whether it
+    adds, and ``ends[b]``, the number of edge events in buckets 0 .. b. Each
+    pass starts from an empty live mask, applies one bucket's events at a
+    time and builds one Graph per bucket that has edge events; a bucket
+    without any yields the previous bucket's Graph object. An index or a
+    slice replays the stream up to the index.
+    """
+
+    def __init__(self, n, live_keys, key_index, is_add, ends):
+        self._n, self._live_keys, self._key_index = n, live_keys, key_index
+        self._is_add, self._ends = is_add, ends
+
+    def __len__(self) -> int:
+        return self._ends.size
+
+    def __iter__(self) -> Iterator[Graph]:
+        n, live_keys, key_index, is_add = self._n, self._live_keys, self._key_index, self._is_add
+        live = np.zeros(live_keys.size, dtype=bool)
+        start, graph = 0, None
+        for end in self._ends.tolist():
+            if end > start:
+                # The last event of each edge in the bucket sets its state.
+                last, at = np.unique(key_index[start:end][::-1], return_index=True)
+                live[last] = is_add[start:end][::-1][at]
+                start, graph = end, None
+            if graph is None:
+                lo, hi = np.divmod(live_keys[live], n)
+                graph = _build_csr(n, lo, hi, np.ones(lo.size))
+            yield graph
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, int):
+            return next(islice(self, picked, None))
+        found = [g for i, g in zip(range(max(picked, default=-1) + 1), self) if i in picked]
+        return found if picked.step > 0 else found[::-1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Snapshots):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class SnapshotSeries:
     """Cumulative graph snapshots of a timestamped edge-event stream.
 
-    ``added[i]`` / ``removed[i]`` count the effective edge insertions and
-    deletions applied up to and including bucket i. ``ignored_deletes``
-    counts delete events that targeted an absent edge.
+    ``snapshots`` is a read-only sequence that builds each Graph as it is
+    reached: iterate over it once to hold one snapshot at a time. An index
+    or a slice replays the stream up to the index, and each pass builds new
+    Graph objects. ``timestamps[i]`` is the end of bucket i. ``added[i]`` /
+    ``removed[i]`` count the effective edge insertions and deletions applied
+    up to and including bucket i. ``ignored_deletes`` counts delete events
+    that targeted an absent edge.
     """
 
-    snapshots: list[Graph]
+    snapshots: Sequence[Graph]
     timestamps: list[float]
     added: list[int]
     removed: list[int]
@@ -436,7 +492,10 @@ def load_snapshots(
 
     One snapshot per granularity-sized time bucket between the first and last
     event (buckets with no events repeat the previous graph). Deleting an
-    absent edge is ignored and counted; self-loop events are skipped.
+    absent edge is ignored and counted; self-loop events are skipped. The
+    whole stream is read and checked here, and every count is computed, but
+    no graph is built: the series keeps the replay's arrays, not the input,
+    and builds each snapshot as it is reached.
 
     Raises
     ------
@@ -488,21 +547,8 @@ def load_snapshots(
 
     # ends[b] is the number of edge events in buckets 0 .. b.
     ends = np.searchsorted(bucket, np.arange(count), side="right")
-    live = np.zeros(live_keys.size, dtype=bool)
-    snapshots: list[Graph] = []
-    start, graph = 0, None
-    for end in ends.tolist():
-        if end > start:
-            # The last event of each edge in the bucket sets its state.
-            last, at = np.unique(key_index[start:end][::-1], return_index=True)
-            live[last] = is_add[start:end][::-1][at]
-            start, graph = end, None
-        if graph is None:
-            lo, hi = np.divmod(live_keys[live], n)
-            graph = _build_csr(n, lo, hi, np.ones(lo.size))
-        snapshots.append(graph)
     return SnapshotSeries(
-        snapshots=snapshots,
+        snapshots=_Snapshots(n, live_keys, key_index, is_add, ends),
         timestamps=((first + np.arange(1, count + 1)) * granularity).tolist(),
         added=added[ends].tolist(),
         removed=removed[ends].tolist(),

@@ -1,6 +1,9 @@
 """Benchmark harnesses: error tables, 1-NN classification, snapshot drift."""
 
 import io
+import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -193,3 +196,54 @@ class TestSnapshotSeries:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "index,distance,added,removed"
         assert lines[1] == "0,0.0,1,0"
+
+
+def _drift_stream(events=20_000, vertices=2_000, seed=0):
+    """One add/del event per time step; a delete names an earlier add's pair."""
+    rng = random.Random(seed)
+    pairs, lines = [], []
+    for t in range(events):
+        if pairs and rng.random() < 0.25:
+            u, v = pairs[rng.randrange(len(pairs))]
+            lines.append(f"{t} del {u} {v}\n")
+        else:
+            u, v = rng.randrange(vertices), rng.randrange(vertices)
+            pairs.append((u, v))
+            lines.append(f"{t} add {u} {v}\n")
+    return "".join(lines)
+
+
+class TestSnapshotMemory:
+    """Memory of a drift series does not grow with its bucket count."""
+
+    GRANULARITY = 100  # 200 buckets
+
+    def test_traced_peak(self):
+        # numpy reports its arrays to tracemalloc, so this peak does not
+        # depend on the allocator; it read 117x the last snapshot while
+        # every snapshot was built before the first descriptor
+        text = _drift_stream()
+        tracemalloc.start()
+        try:
+            series = load_snapshots(text, self.GRANULARITY)
+            rows = snapshot_distance_series(series, "vnge", "taylor")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(series) == 200
+        last = series.snapshots[-1]
+        graph_bytes = last.row_offsets.nbytes + last.col_indices.nbytes + last.weights.nbytes
+        assert peak <= 20 * graph_bytes
+
+    def test_at_most_two_described_graphs_alive(self, monkeypatch):
+        series = load_snapshots(_drift_stream(), self.GRANULARITY)
+        route, refs, alive = bench.METHODS["vnge"]["taylor"], [], []
+
+        def counted(g, *args):
+            refs.append(weakref.ref(g))
+            alive.append(sum(ref() is not None for ref in refs))
+            return route(g, *args)
+
+        monkeypatch.setitem(bench.METHODS["vnge"], "taylor", counted)
+        snapshot_distance_series(series, "vnge", "taylor")
+        assert len(refs) == 200 and max(alive) <= 2

@@ -1,8 +1,10 @@
 """Graph parsing, generation, and snapshot loading."""
 
+import gc
 import io
 import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -246,6 +248,78 @@ class TestLoadSnapshots:
     def test_timestamps_strictly_increasing(self):
         s = load_snapshots("0 add 0 1\n5 add 1 2", granularity=2.0)
         assert all(b > a for a, b in zip(s.timestamps, s.timestamps[1:]))
+
+
+class TestLazySnapshots:
+    """``SnapshotSeries.snapshots`` builds each Graph as it is reached."""
+
+    @staticmethod
+    def _series():
+        # gaps of 4.0 at granularity 1.5 leave buckets without events
+        rng = random.Random(4)
+        events, t = [], 0.0
+        for _ in range(200):
+            t += rng.choice([0.0, 0.1, 0.7, 4.0])
+            op = rng.choice(["add", "add", "del"])
+            events.append(f"{t!r} {op} {rng.randrange(10)} {rng.randrange(10)}\n")
+        return load_snapshots("".join(events), 1.5)
+
+    def test_index_and_slice_match_iteration(self):
+        series = self._series()
+        graphs_in_order = list(series.snapshots)
+        count = len(graphs_in_order)
+        assert count == len(series.snapshots) == len(series.timestamps) > 20
+        for i in range(-count, count):
+            assert series.snapshots[i] == graphs_in_order[i]
+        for s in [slice(None), slice(2, 9), slice(None, None, 3), slice(-5, None),
+                  slice(None, None, -2), slice(7, 2, -1), slice(5, 5),
+                  slice(-1, -count - 5, -4), slice(count + 3, None)]:
+            assert series.snapshots[s] == graphs_in_order[s]
+        for i in (count, -count - 1):
+            with pytest.raises(IndexError):
+                series.snapshots[i]
+
+    def test_bucket_without_edge_events_repeats_the_graph_object(self):
+        # buckets 1-8 hold no edge event: bucket 5 holds only a self-loop
+        series = load_snapshots("0 add 0 1\n0 add 1 2\n5 add 3 3\n9 add 2 3", 1.0)
+        snapshots = list(series.snapshots)
+        assert len(snapshots) == 10 and snapshots[0].n == 4
+        assert all(g is snapshots[0] for g in snapshots[1:9])
+        assert snapshots[9] is not snapshots[8] and snapshots[9].m == 3
+
+    def test_series_keeps_no_input(self, tmp_path):
+        text = "".join(f"{t} add {t % 7} {t % 5 + 1}\n" for t in range(40))
+        expected = list(load_snapshots(text, 4.0).snapshots)
+        path = tmp_path / "events.txt"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            from_file = load_snapshots(fh, 4.0)
+        assert fh.closed and list(from_file.snapshots) == expected
+        refs = sys.getrefcount(text)
+        from_text = load_snapshots(text, 4.0)
+        assert sys.getrefcount(text) == refs
+        del text
+        gc.collect()
+        assert list(from_text.snapshots) == expected
+
+    def test_load_checks_the_stream_and_builds_no_graph(self, monkeypatch):
+        built = []
+        build = graphs._build_csr
+
+        def counted(n, *arrays):
+            built.append(n)
+            return build(n, *arrays)
+
+        monkeypatch.setattr(graphs, "_build_csr", counted)
+        with pytest.raises(EdgeListError, match="timestamps"):
+            load_snapshots("0 add 0 1\n1 add 1 2\n0.5 add 2 3", 1.0)
+        with pytest.raises(ValueError, match="BUCKET_LIMIT"):
+            load_snapshots("0 add 0 1\n2e6 add 1 2", 1.0)
+        series = load_snapshots("0 add 0 1\n1 add 1 2\n1.5 del 0 1\n3 add 2 3", 1.0)
+        assert built == [] and len(series) == 4
+        assert (series.added, series.removed) == ([1, 2, 2, 3], [0, 1, 1, 1])
+        assert [g.m for g in series.snapshots] == [1, 1, 1, 2]
+        assert len(built) == 3  # bucket 2 repeats bucket 1's graph
 
 
 def _distinct_pairs(g):
