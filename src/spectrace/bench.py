@@ -210,16 +210,16 @@ def snapshot_distance_series(
 ) -> list[SnapshotRow]:
     """Descriptor distance of every snapshot to snapshot 0, with cumulative
     edge churn. A snapshot that is the previous one's Graph object (a bucket
-    without edge events) reuses its descriptor.
+    that leaves the edge set unchanged) reuses its descriptor.
 
-    The snapshots are walked once, as the series builds them: only the
-    previous Graph and snapshot 0's descriptor are held, so memory does not
-    grow with the number of snapshots."""
+    The series is iterated once, building each snapshot as it is reached:
+    only the previous Graph and snapshot 0's descriptor are held, so memory
+    does not grow with the number of snapshots."""
     if len(series) == 0:
         raise ValueError("empty snapshot series")
     grid = grid or dsc.TimeGrid()
     cfg = cfg or SlqConfig()
-    snapshots = iter(series.snapshots)
+    snapshots = iter(series)
     prev = next(snapshots)
     base = desc = compute_descriptor(prev, kind, method, grid, cfg, k, threads)
     distances = [0.0]

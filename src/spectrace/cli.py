@@ -116,10 +116,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _open(path: str, mode: str):
-    """The file at path, or stdin or stdout for '-', which stays open on exit."""
+    """The file at path, or stdin or stdout for '-', which stays open on exit.
+    A file read may start with a UTF-8 byte-order mark, which is skipped."""
     if path == "-":
         return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
-    return open(path, mode, encoding="utf-8")
+    return open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8")
 
 
 def _load_graph(path: str, args) -> Graph:
@@ -179,7 +180,7 @@ def _cmd_bench_error(args) -> int:
 
 def _cmd_classify(args) -> int:
     paths, labels = [], []
-    with open(args.manifest, "r", encoding="utf-8") as fh:
+    with open(args.manifest, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -208,7 +209,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_snapshots(args) -> int:
-    with open(args.events, "r", encoding="utf-8") as fh:
+    with open(args.events, "r", encoding="utf-8-sig") as fh:
         series = load_snapshots(fh, args.granularity, comment_prefix=args.comment_prefix)
     rows = bench.snapshot_distance_series(
         series, args.kind, args.method, grid=args.grid, cfg=_cfg(args), k=args.k,

@@ -63,6 +63,9 @@ class TimeGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite([self.t_min, self.t_max]).all():
+            raise ValueError(f"t_min and t_max must be finite, "
+                             f"got t_min={self.t_min}, t_max={self.t_max}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.count == 1:

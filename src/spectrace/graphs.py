@@ -8,9 +8,10 @@ and duplicate edges collapse to the maximum weight seen. Temporal event
 streams use one event per line, ``timestamp op src dst`` with
 ``op in {add, del}``; snapshots are cumulative per time bucket and treat
 edges as unweighted. ``load_snapshots`` reads and checks the whole stream
-at once but builds no graph: its series builds each snapshot as it is
-reached, so memory does not grow with the bucket count. Vertex ids must lie
-below ``VERTEX_ID_LIMIT``.
+at once but builds no graph: iterating its series replays the events that
+change the edge set and builds each snapshot as it is reached, so memory
+does not grow with the bucket count. Vertex ids must lie below
+``VERTEX_ID_LIMIT``.
 
 Text is read in bulk with ``np.loadtxt``, one record per line. Input that
 the bulk reader cannot take whole (a malformed line, or a token only
@@ -24,9 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -111,74 +110,53 @@ class Graph:
         return h.hexdigest()
 
 
-class _Snapshots(Sequence):
-    """The cumulative graphs of an event stream, built one at a time by replay.
-
-    Holds only what the replay needs: the vertex count ``n``, the sorted edge
-    keys ``lo * n + hi``, each edge event's index into them and whether it
-    adds, and ``ends[b]``, the number of edge events in buckets 0 .. b. Each
-    pass starts from an empty live mask, applies one bucket's events at a
-    time and builds one Graph per bucket that has edge events; a bucket
-    without any yields the previous bucket's Graph object. An index or a
-    slice replays the stream up to the index.
-    """
-
-    def __init__(self, n, live_keys, key_index, is_add, ends):
-        self._n, self._live_keys, self._key_index = n, live_keys, key_index
-        self._is_add, self._ends = is_add, ends
-
-    def __len__(self) -> int:
-        return self._ends.size
-
-    def __iter__(self) -> Iterator[Graph]:
-        n, live_keys, key_index, is_add = self._n, self._live_keys, self._key_index, self._is_add
-        live = np.zeros(live_keys.size, dtype=bool)
-        start, graph = 0, None
-        for end in self._ends.tolist():
-            if end > start:
-                # The last event of each edge in the bucket sets its state.
-                last, at = np.unique(key_index[start:end][::-1], return_index=True)
-                live[last] = is_add[start:end][::-1][at]
-                start, graph = end, None
-            if graph is None:
-                lo, hi = np.divmod(live_keys[live], n)
-                graph = _build_csr(n, lo, hi, np.ones(lo.size))
-            yield graph
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        if isinstance(picked, int):
-            return next(islice(self, picked, None))
-        found = [g for i, g in zip(range(max(picked, default=-1) + 1), self) if i in picked]
-        return found if picked.step > 0 else found[::-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _Snapshots):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotSeries:
     """Cumulative graph snapshots of a timestamped edge-event stream.
 
-    ``snapshots`` is a read-only sequence that builds each Graph as it is
-    reached: iterate over it once to hold one snapshot at a time. An index
-    or a slice replays the stream up to the index, and each pass builds new
-    Graph objects. ``timestamps[i]`` is the end of bucket i. ``added[i]`` /
-    ``removed[i]`` count the effective edge insertions and deletions applied
-    up to and including bucket i. ``ignored_deletes`` counts delete events
-    that targeted an absent edge.
+    Iterating the series replays the stream and yields one Graph per time
+    bucket, built as it is reached, so one pass holds one snapshot at a time.
+    A bucket that leaves the edge set unchanged yields the previous bucket's
+    Graph object; each pass builds new Graph objects. ``timestamps[i]`` is
+    the end of bucket i. ``added[i]`` / ``removed[i]`` count the effective
+    edge insertions and deletions applied up to and including bucket i.
+    ``ignored_deletes`` counts delete events that targeted an absent edge.
+
+    The replay keeps the vertex count ``n``, the sorted edge keys
+    ``lo * n + hi``, the index into them of each event that changes the edge
+    set (``flips``), and ``ends[b]``, the number of those events in buckets
+    0 .. b.
     """
 
-    snapshots: Sequence[Graph]
     timestamps: list[float]
     added: list[int]
     removed: list[int]
-    ignored_deletes: int = 0
+    ignored_deletes: int
+    n: int = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    flips: np.ndarray = field(repr=False)
+    ends: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.timestamps)
+
+    def __iter__(self) -> Iterator[Graph]:
+        live = np.zeros(self.keys.size, dtype=bool)
+        start, graph = 0, None
+        for end in self.ends.tolist():
+            if end > start:  # np.unique costs microseconds even on no events
+                # An edge's changing events alternate between add and delete,
+                # so an odd count of them in the bucket flips it.
+                index, count = np.unique(self.flips[start:end], return_counts=True)
+                flipped = index[count % 2 == 1]
+                live[flipped] ^= True
+                start = end
+                if flipped.size:
+                    graph = None
+            if graph is None:
+                lo, hi = np.divmod(self.keys[live], self.n)
+                graph = _build_csr(self.n, lo, hi, np.ones(lo.size))
+            yield graph
 
 
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
@@ -491,11 +469,12 @@ def load_snapshots(
     """Bucket a sorted "timestamp op src dst" event stream into cumulative snapshots.
 
     One snapshot per granularity-sized time bucket between the first and last
-    event (buckets with no events repeat the previous graph). Deleting an
-    absent edge is ignored and counted; self-loop events are skipped. The
-    whole stream is read and checked here, and every count is computed, but
-    no graph is built: the series keeps the replay's arrays, not the input,
-    and builds each snapshot as it is reached.
+    event (a bucket that leaves the edge set unchanged repeats the previous
+    graph). Deleting an absent edge is ignored and counted, adding a live
+    edge changes nothing, and self-loop events are skipped. The whole stream
+    is read and checked here, and every count is computed, but no graph is
+    built: the series keeps only the events that change the edge set, not
+    the input, and builds each snapshot as its iteration reaches it.
 
     Raises
     ------
@@ -534,23 +513,26 @@ def load_snapshots(
     keys = np.minimum(u[edge], v[edge]) * n + np.maximum(u[edge], v[edge])
     live_keys, key_index = np.unique(keys, return_inverse=True)
 
-    # An event finds its edge live iff the edge's previous event was an add.
+    # An event finds its edge live iff the edge's previous event was an add,
+    # and changes the edge set iff it does not restate that.
     by_key = np.argsort(key_index, kind="stable")
     follows_add = np.zeros(keys.size, dtype=bool)
     follows_add[1:] = is_add[by_key[:-1]] & (key_index[by_key[1:]] == key_index[by_key[:-1]])
     was_live = np.empty_like(follows_add)
     was_live[by_key] = follows_add
-    # Counts after the first i edge events, i = 0 .. events.
-    added = np.append(0, np.cumsum(is_add & ~was_live))
-    removed = np.append(0, np.cumsum(~is_add & was_live))
-    ignored = int(np.count_nonzero(~is_add & ~was_live))
+    changes = is_add != was_live
+    ignored = int(np.count_nonzero(~(is_add | was_live)))
 
-    # ends[b] is the number of edge events in buckets 0 .. b.
-    ends = np.searchsorted(bucket, np.arange(count), side="right")
+    # ends[b] is the number of changing events in buckets 0 .. b.
+    ends = np.searchsorted(bucket[changes], np.arange(count), side="right")
+    added = np.append(0, np.cumsum(is_add[changes]))[ends]
     return SnapshotSeries(
-        snapshots=_Snapshots(n, live_keys, key_index, is_add, ends),
         timestamps=((first + np.arange(1, count + 1)) * granularity).tolist(),
-        added=added[ends].tolist(),
-        removed=removed[ends].tolist(),
+        added=added.tolist(),
+        removed=(ends - added).tolist(),
         ignored_deletes=ignored,
+        n=n,
+        keys=live_keys,
+        flips=key_index[changes],
+        ends=ends,
     )

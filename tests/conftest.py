@@ -14,6 +14,13 @@ from spectrace.graphs import Graph, parse_edge_list
 from spectrace.operators import LinearOperator, OperatorKind
 
 
+# An event stream of six one-wide buckets, three of which leave the edge set
+# unchanged: a re-add of a live edge, a delete of an absent edge, and an add
+# and a delete of one edge in the same bucket.
+CANCELLING_STREAM = ("0 add 0 1\n1 add 0 1\n2 del 2 3\n3 add 1 2\n3 del 1 2\n"
+                     "4 del 0 1\n5 add 0 2\n")
+
+
 def graph_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int, float]]) -> Graph:
     lines = []
     weighted = edges and len(edges[0]) == 3

@@ -16,11 +16,11 @@ from spectrace.bench import (
     write_error_csv,
     write_snapshot_csv,
 )
-from spectrace.descriptors import TimeGrid, vnge_exact
+from spectrace.descriptors import TimeGrid, descriptor_distance, netlsd_exact, vnge_exact
 from spectrace.graphs import erdos_renyi, load_snapshots
 from spectrace.slq import SlqConfig
 
-from conftest import empty_graph, graph_from_edges
+from conftest import CANCELLING_STREAM, empty_graph, graph_from_edges
 
 
 class TestErrorBenchmark:
@@ -183,10 +183,31 @@ class TestSnapshotSeries:
 
         monkeypatch.setitem(bench.METHODS["vnge"], "exact", counted)
         rows = snapshot_distance_series(series, "vnge", "exact")
-        assert described == [series.snapshots[0], series.snapshots[9]]
-        base = vnge_exact(series.snapshots[0]).value
+        snapshots = list(series)
+        assert described == [snapshots[0], snapshots[9]]
+        base = vnge_exact(snapshots[0]).value
         assert [r.distance for r in rows] == [0.0] + [
-            abs(vnge_exact(g).value - base) for g in series.snapshots[1:]]
+            abs(vnge_exact(g).value - base) for g in snapshots[1:]]
+
+    def test_unchanged_edge_set_is_described_once(self, monkeypatch):
+        # six buckets, three distinct graphs: buckets 1-3 re-add a live edge,
+        # delete an absent one, and add and delete one edge
+        series = load_snapshots(CANCELLING_STREAM, 1.0)
+        compute, described = bench.compute_descriptor, []
+
+        def counted(g, *args):
+            described.append(g)
+            return compute(g, *args)
+
+        monkeypatch.setattr(bench, "compute_descriptor", counted)
+        grid = TimeGrid(0.1, 10, 8)
+        rows = snapshot_distance_series(series, "netlsd", "exact", grid=grid)
+        assert [g.m for g in described] == [1, 0, 1] and len(rows) == 6
+        base = netlsd_exact(described[0], grid)
+        assert [r.distance for r in rows] == [0.0] * 4 + [
+            descriptor_distance(netlsd_exact(g, grid), base) for g in described[1:]]
+        assert [(r.added, r.removed) for r in rows] == [
+            (1, 0), (1, 0), (1, 0), (2, 1), (2, 2), (3, 2)]
 
     def test_csv_format(self):
         series = load_snapshots("0 add 0 1\n1 add 2 3", granularity=1.0)
@@ -231,7 +252,8 @@ class TestSnapshotMemory:
         finally:
             tracemalloc.stop()
         assert len(rows) == len(series) == 200
-        last = series.snapshots[-1]
+        for last in series:
+            pass
         graph_bytes = last.row_offsets.nbytes + last.col_indices.nbytes + last.weights.nbytes
         assert peak <= 20 * graph_bytes
 

@@ -37,8 +37,9 @@ USAGE_PREFIX = {
 }
 
 
-def _usage_case(subcommand, flag, value, id=None):
-    return pytest.param(subcommand, flag, value, id=id or f"{flag}-{value}")
+def _usage_case(subcommand, flag, value, id=None, before=()):
+    """One usage-error case; ``before`` holds flags placed ahead of the one under test."""
+    return pytest.param(subcommand, flag, value, list(before), id=id or f"{flag}-{value}")
 
 
 def run(capsys, *argv):
@@ -206,6 +207,45 @@ class TestSnapshots:
         assert "inf buckets" in err and "BUCKET_LIMIT" in err
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark gives the output of
+    its copy without one."""
+
+    CASES = {
+        "edge-list": ({"g.tsv": "0 1\n1 2\n"},
+                      ["descriptor", "--input", "g.tsv", "--kind", "vnge"]),
+        "commented-edge-list": ({"g.tsv": "# header\n0 1\n1 2\n"},
+                                ["descriptor", "--input", "g.tsv", "--kind", "vnge"]),
+        "events": ({"events.txt": "0 add 0 1\n1 add 2 3\n"},
+                   ["snapshots", "--events", "events.txt", "--granularity", "1",
+                    "--kind", "vnge"]),
+        "commented-events": ({"events.txt": "# header\n0 add 0 1\n1 add 2 3\n"},
+                             ["snapshots", "--events", "events.txt", "--granularity", "1",
+                              "--kind", "vnge"]),
+        "manifest": ({"data.csv": "# path,label\na0.tsv,a\na1.tsv,a\nb0.tsv,b\nb1.tsv,b\n",
+                      "a0.tsv": "0 1\n", "a1.tsv": "0 1\n1 2\n0 2\n",
+                      "b0.tsv": "0 1\n1 2\n", "b1.tsv": "0 1\n1 2\n2 3\n"},
+                     ["classify", "--manifest", "data.csv", "--kind", "vnge",
+                      "--repeats", "5"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_output_as_without_mark(self, capsys, tmp_path, case):
+        files, argv = self.CASES[case]
+        outputs = []
+        for mark in ("", "\ufeff"):
+            folder = tmp_path / ("marked" if mark else "plain")
+            folder.mkdir()
+            for name, text in files.items():
+                (folder / name).write_text(mark + text, encoding="utf-8")
+            code, out, err = run(capsys, *[str(folder / a) if a in files else a
+                                           for a in argv + ["--method", "exact"]])
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != ""
+        assert (tmp_path / "marked" / next(iter(files))).read_bytes()[:3] == b"\xef\xbb\xbf"
+
+
 class TestClassify:
     def test_manifest_flow(self, capsys, tmp_path):
         for name, text in [("a0.tsv", "0 1\n"), ("a1.tsv", "0 1\n1 2\n0 2\n"),
@@ -251,7 +291,7 @@ class TestExitCodes:
             main([])
         assert exc_info.value.code == 1
 
-    @pytest.mark.parametrize("subcommand, flag, value", [
+    @pytest.mark.parametrize("subcommand, flag, value, before", [
         _usage_case("descriptor", "--threads", "0", id="0"),
         _usage_case("descriptor", "--threads", "-1", id="-1"),
         _usage_case("descriptor", "--nv", "0"),
@@ -277,12 +317,18 @@ class TestExitCodes:
         _usage_case("descriptor", "--seed", "-1"),
         _usage_case("generate", "--seed", "-3"),
         _usage_case("classify", "--split-seed", "-1"),
+        _usage_case("descriptor", "--t-max", "inf"),
+        _usage_case("snapshots", "--t-max", "inf", id="snapshots-netlsd-t-max-inf",
+                    before=["--kind", "netlsd"]),
+        _usage_case("descriptor", "--t-min", "inf", id="one-point-inf",
+                    before=["--t-max", "inf", "--grid-points", "1"]),
     ])
-    def test_nonpositive_threads_is_usage_error(self, capsys, subcommand, flag, value):
+    def test_nonpositive_threads_is_usage_error(self, capsys, subcommand, flag, value,
+                                                before):
         # flag values that make no run exit 1 before any input is read, and
         # print the subcommand's usage
         with pytest.raises(SystemExit) as exc_info:
-            main(USAGE_PREFIX[subcommand] + [flag, value])
+            main(USAGE_PREFIX[subcommand] + before + [flag, value])
         assert exc_info.value.code == 1
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(f"usage: spectrace {subcommand} ")

@@ -82,6 +82,17 @@ class TestTimeGrid:
         assert np.array_equal(GRID_T1.values, [1.0])
 
     @pytest.mark.parametrize("t_min, t_max, count", [
+        (1.0, np.inf, 8),
+        (np.inf, np.inf, 1),
+        (-np.inf, 1.0, 8),
+        (np.nan, 1.0, 8),
+        (1.0, np.nan, 8),
+    ])
+    def test_endpoints_must_be_finite(self, t_min, t_max, count):
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeGrid(t_min, t_max, count)
+
+    @pytest.mark.parametrize("t_min, t_max, count", [
         (1e-2, 1e2, 256),
         (0.1, 10.0, 8),
         (0.5, 1.0, 2),

@@ -25,7 +25,7 @@ from spectrace.graphs import (
     write_edge_list,
 )
 
-from conftest import disjoint_edges, empty_graph, graph_from_edges
+from conftest import CANCELLING_STREAM, disjoint_edges, empty_graph, graph_from_edges
 
 
 class TestParseEdgeList:
@@ -200,26 +200,26 @@ class TestLoadSnapshots:
     def test_single_bucket(self):
         s = load_snapshots("0 add 0 1\n0.5 add 1 2", granularity=1.0)
         assert len(s) == 1
-        assert s.snapshots[0].m == 2
+        assert [g.m for g in s] == [2]
 
     def test_add_then_delete(self):
         s = load_snapshots("1 add 0 1\n2 del 0 1", granularity=1.0)
         assert len(s) == 2
-        assert s.snapshots[0].m == 1
-        assert s.snapshots[1].m == 0
+        assert [g.m for g in s] == [1, 0]
         assert s.added == [1, 1]
         assert s.removed == [0, 1]
 
     def test_empty_middle_bucket_repeats(self):
         s = load_snapshots("0 add 0 1\n2.5 add 1 2", granularity=1.0)
-        assert len(s) == 3
-        assert s.snapshots[1] == s.snapshots[0]
-        assert s.snapshots[2].m == 2
+        snapshots = list(s)
+        assert len(s) == len(snapshots) == 3
+        assert snapshots[1] is snapshots[0]
+        assert snapshots[2].m == 2
 
     def test_delete_absent_edge_warns(self):
         s = load_snapshots("0 add 0 1\n0.1 del 2 3", granularity=1.0)
         assert s.ignored_deletes == 1
-        assert s.snapshots[0].m == 1
+        assert [g.m for g in s] == [1]
 
     def test_unsorted_timestamps(self):
         with pytest.raises(EdgeListError, match="timestamps"):
@@ -242,8 +242,9 @@ class TestLoadSnapshots:
 
     def test_span_at_bucket_limit(self):
         s = load_snapshots(f"0 add 0 1\n{BUCKET_LIMIT - 1} add 1 2", granularity=1.0)
-        assert len(s) == BUCKET_LIMIT
-        assert s.snapshots[-2].m == 1 and s.snapshots[-1].m == 2
+        snapshots = list(s)
+        assert len(s) == len(snapshots) == BUCKET_LIMIT
+        assert snapshots[-2].m == 1 and snapshots[-1].m == 2
 
     def test_timestamps_strictly_increasing(self):
         s = load_snapshots("0 add 0 1\n5 add 1 2", granularity=2.0)
@@ -251,56 +252,76 @@ class TestLoadSnapshots:
 
 
 class TestLazySnapshots:
-    """``SnapshotSeries.snapshots`` builds each Graph as it is reached."""
+    """Iterating a SnapshotSeries replays the events that change the edge set."""
 
-    @staticmethod
-    def _series():
-        # gaps of 4.0 at granularity 1.5 leave buckets without events
-        rng = random.Random(4)
+    @given(steps=hst.lists(hst.tuples(hst.sampled_from([0.0, 0.0, 0.4, 1.0, 3.0]),
+                                      hst.sampled_from(["add", "add", "del"]),
+                                      hst.integers(0, 4), hst.integers(0, 4)),
+                           min_size=1, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_replay_matches_set_replay(self, steps):
+        # five vertices make re-adds of live edges, deletes of absent ones
+        # and an add and a delete of one edge in the same bucket common
         events, t = [], 0.0
-        for _ in range(200):
-            t += rng.choice([0.0, 0.1, 0.7, 4.0])
-            op = rng.choice(["add", "add", "del"])
-            events.append(f"{t!r} {op} {rng.randrange(10)} {rng.randrange(10)}\n")
-        return load_snapshots("".join(events), 1.5)
+        for dt, op, u, v in steps:
+            t += dt
+            events.append((t, op, u, v))
+        text = "".join(f"{t!r} {op} {u} {v}\n" for t, op, u, v in events)
+        series = load_snapshots(text, 1.0)
+        rows, ignored = TestGolden._reference_snapshots(events, 1.0)
+        n = max(max(u, v) for _, _, u, v in events) + 1
+        assert len(series) == len(rows) and series.ignored_deletes == ignored
+        prev, prev_live = None, None
+        for g, added, removed, (live, _, ref_added, ref_removed) in zip(
+            series, series.added, series.removed, rows
+        ):
+            assert g.n == n and {(u, v) for u, v, _ in g.edges()} == live
+            assert (added, removed) == (ref_added, ref_removed)
+            assert (g is prev) == (live == prev_live)
+            prev, prev_live = g, live
 
-    def test_index_and_slice_match_iteration(self):
-        series = self._series()
-        graphs_in_order = list(series.snapshots)
-        count = len(graphs_in_order)
-        assert count == len(series.snapshots) == len(series.timestamps) > 20
-        for i in range(-count, count):
-            assert series.snapshots[i] == graphs_in_order[i]
-        for s in [slice(None), slice(2, 9), slice(None, None, 3), slice(-5, None),
-                  slice(None, None, -2), slice(7, 2, -1), slice(5, 5),
-                  slice(-1, -count - 5, -4), slice(count + 3, None)]:
-            assert series.snapshots[s] == graphs_in_order[s]
-        for i in (count, -count - 1):
-            with pytest.raises(IndexError):
-                series.snapshots[i]
+    def test_unchanged_edge_set_repeats_the_graph_object(self, monkeypatch):
+        # bucket 1 re-adds a live edge, bucket 2 deletes an absent one and
+        # bucket 3 adds and deletes one edge: none of them builds a graph
+        built = []
+        build = graphs._build_csr
+
+        def counted(n, *arrays):
+            built.append(n)
+            return build(n, *arrays)
+
+        monkeypatch.setattr(graphs, "_build_csr", counted)
+        series = load_snapshots(CANCELLING_STREAM, 1.0)
+        snapshots = list(series)
+        assert [g.m for g in snapshots] == [1, 1, 1, 1, 0, 1]
+        assert [b is a for a, b in zip(snapshots, snapshots[1:])] == [
+            True, True, True, False, False]
+        assert len(built) == 3
+        assert (series.added, series.removed) == ([1, 1, 1, 2, 2, 3], [0, 0, 0, 1, 2, 2])
+        assert series.ignored_deletes == 1
 
     def test_bucket_without_edge_events_repeats_the_graph_object(self):
         # buckets 1-8 hold no edge event: bucket 5 holds only a self-loop
         series = load_snapshots("0 add 0 1\n0 add 1 2\n5 add 3 3\n9 add 2 3", 1.0)
-        snapshots = list(series.snapshots)
+        snapshots = list(series)
         assert len(snapshots) == 10 and snapshots[0].n == 4
         assert all(g is snapshots[0] for g in snapshots[1:9])
         assert snapshots[9] is not snapshots[8] and snapshots[9].m == 3
 
     def test_series_keeps_no_input(self, tmp_path):
         text = "".join(f"{t} add {t % 7} {t % 5 + 1}\n" for t in range(40))
-        expected = list(load_snapshots(text, 4.0).snapshots)
+        expected = list(load_snapshots(text, 4.0))
         path = tmp_path / "events.txt"
         path.write_text(text, encoding="utf-8")
         with open(path, encoding="utf-8") as fh:
             from_file = load_snapshots(fh, 4.0)
-        assert fh.closed and list(from_file.snapshots) == expected
+        assert fh.closed and list(from_file) == expected
         refs = sys.getrefcount(text)
         from_text = load_snapshots(text, 4.0)
         assert sys.getrefcount(text) == refs
         del text
         gc.collect()
-        assert list(from_text.snapshots) == expected
+        assert list(from_text) == expected
 
     def test_load_checks_the_stream_and_builds_no_graph(self, monkeypatch):
         built = []
@@ -318,7 +339,7 @@ class TestLazySnapshots:
         series = load_snapshots("0 add 0 1\n1 add 1 2\n1.5 del 0 1\n3 add 2 3", 1.0)
         assert built == [] and len(series) == 4
         assert (series.added, series.removed) == ([1, 2, 2, 3], [0, 1, 1, 1])
-        assert [g.m for g in series.snapshots] == [1, 1, 1, 2]
+        assert [g.m for g in series] == [1, 1, 1, 2]
         assert len(built) == 3  # bucket 2 repeats bucket 1's graph
 
 
@@ -353,7 +374,7 @@ class TestEdgeCount:
         text = "".join(f"{t!r} {op} {u} {v}\n" for t, op, u, v in events)
         series = load_snapshots(text, 1.0)
         rows, _ = TestGolden._reference_snapshots(events, 1.0)
-        assert [g.m for g in series.snapshots] == [len(live) for live, *_ in rows]
+        assert [g.m for g in series] == [len(live) for live, *_ in rows]
 
 
 class TestEmptyInputOptions:
@@ -385,15 +406,19 @@ class TestFixtures:
 
 def _outcome(call):
     """A call's result, or the line number and message of its EdgeListError,
-    or the message of the ValueError for an event span beyond BUCKET_LIMIT."""
+    or the message of the ValueError for an event span beyond BUCKET_LIMIT.
+    A snapshot series is replayed into its graphs and its counts."""
     try:
-        return call()
+        got = call()
     except EdgeListError as exc:
         return ("EdgeListError", exc.line_number, str(exc))
     except ValueError as exc:
         if "more than BUCKET_LIMIT" not in str(exc):
             raise
         return ("ValueError", None, str(exc))
+    if isinstance(got, graphs.SnapshotSeries):
+        return (list(got), got.timestamps, got.added, got.removed, got.ignored_deletes)
+    return got
 
 
 def _line_reader_only(call):
@@ -679,7 +704,7 @@ class TestGolden:
         assert len(series) == len(rows)
         assert series.ignored_deletes == ignored
         for g, t_end, added, removed, (live, ref_t, ref_added, ref_removed) in zip(
-            series.snapshots, series.timestamps, series.added, series.removed, rows
+            series, series.timestamps, series.added, series.removed, rows
         ):
             assert g.n == n
             assert {(u, v) for u, v, _ in g.edges()} == live
