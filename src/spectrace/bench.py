@@ -15,6 +15,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from . import descriptors as dsc
+from .errors import UndefinedDensityError
 from .graphs import Graph, SnapshotSeries
 from .slq import SlqConfig
 
@@ -212,6 +213,10 @@ def snapshot_distance_series(
     edge churn. A snapshot that is the previous one's Graph object (a bucket
     that leaves the edge set unchanged) reuses its descriptor.
 
+    A snapshot whose density matrix is undefined (one without edges, for
+    the entropy) gets a NaN distance, as does every snapshot when snapshot 0
+    is that one; any other error fails the series.
+
     The series is iterated once, building each snapshot as it is reached:
     only the previous Graph and snapshot 0's descriptor are held, so memory
     does not grow with the number of snapshots."""
@@ -219,14 +224,21 @@ def snapshot_distance_series(
         raise ValueError("empty snapshot series")
     grid = grid or dsc.TimeGrid()
     cfg = cfg or SlqConfig()
+
+    def describe(g):
+        try:
+            return compute_descriptor(g, kind, method, grid, cfg, k, threads)
+        except UndefinedDensityError:
+            return None
+
     snapshots = iter(series)
     prev = next(snapshots)
-    base = desc = compute_descriptor(prev, kind, method, grid, cfg, k, threads)
-    distances = [0.0]
+    base = desc = describe(prev)  # None where the density matrix is undefined
+    distances = [0.0 if base else float("nan")]
     for g in snapshots:
         if g is not prev:
-            desc = compute_descriptor(g, kind, method, grid, cfg, k, threads)
-        distances.append(dsc.descriptor_distance(desc, base))
+            desc = describe(g)
+        distances.append(dsc.descriptor_distance(desc, base) if base and desc else float("nan"))
         prev = g
     return [
         SnapshotRow(index=i, distance=dist, added=series.added[i], removed=series.removed[i])

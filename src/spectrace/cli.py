@@ -111,7 +111,9 @@ def _float_where(ok, wanted: str):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
+    """--threads, by default one per CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    p.add_argument("--threads", type=_int_at_least(1), default=cpus or 1,
                    help="worker threads over probe blocks; results never depend on it")
 
 
@@ -180,7 +182,7 @@ def _cmd_bench_error(args) -> int:
 
 def _cmd_classify(args) -> int:
     paths, labels = [], []
-    with open(args.manifest, "r", encoding="utf-8-sig") as fh:
+    with _open(args.manifest, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -190,7 +192,7 @@ def _cmd_classify(args) -> int:
                 raise EdgeListError(f"manifest expects 'path,label': {line!r}", lineno)
             paths.append(fields[0].strip())
             labels.append(fields[1].strip())
-    base = Path(args.manifest).parent
+    base = Path(args.manifest).parent  # '.' for stdin: the working directory
     features = []
     for p in paths:
         full = p if os.path.isabs(p) else str(base / p)
@@ -209,7 +211,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_snapshots(args) -> int:
-    with open(args.events, "r", encoding="utf-8-sig") as fh:
+    with _open(args.events, "r") as fh:
         series = load_snapshots(fh, args.granularity, comment_prefix=args.comment_prefix)
     rows = bench.snapshot_distance_series(
         series, args.kind, args.method, grid=args.grid, cfg=_cfg(args), k=args.k,
@@ -264,7 +266,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench_error)
 
     p = sub.add_parser("classify", help="1-NN accuracy from a 'path,label' manifest")
-    p.add_argument("--manifest", required=True, help="CSV of 'path,label' rows")
+    p.add_argument("--manifest", required=True, help="'path,label' CSV, '-' for stdin")
     p.add_argument("--train-frac", type=_float_where(lambda x: 0 < x < 1, "in (0, 1)"),
                    default=0.8, help="training fraction")
     p.add_argument("--repeats", type=_int_at_least(1), default=1000, help="random splits")
@@ -276,7 +278,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("snapshots", help="descriptor drift over an event stream")
-    p.add_argument("--events", required=True, help="'t op src dst' event file")
+    p.add_argument("--events", required=True, help="'t op src dst' event file, '-' for stdin")
     p.add_argument("--granularity", type=_float_where(lambda x: x > 0, "> 0"),
                    required=True, help="bucket width")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")

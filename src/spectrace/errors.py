@@ -13,6 +13,11 @@ class EdgeListError(ValueError):
         self.line_number = line_number
 
 
+class UndefinedDensityError(ValueError):
+    """The density matrix L / tr(L) of a graph is undefined: it has no edges,
+    or tr(L) is too small to normalize."""
+
+
 class TridiagonalEigenError(RuntimeError):
     """Symmetric tridiagonal eigensolver failed; carries the offending matrix."""
 

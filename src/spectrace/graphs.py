@@ -13,11 +13,12 @@ change the edge set and builds each snapshot as it is reached, so memory
 does not grow with the bucket count. Vertex ids must lie below
 ``VERTEX_ID_LIMIT``.
 
-Text is read in bulk with ``np.loadtxt``, one record per line. Input that
-the bulk reader cannot take whole (a malformed line, or a token only
-Python's ``int``/``float`` accept, such as ``1_0``) is re-read line by line;
-that reader is the authority on what is valid and reports errors with their
-line number.
+Edge lists and event streams share one record reader. Every input is split
+into lines at ``"\\n"`` only and read in bulk with ``np.loadtxt``, one
+record per line. Input that the bulk reader cannot take whole (a malformed
+line, or a token only Python's ``int``/``float`` accept, such as ``1_0``) is
+re-read line by line into records of the same dtype; that reader is the
+authority on what is valid and reports errors with their line number.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     # Each temporary is deleted once dead, and the results are allocated
     # before the last sort's scratch: allocated after it, they can sit above
     # the freed scratch in the heap and keep it from going back to the
-    # system. With parse_edge_list freeing its text first, parsing ER(1M)
-    # peaks at 562 MB of RSS, 3.5x the graph, against 1,296 MB without.
+    # system. With parse_edge_list freeing its text and lines first, parsing
+    # ER(1M) peaks at 505 MB of RSS, 3.2x the graph, against 1,296 MB without.
     # mode="clip" changes no index of a permutation, where the default
     # "raise" gathers into a hidden copy of out.
     keep = u != v
@@ -203,29 +204,36 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     return Graph(n=n, row_offsets=row_offsets, col_indices=col_indices, weights=weights)
 
 
-def _read_lines(stream: IO[str] | str | Iterable[str]) -> tuple[str, list[str]]:
-    """Read the whole input once; return its text and its lines.
+def _read_lines(stream, comment_prefix: str) -> tuple[list[str], bool]:
+    """Read the whole input once; return its lines, and whether
+    comment_prefix occurs in it.
 
-    A string splits as ``str.splitlines`` does, an open file at ``"\\n"`` as
-    iterating over it does, and any other iterable yields one line per item.
+    Every input becomes one text: a string is the text, an open file is read
+    whole, and any other iterable's lines are joined with ``"\\n"``, each
+    without its trailing ``"\\n"``. The text splits at ``"\\n"`` only, as
+    iterating over a file does, so the same text reads the same way in every
+    form; a ``"\\r"`` left at a line's end is stripped with its whitespace.
+    A text read here is freed on return, before the bulk read: held through
+    it, it raised the peak of parsing ER(100k) from a file from 83.4 MB to
+    86.1-88.9 MB (the figure moves with the heap's layout), and ER(1M) from
+    505 to 562 MB.
     """
-    if isinstance(stream, str):
-        return stream, stream.splitlines()
     if hasattr(stream, "read"):
-        text = stream.read()
-        return text, text.split("\n")
-    lines = [line.rstrip("\n") for line in stream]
-    return "\n".join(lines), lines
+        stream = stream.read()
+    elif not isinstance(stream, str):
+        stream = "\n".join(line.rstrip("\n") for line in stream)
+    return stream.split("\n"), comment_prefix in stream
 
 
-def _bulk_rows(text: str, lines: list[str], separator: str | None,
+def _bulk_rows(lines: list[str], commented: bool, separator: str | None,
                comment_prefix: str, dtype: np.dtype) -> np.ndarray | None:
     """Read every non-comment line with one ``np.loadtxt``; None on any failure.
 
-    Warnings are raised as errors: numpy 1.24-1.26 read ``"4.0"`` into an
-    int64 field with only a DeprecationWarning, which ``int`` would reject.
+    Comment lines are looked for only if ``commented``. Warnings are raised
+    as errors: numpy 1.24-1.26 read ``"4.0"`` into an int64 field with only
+    a DeprecationWarning, which ``int`` would reject.
     """
-    if comment_prefix in text:
+    if commented:
         lines = [line for line in lines if not line.strip().startswith(comment_prefix)]
     if separator is not None:
         # np.loadtxt skips whitespace-only lines only when it splits on whitespace
@@ -237,6 +245,51 @@ def _bulk_rows(text: str, lines: list[str], separator: str | None,
     except (ValueError, TypeError, Warning):
         return None
     return rows if rows.size else None
+
+
+def _line_rows(lines, separator, comment_prefix, dtype, parse, empty):
+    """Records of dtype read line by line; raises EdgeListError with the line number.
+
+    Blank and comment lines are skipped. Every other line must split into one
+    field per name of dtype, which ``parse(fields, line, lineno)`` turns into
+    a tuple of values or rejects; ``empty`` is the message when no line is
+    found.
+    """
+    fields = len(dtype.names)
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment_prefix):
+            continue
+        split = line.split(separator)
+        if len(split) != fields:
+            raise EdgeListError(f"expected {fields} fields, got {len(split)}: {line!r}", lineno)
+        rows.append(parse(split, line, lineno))
+    if not rows:
+        raise EdgeListError(empty)
+    return np.fromiter(rows, dtype=dtype, count=len(rows))
+
+
+def _read_records(stream, separator, comment_prefix, dtype, columns, parse, empty):
+    """The input read as records of dtype and turned into arrays by ``columns``.
+
+    The input is read once and in bulk. ``columns(records)`` returns the
+    caller's arrays, or None when a record breaks one of its rules; then the
+    lines are read again by ``_line_rows``, the authority on what is valid,
+    which reports the first bad line. ``columns`` runs while the lines are
+    still held, so that what it allocates sits below them in the heap:
+    parse_edge_list's unit weights, allocated after the lines were freed,
+    raised the peak of parsing ER(100k) from 83.4 to 83.7 MB.
+    """
+    for name, value in (("separator", separator), ("comment_prefix", comment_prefix)):
+        if value == "":
+            raise ValueError(f"{name} must not be empty")
+    lines, commented = _read_lines(stream, comment_prefix)
+    records = _bulk_rows(lines, commented, separator, comment_prefix, dtype)
+    result = None if records is None else columns(records)
+    if result is None:
+        result = columns(_line_rows(lines, separator, comment_prefix, dtype, parse, empty))
+    return result
 
 
 def _ids_in_range(*ids: np.ndarray) -> bool:
@@ -252,74 +305,9 @@ def _check_id(u: int, v: int, line: str, lineno: int) -> None:
         )
 
 
+# A record dtype makes np.loadtxt refuse a line with the wrong field count.
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _WEIGHTED_EDGE = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-
-
-def _bulk_edges(text, lines, separator, comment_prefix, weighted):
-    """(u, v, w) read in bulk, or None where the line reader must decide.
-
-    A record dtype makes ``np.loadtxt`` refuse a line with the wrong field
-    count; unweighted rows get weight 1.0 and pass the same checks."""
-    rows = _bulk_rows(text, lines, separator, comment_prefix,
-                      _WEIGHTED_EDGE if weighted else _EDGE)
-    if rows is None:
-        return None
-    u, v = rows["u"], rows["v"]
-    w = rows["w"] if weighted else np.ones(u.size)
-    if not (np.isfinite(w).all() and (w > 0).all() and _ids_in_range(u, v)):
-        return None
-    return u, v, w
-
-
-def _line_rows(lines, separator, comment_prefix, fields, parse, empty):
-    """Rows read line by line; raises EdgeListError with the line number.
-
-    Blank and comment lines are skipped. Every other line must split into
-    ``fields`` fields, which ``parse(fields, line, lineno)`` turns into as
-    many numbers or rejects. Returns a float64 array of one row per line;
-    ``empty`` is the message when no row is found. Vertex ids are exact in
-    float64, as they lie below ``VERTEX_ID_LIMIT``; one flat list of numbers
-    is faster to fill and convert than a list of row tuples.
-    """
-    values = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment_prefix):
-            continue
-        split = line.split(separator)
-        if len(split) != fields:
-            raise EdgeListError(f"expected {fields} fields, got {len(split)}: {line!r}", lineno)
-        values.extend(parse(split, line, lineno))
-    if not values:
-        raise EdgeListError(empty)
-    return np.array(values, dtype=np.float64).reshape(-1, fields)
-
-
-def _line_edges(lines, separator, comment_prefix, weighted):
-    """(u, v, w) read line by line; raises EdgeListError with the line number."""
-
-    def parse(fields, line, lineno):
-        try:
-            u = int(fields[0])
-            v = int(fields[1])
-        except ValueError:
-            raise EdgeListError(f"vertex ids must be integers: {line!r}", lineno)
-        _check_id(u, v, line, lineno)
-        if not weighted:
-            return u, v
-        try:
-            w = float(fields[2])
-        except ValueError:
-            raise EdgeListError(f"weight must be a number: {line!r}", lineno)
-        if not math.isfinite(w) or w <= 0:
-            raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
-        return u, v, w
-
-    rows = _line_rows(lines, separator, comment_prefix, 3 if weighted else 2, parse,
-                      "empty input: no edges or vertices found")
-    ids = rows[:, :2].astype(np.int64)
-    return ids[:, 0], ids[:, 1], rows[:, 2] if weighted else np.ones(len(rows))
 
 
 def parse_edge_list(
@@ -350,15 +338,35 @@ def parse_edge_list(
     ValueError
         If separator or comment_prefix is the empty string.
     """
-    for name, value in (("separator", separator), ("comment_prefix", comment_prefix)):
-        if value == "":
-            raise ValueError(f"{name} must not be empty")
-    text, lines = _read_lines(stream)
-    edges = _bulk_edges(text, lines, separator, comment_prefix, weighted)
-    if edges is None:
-        edges = _line_edges(lines, separator, comment_prefix, weighted)
-    del text, lines
-    u, v, w = edges
+
+    def columns(rows):
+        # unweighted rows get weight 1.0 and pass the same checks
+        u, v = rows["u"], rows["v"]
+        w = rows["w"] if weighted else np.ones(u.size)
+        if np.isfinite(w).all() and (w > 0).all() and _ids_in_range(u, v):
+            return u, v, w
+        return None
+
+    def parse(fields, line, lineno):
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
+        except ValueError:
+            raise EdgeListError(f"vertex ids must be integers: {line!r}", lineno)
+        _check_id(u, v, line, lineno)
+        if not weighted:
+            return u, v
+        try:
+            w = float(fields[2])
+        except ValueError:
+            raise EdgeListError(f"weight must be a number: {line!r}", lineno)
+        if not math.isfinite(w) or w <= 0:
+            raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
+        return u, v, w
+
+    u, v, w = _read_records(stream, separator, comment_prefix,
+                            _WEIGHTED_EDGE if weighted else _EDGE, columns, parse,
+                            "empty input: no edges or vertices found")
     return _build_csr(int(max(u.max(), v.max())) + 1, u, v, w)
 
 
@@ -415,51 +423,6 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
 _EVENT = np.dtype([("t", np.float64), ("op", "U4"), ("u", np.int64), ("v", np.int64)])
 
 
-def _bulk_events(text, lines, comment_prefix):
-    """(t, is_add, u, v) read in bulk, or None where the line reader must decide."""
-    rows = _bulk_rows(text, lines, None, comment_prefix, _EVENT)
-    if rows is None:
-        return None
-    t, op, u, v = rows["t"], rows["op"], rows["u"], rows["v"]
-    is_add = op == "add"
-    if not (
-        (is_add | (op == "del")).all()
-        and np.isfinite(t).all()
-        and (t[1:] >= t[:-1]).all()
-        and _ids_in_range(u, v)
-    ):
-        return None
-    return t, is_add, u, v
-
-
-def _line_events(lines, comment_prefix):
-    """(t, is_add, u, v) read line by line; raises EdgeListError with the line number."""
-    prev_t = -math.inf
-
-    def parse(fields, line, lineno):
-        nonlocal prev_t
-        try:
-            t = float(fields[0])
-            u = int(fields[2])
-            v = int(fields[3])
-        except ValueError:
-            raise EdgeListError(f"bad timestamp or vertex id: {line!r}", lineno)
-        if not math.isfinite(t):
-            raise EdgeListError(f"timestamp must be finite: {line!r}", lineno)
-        op = fields[1]
-        if op not in ("add", "del"):
-            raise EdgeListError(f"unknown op {op!r} (expected add/del)", lineno)
-        if t < prev_t:
-            raise EdgeListError(f"timestamps must be nondecreasing: {line!r}", lineno)
-        _check_id(u, v, line, lineno)
-        prev_t = t
-        return t, op == "add", u, v
-
-    rows = _line_rows(lines, None, comment_prefix, 4, parse, "empty input: no events found")
-    ids = rows[:, 2:].astype(np.int64)
-    return rows[:, 0], rows[:, 1] == 1, ids[:, 0], ids[:, 1]
-
-
 def load_snapshots(
     stream: IO[str] | str | Iterable[str],
     granularity: float,
@@ -487,13 +450,38 @@ def load_snapshots(
     """
     if not granularity > 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
-    if not comment_prefix:
-        raise ValueError("comment_prefix must not be empty")
-    text, lines = _read_lines(stream)
-    events = _bulk_events(text, lines, comment_prefix)
-    if events is None:
-        events = _line_events(lines, comment_prefix)
-    t, is_add, u, v = events
+
+    def columns(rows):
+        t, op, u, v = rows["t"], rows["op"], rows["u"], rows["v"]
+        is_add = op == "add"
+        if ((is_add | (op == "del")).all() and np.isfinite(t).all()
+                and (t[1:] >= t[:-1]).all() and _ids_in_range(u, v)):
+            return t, is_add, u, v
+        return None
+
+    prev_t = -math.inf
+
+    def parse(fields, line, lineno):
+        nonlocal prev_t
+        try:
+            t = float(fields[0])
+            u = int(fields[2])
+            v = int(fields[3])
+        except ValueError:
+            raise EdgeListError(f"bad timestamp or vertex id: {line!r}", lineno)
+        if not math.isfinite(t):
+            raise EdgeListError(f"timestamp must be finite: {line!r}", lineno)
+        op = fields[1]
+        if op not in ("add", "del"):
+            raise EdgeListError(f"unknown op {op!r} (expected add/del)", lineno)
+        if t < prev_t:
+            raise EdgeListError(f"timestamps must be nondecreasing: {line!r}", lineno)
+        _check_id(u, v, line, lineno)
+        prev_t = t
+        return t, op, u, v
+
+    t, is_add, u, v = _read_records(stream, None, comment_prefix, _EVENT, columns, parse,
+                                    "empty input: no events found")
     n = int(max(u.max(), v.max())) + 1
     with np.errstate(over="ignore"):  # an infinite quotient fails the span check
         bucket = np.floor(t / granularity)

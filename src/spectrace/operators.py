@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import UndefinedDensityError
 from .graphs import Graph
 
 __all__ = [
@@ -158,7 +159,7 @@ def _entries(
 
 
 def _check_density(tr_l: float) -> None:
-    """Raise ValueError unless the density matrix L / tr(L) is defined.
+    """Raise UndefinedDensityError unless the density matrix L / tr(L) is defined.
 
     It is not for a graph without edges, whose tr(L) is 0, nor when tr(L)^2,
     which trace_squared divides by, underflows to 0 (tr(L) below about
@@ -167,9 +168,10 @@ def _check_density(tr_l: float) -> None:
     ``make_operator``, ``dense_spectrum``, ``trace`` or ``trace_squared``.
     """
     if tr_l <= 0:
-        raise ValueError("density matrix undefined for a graph without edges")
+        raise UndefinedDensityError("density matrix undefined for a graph without edges")
     if tr_l * tr_l == 0:
-        raise ValueError(f"density matrix undefined: tr(L)={tr_l} is too small to normalize")
+        raise UndefinedDensityError(
+            f"density matrix undefined: tr(L)={tr_l} is too small to normalize")
 
 
 _KERNEL_MODULE = "scipy.sparse._sparsetools"

@@ -13,7 +13,12 @@ block operator application per Lanczos step, no reorthogonalization, and
 one batched eigendecomposition for the Gauss rules of each block, run by
 the block's thread. A column's arithmetic does not depend on the block
 around it, so a probe's numbers change with neither n_v, the block layout
-nor the thread count. Blocks hold
+nor the thread count. That holds only because every block is zero-padded
+to at least ``BLOCK_WIDTH`` columns: a one-column block runs other numpy
+kernels. ``lanczos_block`` on ER(300) and ER(5000) gave a column the same
+alpha and beta bits at widths 2 to 256 but other bits at width 1, and
+blocks without padding changed descriptor bytes (``vnge_slq`` on ER(2048)
+at n_v = 1 and 9, whose last block holds one probe). Blocks hold
 ``BLOCK_WIDTH`` probes on operators of ``MIN_PARALLEL_DIM`` rows or more;
 below that the probes fill the fewest blocks of at most
 ``MAX_BLOCK_WIDTH``, so up to that many probes run as one block. The
@@ -133,7 +138,9 @@ def _probe_block(
     op: LinearOperator, cfg: SlqConfig, first: int, width: int = BLOCK_WIDTH
 ) -> BlockTridiagonal:
     """Lanczos run of probes first .. first + width - 1, zero-padded past
-    the last probe.
+    the last probe. The padding keeps every block at least BLOCK_WIDTH
+    columns wide: a probe run alone in a one-column block gets other bits
+    than in a wider one (see the module docstring).
 
     Below MIN_PARALLEL_DIM, with at most MAX_BLOCK_WIDTH probes, the raw
     probes are the first op.dim columns of the process's probe bank
@@ -169,7 +176,9 @@ def _probe_rules(
     """Clamped (n_v, s) Gauss nodes and weights of every probe, in probe order."""
     width = BLOCK_WIDTH
     if op.dim < MIN_PARALLEL_DIM:
-        # the fewest blocks that MAX_BLOCK_WIDTH allows, of equal padded width
+        # the fewest blocks that MAX_BLOCK_WIDTH allows, of equal width padded
+        # to a multiple of BLOCK_WIDTH: a one-column block would give its
+        # probe other bits than the wider block it runs in for other n_v
         count = -(-cfg.n_v // MAX_BLOCK_WIDTH)
         width = -(-cfg.n_v // (count * BLOCK_WIDTH)) * BLOCK_WIDTH
     firsts = range(0, cfg.n_v, width)

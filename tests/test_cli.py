@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, byte determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spectrace
-from spectrace.cli import main
+from spectrace.cli import build_parser, main
 
 
 @pytest.fixture
@@ -196,6 +197,38 @@ class TestSnapshots:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0].splitlines()) == 5
+
+    @staticmethod
+    def _distances(capsys, tmp_path, text, method):
+        events = tmp_path / "events.txt"
+        events.write_text(text)
+        code, out, err = run(capsys, "snapshots", "--events", str(events), "--granularity",
+                             "1", "--kind", "vnge", "--method", method)
+        assert code == 0 and err == ""
+        return [line.split(",")[1] for line in out.splitlines()[2:]]
+
+    @pytest.mark.parametrize("method", ["slq", "taylor", "exact"])
+    def test_snapshot_without_edges_has_nan_distance(self, capsys, tmp_path, method):
+        # bucket 1 deletes the only edge, which leaves the entropy undefined
+        distances = self._distances(capsys, tmp_path, "0 add 0 1\n1 del 0 1\n2 add 1 2\n",
+                                    method)
+        assert distances[0] == "0.0" and distances[1] == "nan"
+        assert math.isfinite(float(distances[2]))
+
+    def test_first_snapshot_without_edges_makes_every_distance_nan(self, capsys, tmp_path):
+        # the delete of an absent edge leaves bucket 0 without edges
+        distances = self._distances(capsys, tmp_path, "0 del 0 1\n1 add 0 1\n2 add 1 2\n",
+                                    "exact")
+        assert distances == ["nan", "nan", "nan"]
+
+    def test_other_descriptor_errors_still_fail(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("spectrace.operators.DENSE_SPECTRUM_CAP", 2)
+        events = tmp_path / "events.txt"
+        events.write_text("0 add 0 1\n1 del 0 1\n2 add 1 2\n")
+        code, out, err = run(capsys, "snapshots", "--events", str(events), "--granularity",
+                             "1", "--kind", "vnge", "--method", "exact")
+        assert code == 2 and out == ""
+        assert "dense spectrum refused: n=3 exceeds cap 2" in err
 
     def test_span_beyond_bucket_limit_is_data_error(self, capsys, tmp_path):
         # the quotient 1e300 / 1e-10 is infinite, so no bucket number exists
@@ -539,6 +572,28 @@ class TestDashOutput:
         assert out == expected
         assert len(out) > 0
 
+    @pytest.mark.parametrize("subcommand,flag", [("snapshots", "--events"),
+                                                 ("classify", "--manifest")])
+    def test_events_and_manifest_read_stdin(self, capsys, monkeypatch, tmp_path, p3_file,
+                                            subcommand, flag):
+        import io
+        argv = self._argv(subcommand, tmp_path, p3_file)
+        code, from_file, _ = run(capsys, *argv)
+        assert code == 0
+        at = argv.index(flag) + 1
+        path = Path(argv[at])
+        argv[at] = "-"
+        # a manifest on stdin resolves relative graph paths against the
+        # working directory
+        monkeypatch.chdir(path.parent)
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+        code, from_stdin, _ = run(capsys, *argv)
+        assert code == 0
+        if subcommand == "classify":
+            # the dataset column is the manifest's file name, '-' for stdin
+            from_file = from_file.replace(f"\n{path.stem},", "\n-,")
+        assert from_stdin == from_file
+
     def test_compare_reads_stdin(self, capsys, monkeypatch, p3_file, k2_file):
         import io
         argv = ["compare", "--b", k2_file, "--kind", "netlsd", "--method", "exact"]
@@ -549,6 +604,14 @@ class TestDashOutput:
         assert code == 0
         assert from_stdin == from_file
         assert float(from_stdin) > 0.0
+
+
+class TestThreadsDefault:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        args = build_parser().parse_args(["generate", "er", "--n", "5", "--avg-degree", "1"])
+        assert args.threads == len(cpus)
 
 
 class TestByteDeterminism:

@@ -422,19 +422,22 @@ def _outcome(call):
 
 
 def _line_reader_only(call):
-    """_outcome(call) with the bulk readers off, so every line goes through the line reader."""
-    with mock.patch.object(graphs, "_bulk_edges", return_value=None), \
-            mock.patch.object(graphs, "_bulk_events", return_value=None):
+    """_outcome(call) with the bulk reader off, so every line goes through the line reader."""
+    with mock.patch.object(graphs, "_bulk_rows", return_value=None):
         return _outcome(call)
 
 
 def _as_input(text, form):
-    """The same text as a string, an open file, or a list of lines."""
+    """The same text as a string, an open file, or the list of lines that
+    iterating over that file gives."""
     if form == "file":
         return io.StringIO(text)
     if form == "lines":
-        return text.splitlines(keepends=True)
+        return list(io.StringIO(text))
     return text
+
+
+_FORMS = ("str", "file", "lines")
 
 
 # Tokens that the bulk reader and Python's int/float may read differently.
@@ -499,21 +502,44 @@ class TestBulkReaderMatchesLineReader:
     def test_edge_lists(self, case):
         text, weighted, separator, form = case
 
-        def parse():
+        def parse(form=form):
             return parse_edge_list(_as_input(text, form), separator=separator,
                                    weighted=weighted)
 
         assert _outcome(parse) == _line_reader_only(parse)
+        # the same text gives the same outcome in every input form
+        first, *rest = [_outcome(lambda: parse(each)) for each in _FORMS]
+        assert all(other == first for other in rest)
 
     @given(case=_event_text(), granularity=hst.sampled_from([0.5, 1.0, 3.0]))
     @settings(max_examples=200, deadline=None)
     def test_event_streams(self, case, granularity):
         text, form = case
 
-        def load():
+        def load(form=form):
             return load_snapshots(_as_input(text, form), granularity)
 
         assert _outcome(load) == _line_reader_only(load)
+        first, *rest = [_outcome(lambda: load(each)) for each in _FORMS]
+        assert all(other == first for other in rest)
+
+    @pytest.mark.parametrize("newline", ["\x0c", "\x85", "\u2028", "\r", "\r\n"])
+    def test_line_breaks_read_alike_in_every_form(self, newline):
+        # only "\n" ends a line: another line break is whitespace inside one
+        for text, read, message in [
+            (f"0 1{newline}1 2", parse_edge_list, "expected 2 fields, got 4"),
+            (f"0 add 0 1{newline}1 add 1 2", lambda given: load_snapshots(given, 1.0),
+             "expected 4 fields, got 8"),
+        ]:
+            if newline == "\r\n":
+                expected = _outcome(lambda: read(text.replace(newline, "\n")))
+            else:
+                expected = ("EdgeListError", 1, f"line 1: {message}: {text!r}")
+            for form in _FORMS:
+                def call():
+                    return read(_as_input(text, form))
+
+                assert _outcome(call) == _line_reader_only(call) == expected
 
     @pytest.mark.parametrize("text,weighted,expected", [
         ("0 1\n3 4.0", False, 2),
@@ -601,19 +627,19 @@ class TestBulkReaderMatchesLineReader:
     ])
     def test_unweighted_refusals_reach_line_reader(self, text, separator, lineno, message):
         # the (u, v) record read refuses these, and the line reader words the error
-        text_, lines = graphs._read_lines(text)
-        assert graphs._bulk_edges(text_, lines, separator, "#", False) is None
+        lines, commented = graphs._read_lines(text, "#")
+        assert graphs._bulk_rows(lines, commented, separator, "#", graphs._EDGE) is None
         with pytest.raises(EdgeListError, match=message) as exc_info:
             parse_edge_list(text, separator=separator)
         assert exc_info.value.line_number == lineno
 
     def test_clean_input_is_read_in_bulk(self):
         text = "# header\r\n0\t1\r\n  # indented\r\n  2 1 \r\n\r\n1 0\r\n"
-        text_, lines = graphs._read_lines(text)
-        assert graphs._bulk_edges(text_, lines, None, "#", False) is not None
+        lines, commented = graphs._read_lines(text, "#")
+        assert graphs._bulk_rows(lines, commented, None, "#", graphs._EDGE) is not None
         events = "# log\n0 add 0 1\n1.5 del 0 1\n"
-        text_, lines = graphs._read_lines(events)
-        assert graphs._bulk_events(text_, lines, "#") is not None
+        lines, commented = graphs._read_lines(events, "#")
+        assert graphs._bulk_rows(lines, commented, None, "#", graphs._EVENT) is not None
 
     @pytest.mark.parametrize("blank", ["  ", "\t", " \t "])
     def test_whitespace_line_with_separator_is_read_in_bulk(self, blank):
@@ -623,7 +649,7 @@ class TestBulkReaderMatchesLineReader:
             return parse_edge_list(text, separator=",")
 
         expected = _line_reader_only(parse)
-        with mock.patch.object(graphs, "_line_edges", side_effect=AssertionError):
+        with mock.patch.object(graphs, "_line_rows", side_effect=AssertionError):
             assert parse() == expected
         assert list(expected.edges()) == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
 
@@ -643,12 +669,14 @@ class TestVertexIdCap:
 
     def test_line_reader_keeps_largest_ids_exact(self):
         top = VERTEX_ID_LIMIT - 1
-        u, v, w = graphs._line_edges([f"{top} {top - 1} 0.5"], None, "#", True)
-        assert (u.tolist(), v.tolist(), w.tolist()) == ([top], [top - 1], [0.5])
-        t, is_add, u, v = graphs._line_events([f"1.5 del {top} {top - 1}"], "#")
-        assert (t.tolist(), is_add.tolist(), u.tolist(), v.tolist()) == (
-            [1.5], [False], [top], [top - 1])
-        assert u.dtype == np.int64 and is_add.dtype == bool
+        with mock.patch.object(graphs, "_bulk_rows", return_value=None):
+            with mock.patch.object(graphs, "_build_csr", side_effect=lambda *args: args):
+                n, u, v, w = parse_edge_list([f"{top} {top - 1} 0.5"], weighted=True)
+            series = load_snapshots([f"1.5 del {top} {top - 1}"], 1.0)
+        assert (n, u.tolist(), v.tolist(), w.tolist()) == (top + 1, [top], [top - 1], [0.5])
+        assert u.dtype == np.int64
+        assert series.n == top + 1
+        assert series.keys.tolist() == [(top - 1) * (top + 1) + top]
 
 
 class TestGolden:
