@@ -54,9 +54,11 @@ class LinearOperator:
 
     ``apply`` maps an (n,) vector to an (n,) vector, or an (n, W) block to
     an (n, W) block column by column; it holds no mutable state and is safe
-    to call concurrently. ``interval`` bounds the spectrum: (0, 2*max_degree)
-    for the Laplacian, (0, 2) for the normalized Laplacian, (0, 1) for the
-    density matrix.
+    to call concurrently. The operators of ``make_operator`` return a
+    float32 product for float32 input and a float64 product for any other
+    input. ``interval`` bounds the spectrum: (0, 2*max_degree) for the
+    Laplacian, (0, 2) for the normalized Laplacian, (0, 1) for the density
+    matrix.
     """
 
     dim: int
@@ -215,10 +217,15 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     """Build the operator of the requested kind for g from its entries in
     row panels (``_entries``).
 
-    A product makes the input C-contiguous float64 and runs scipy's compiled
-    COO kernel on the entries: the calls ``coo_matrix.__matmul__`` makes, so
-    every product has the same bits. If the kernel cannot be loaded by file,
-    the product is a ``scipy.sparse.coo_matrix``'s.
+    A product runs scipy's compiled COO kernel on the entries: the calls
+    ``coo_matrix.__matmul__`` makes, so every product has the same bits. If
+    the kernel cannot be loaded by file, the product is a
+    ``scipy.sparse.coo_matrix``'s. The dtype of the input picks the path:
+    float32 input, such as the Lanczos blocks of large operators, is
+    multiplied in float32 by a float32 copy of the entries, made at its
+    first use; any other input is made C-contiguous float64 and multiplied
+    by the float64 entries. The float64 path is the only one that
+    ``eigsh``, the deflated baseline operators and every small graph use.
 
     Raises
     ------
@@ -228,29 +235,43 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         lies outside [0, n).
     """
     rows, cols, vals, interval = _entries(g, kind)
+    n, nnz = g.n, len(vals)
     kernels = _coo_kernels()
     if kernels is None:
         import scipy.sparse
 
-        mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-        return LinearOperator(dim=g.n, apply=mat.__matmul__, interval=interval)
+        def coo(data):
+            return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
+
+        mat, mat32 = coo(vals), cache(lambda: coo(vals.astype(np.float32)))
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            return (mat32() if _is_single(x) else mat) @ x
+
+        return LinearOperator(dim=n, apply=apply, interval=interval)
     matvec, matmat = kernels
-    n, nnz = g.n, len(vals)
+    vals32 = cache(lambda: vals.astype(np.float32))
 
     def apply(x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float64)
+        single = _is_single(x)
+        x = np.ascontiguousarray(x, dtype=np.float32 if single else np.float64)
         # the kernel reads x without bounds checks
         if x.ndim > 2 or x.shape[0] != n:
             raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
+        data = vals32() if single else vals
+        out = np.zeros(x.shape, x.dtype)
         if x.ndim == 1:
-            out = np.zeros(n)
-            matvec(nnz, rows, cols, vals, x, out)
+            matvec(nnz, rows, cols, data, x, out)
         else:
-            out = np.zeros((n, x.shape[1]))
-            matmat(nnz, x.shape[1], rows, cols, vals, x.ravel("C"), out)
+            matmat(nnz, x.shape[1], rows, cols, data, x.ravel("C"), out)
         return out
 
-    return LinearOperator(dim=g.n, apply=apply, interval=interval)
+    return LinearOperator(dim=n, apply=apply, interval=interval)
+
+
+def _is_single(x) -> bool:
+    """Whether a product with x runs in float32: x is a float32 array."""
+    return getattr(x, "dtype", None) == np.float32
 
 
 def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:

@@ -29,6 +29,16 @@ Xeon), and the blocks' rules are gathered in probe order. f is
 applied to the whole (n_v, s) node array, and slq_trace_grid applies it
 to tiles of grid points at once; both integrate with one einsum.
 
+On operators of ``MIN_PARALLEL_DIM`` rows or more the blocks are float32,
+with float64 alpha and beta and column dots summed over fixed chunks of
+rows (``lanczos.lanczos_block``); below it every bit is float64, as the
+small-graph tests and digests pin. A float32 column also keeps its
+arithmetic whatever block and thread it runs in, so the determinism above
+holds on both sides of the switch. Above it, a probe's numbers differ
+from its float64 ones: on ER graphs of 2048-5000 vertices by at most
+0.01 standard errors, and by 0.19 at large t for the heat trace of 1024
+disjoint edges (the eigenvalue-0 node moves by about 6e-6).
+
 The one-block path takes its raw probes from a probe bank, one per
 process (``_probe_bank``): row i is probe i drawn at MIN_PARALLEL_DIM - 1
 entries, and an n-vertex graph uses the first n. The first n values of a
@@ -66,7 +76,10 @@ BLOCK_WIDTH = 8
 # 10000 vertices. So smaller operators run up to MAX_BLOCK_WIDTH probes in
 # one block, one product and one set of vector updates per step. The probe
 # bank's rows have MIN_PARALLEL_DIM - 1 entries, which must stay at or below
-# 8192 (see _probe_block).
+# 8192 (see _probe_block). From it on, blocks are float32, as a step is
+# bound by memory traffic. Below it they stay float64: float32 there was
+# about 15% faster per corpus graph, but it lost results that are exact on
+# small graphs, such as K2's entropy of 0 and per-probe quadratic forms.
 MIN_PARALLEL_DIM = 2048
 # Widest block below MIN_PARALLEL_DIM. A block keeps three (n, width)
 # arrays alive, so the cap bounds memory whatever n_v is: vnge_slq at
@@ -154,8 +167,13 @@ def _probe_block(
     by probe: stacking their draws was slower (an 8-probe block took 3.8
     instead of 2.7 ms at n=20k on a 2-core Xeon). The bank is copied, never
     used as the block, because lanczos_block overwrites its start.
+
+    From MIN_PARALLEL_DIM rows on, the block is float32: each probe is
+    drawn and normalized in float64 as below it, then rounded, and
+    lanczos_block runs in float32 with float64 reductions.
     """
-    block = np.zeros((op.dim, width))
+    dtype = np.float64 if op.dim < MIN_PARALLEL_DIM else np.float32
+    block = np.zeros((op.dim, width), dtype)
     last = min(first + width, cfg.n_v)
     if op.dim < MIN_PARALLEL_DIM and cfg.n_v <= MAX_BLOCK_WIDTH:
         raw = _probe_bank(cfg.seed, cfg.distribution, cfg.n_v)[first:last, : op.dim]

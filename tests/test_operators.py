@@ -189,6 +189,49 @@ class TestMakeOperator:
                     exact = scipy.linalg.eigvalsh(ref.toarray(order="F"), overwrite_a=True)
                     assert dense_spectrum(g, kind).tobytes() == exact.tobytes()
 
+    def test_single_precision_block_matches_across_paths(self):
+        # a float32 input is multiplied in float32 by the entries rounded to
+        # float32: the kernel loaded by file and the scipy.sparse fallback
+        # give the float32 algebra's bytes, with one panel or many
+        rng = np.random.default_rng(11)
+        graphs = [random_graph(rng, n=40, p=0.2, weighted=True),
+                  pad_vertices(random_graph(rng, n=30, p=0.1), 45),
+                  empty_graph(5), disjoint_edges(4), erdos_renyi(3000, 10, 1)]
+        for g in graphs:
+            block = rng.standard_normal((g.n, 8)).astype(np.float32)
+            inputs = [block, block[:, ::3], block[:, :1], block[:, 0]]
+            for kind in ALL_KINDS:
+                if kind is OperatorKind.DENSITY and g.m == 0:
+                    continue
+                ref = _algebra_csr(g, kind).astype(np.float32)
+                for loader_fails in (False, True):
+                    with _product_path(loader_fails):
+                        op = make_operator(g, kind)
+                    for v in inputs:
+                        out = op.apply(v)
+                        assert out.dtype == np.float32
+                        assert out.tobytes() == (ref @ v).tobytes()
+
+    def test_float64_path_is_unchanged_next_to_float32(self):
+        # float64 input, and any other non-float32 input, takes the float64
+        # path before and after a float32 product, bit for bit as the algebra
+        rng = np.random.default_rng(12)
+        g = erdos_renyi(3000, 10, 2)
+        block = rng.standard_normal((g.n, 8))
+        inputs = [block, block[:, ::3], block[:, 0], np.arange(g.n), block.astype(np.float16)]
+        for kind in ALL_KINDS:
+            ref = _algebra_csr(g, kind)
+            for loader_fails in (False, True):
+                with _product_path(loader_fails):
+                    op = make_operator(g, kind)
+                for single_first in (False, True):
+                    if single_first:
+                        op.apply(block.astype(np.float32))
+                    for v in inputs:
+                        out = op.apply(v)
+                        assert out.dtype == np.float64
+                        assert out.tobytes() == (ref @ v.astype(np.float64)).tobytes()
+
     def test_column_index_out_of_range(self):
         # the kernel does no bounds checks, so the entries are checked first
         for col in (5, 3, -1):

@@ -20,6 +20,7 @@ from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
     BlockTridiagonal,
     block_quadrature_rules,
+    lanczos_block,
     lanczos_tridiagonalize,
     quadrature_rule,
 )
@@ -36,7 +37,13 @@ from spectrace.slq import (
     slq_trace_grid,
 )
 
-from conftest import empty_graph, explicit_operator, graph_from_edges, pad_vertices
+from conftest import (
+    disjoint_edges,
+    empty_graph,
+    explicit_operator,
+    graph_from_edges,
+    pad_vertices,
+)
 
 
 class TestConfig:
@@ -533,5 +540,94 @@ class TestGoldenBytes:
     ])
     def test_descriptor_json_digest(self, args, kind, digest):
         g = erdos_renyi(*args)
+        desc = netlsd_slq(g) if kind == "netlsd" else vnge_slq(g)
+        assert hashlib.sha256(descriptor_to_json(desc).encode()).hexdigest() == digest
+
+
+def _c6_copies(copies, isolated):
+    """copies disjoint 6-cycles, followed by isolated vertices."""
+    edges = [(6 * c + i, 6 * c + (i + 1) % 6) for c in range(copies) for i in range(6)]
+    return pad_vertices(graph_from_edges(6 * copies, edges), 6 * copies + isolated)
+
+
+class TestSinglePrecision:
+    """From MIN_PARALLEL_DIM rows on, probe blocks run in float32 with
+    float64 reductions; every bit stays deterministic."""
+
+    @pytest.fixture
+    def start_dtypes(self, monkeypatch):
+        """The dtype of every start block that lanczos_block receives."""
+        dtypes = []
+        real = slq.lanczos_block
+
+        def recording(op, start, s):
+            dtypes.append(start.dtype)
+            return real(op, start, s)
+
+        monkeypatch.setattr(slq, "lanczos_block", recording)
+        return dtypes
+
+    @staticmethod
+    def _float64_steps(op, cfg):
+        """Step counts of the first block's probes in float64, as below the
+        switch."""
+        block = np.zeros((op.dim, BLOCK_WIDTH))
+        for j in range(min(BLOCK_WIDTH, cfg.n_v)):
+            v = _fresh_probe(cfg.seed, j, op.dim, cfg.distribution)
+            block[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
+        return lanczos_block(op, block, cfg.s).steps
+
+    @pytest.mark.parametrize("args", [(MIN_PARALLEL_DIM, 10, 2), (5000, 10, 0)])
+    def test_threads_do_not_change_bytes(self, start_dtypes, args):
+        g = erdos_renyi(*args)
+        for describe in (netlsd_slq, vnge_slq):
+            one, two = (descriptor_to_json(describe(g, threads=threads)) for threads in (1, 2))
+            assert one == two
+        assert set(start_dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("args", [(MIN_PARALLEL_DIM, 10, 2), (5000, 10, 0)])
+    @pytest.mark.parametrize("kind", [OperatorKind.NORMALIZED_LAPLACIAN, OperatorKind.DENSITY])
+    def test_probe_prefix_property(self, start_dtypes, args, kind):
+        op = make_operator(erdos_renyi(*args), kind)
+        full = slq_trace(op, np.exp, SlqConfig(n_v=100, seed=9), threads=2)
+        for n_v in (1, BLOCK_WIDTH + 1, 97):
+            part = slq_trace(op, np.exp, SlqConfig(n_v=n_v, seed=9))
+            assert np.array_equal(full.per_vector[:n_v], part.per_vector)
+        assert set(start_dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("graph,steps", [("K2x1024", 2), ("C6x400+50", 4)])
+    @pytest.mark.parametrize("kind", [OperatorKind.NORMALIZED_LAPLACIAN, OperatorKind.DENSITY])
+    def test_invariant_subspace_breaks_down_as_in_float64(self, start_dtypes, graph, steps,
+                                                          kind):
+        # K2's spectrum has 2 distinct eigenvalues and C6's 4, isolated
+        # vertices adding none: float32 residuals stay near 1e-5 of the
+        # spectral radius there, so only the per-row rule stops the columns
+        g = disjoint_edges(1024) if graph == "K2x1024" else _c6_copies(400, 50)
+        op = make_operator(g, kind)
+        assert op.dim >= MIN_PARALLEL_DIM
+        cfg = SlqConfig(n_v=BLOCK_WIDTH, s=10, seed=3)
+        tri = _probe_block(op, cfg, 0)
+        assert start_dtypes == [np.dtype(np.float32)]
+        assert np.array_equal(tri.steps, self._float64_steps(op, cfg))
+        assert (tri.steps == steps).all()
+
+    @pytest.mark.parametrize("args", [(MIN_PARALLEL_DIM, 10, 2), (5000, 10, 0)])
+    @pytest.mark.parametrize("kind", [OperatorKind.NORMALIZED_LAPLACIAN, OperatorKind.DENSITY])
+    def test_er_probes_run_every_step(self, start_dtypes, args, kind):
+        op = make_operator(erdos_renyi(*args), kind)
+        cfg = SlqConfig()
+        for first in range(0, cfg.n_v, BLOCK_WIDTH):
+            # the last block's zero padding stops at its first step
+            steps = _probe_block(op, cfg, first).steps[: cfg.n_v - first]
+            assert (steps == cfg.s).all()
+        assert set(start_dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("netlsd", "475c0f17b5311c8227a913a58dba98fa5591cef30f25c3b5b4d9edb7791a3a9a"),
+        ("vnge", "50a5c884be8bbcbe026b3cc454cdb8d5d263cca3334c92639b1aa23e6cd15f3f"),
+    ])
+    def test_descriptor_json_digest(self, kind, digest):
+        # pinned to the float32 blocks: a change to these bytes is deliberate
+        g = erdos_renyi(MIN_PARALLEL_DIM, 10, 2)
         desc = netlsd_slq(g) if kind == "netlsd" else vnge_slq(g)
         assert hashlib.sha256(descriptor_to_json(desc).encode()).hexdigest() == digest
