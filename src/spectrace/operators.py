@@ -220,12 +220,14 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     A product runs scipy's compiled COO kernel on the entries: the calls
     ``coo_matrix.__matmul__`` makes, so every product has the same bits. If
     the kernel cannot be loaded by file, the product is a
-    ``scipy.sparse.coo_matrix``'s. The dtype of the input picks the path:
-    float32 input, such as the Lanczos blocks of large operators, is
-    multiplied in float32 by a float32 copy of the entries, made at its
-    first use; any other input is made C-contiguous float64 and multiplied
-    by the float64 entries. The float64 path is the only one that
-    ``eigsh``, the deflated baseline operators and every small graph use.
+    ``scipy.sparse.coo_matrix``'s. Either way the input is checked and cast
+    first, in one place: float32 input, such as the Lanczos blocks of large
+    operators, is multiplied in float32 by a float32 copy of the entries,
+    made at its first use; any other input is made C-contiguous float64 and
+    multiplied by the float64 entries. An input that is not an (n,) vector
+    or an (n, W) block raises ValueError. The float64 path is the only one
+    that ``eigsh``, the deflated baseline operators and every small graph
+    use.
 
     Raises
     ------
@@ -237,41 +239,32 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     rows, cols, vals, interval = _entries(g, kind)
     n, nnz = g.n, len(vals)
     kernels = _coo_kernels()
-    if kernels is None:
+
+    @cache
+    def entries(dtype: np.dtype):
+        """The entries' values in dtype, or the fallback's matrix of them."""
+        if kernels is not None:
+            return vals.astype(dtype, copy=False)
         import scipy.sparse
 
-        def coo(data):
-            return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-
-        mat, mat32 = coo(vals), cache(lambda: coo(vals.astype(np.float32)))
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            return (mat32() if _is_single(x) else mat) @ x
-
-        return LinearOperator(dim=n, apply=apply, interval=interval)
-    matvec, matmat = kernels
-    vals32 = cache(lambda: vals.astype(np.float32))
+        return scipy.sparse.coo_matrix((vals.astype(dtype, copy=False), (rows, cols)), shape=(n, n))
 
     def apply(x: np.ndarray) -> np.ndarray:
-        single = _is_single(x)
+        single = getattr(x, "dtype", None) == np.float32
         x = np.ascontiguousarray(x, dtype=np.float32 if single else np.float64)
-        # the kernel reads x without bounds checks
+        # checked here for both paths: the kernel reads x without bounds checks
         if x.ndim > 2 or x.shape[0] != n:
             raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
-        data = vals32() if single else vals
+        if kernels is None:
+            return entries(x.dtype) @ x
         out = np.zeros(x.shape, x.dtype)
         if x.ndim == 1:
-            matvec(nnz, rows, cols, data, x, out)
+            kernels[0](nnz, rows, cols, entries(x.dtype), x, out)
         else:
-            matmat(nnz, x.shape[1], rows, cols, data, x.ravel("C"), out)
+            kernels[1](nnz, x.shape[1], rows, cols, entries(x.dtype), x.ravel("C"), out)
         return out
 
     return LinearOperator(dim=n, apply=apply, interval=interval)
-
-
-def _is_single(x) -> bool:
-    """Whether a product with x runs in float32: x is a float32 array."""
-    return getattr(x, "dtype", None) == np.float32
 
 
 def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:

@@ -18,26 +18,27 @@ to at least ``BLOCK_WIDTH`` columns: a one-column block runs other numpy
 kernels. ``lanczos_block`` on ER(300) and ER(5000) gave a column the same
 alpha and beta bits at widths 2 to 256 but other bits at width 1, and
 blocks without padding changed descriptor bytes (``vnge_slq`` on ER(2048)
-at n_v = 1 and 9, whose last block holds one probe). Blocks hold
-``BLOCK_WIDTH`` probes on operators of ``MIN_PARALLEL_DIM`` rows or more;
-below that the probes fill the fewest blocks of at most
-``MAX_BLOCK_WIDTH``, so up to that many probes run as one block. The
+at n_v = 1 and 9, whose last block holds one probe). The probes fill the
+fewest blocks of one width, a multiple of ``BLOCK_WIDTH``, that a cap
+allows: ``MAX_BLOCK_WIDTH`` below ``MIN_PARALLEL_DIM`` rows, so up to that
+many probes run as one block, and ``BLOCK_WIDTH`` from it on. The
 calling thread and ``threads - 1`` helper threads each take the next
 block not yet started (the compiled sparse product releases the GIL: two
 threads ran ``vnge_slq`` at n=20k 1.2-1.8x faster than one on a 2-core
-Xeon), and the blocks' rules are gathered in probe order. f is
-applied to the whole (n_v, s) node array, and slq_trace_grid applies it
-to tiles of grid points at once; both integrate with one einsum.
+Xeon), and the blocks' rules are gathered in probe order. slq_trace is
+slq_trace_grid at one point: f is applied to the (n_v, s) node array for
+tiles of grid points at once, and each tile is integrated with one einsum.
 
 On operators of ``MIN_PARALLEL_DIM`` rows or more the blocks are float32,
-with float64 alpha and beta and column dots summed over fixed chunks of
-rows (``lanczos.lanczos_block``); below it every bit is float64, as the
-small-graph tests and digests pin. A float32 column also keeps its
-arithmetic whatever block and thread it runs in, so the determinism above
-holds on both sides of the switch. Above it, a probe's numbers differ
-from its float64 ones: on ER graphs of 2048-5000 vertices by at most
-0.01 standard errors, and by 0.19 at large t for the heat trace of 1024
-disjoint edges (the eigenvalue-0 node moves by about 6e-6).
+with float64 alpha and beta, column dots summed over fixed chunks of
+rows and a looser breakdown tolerance (``lanczos.lanczos_block``); below
+it every bit is float64, as the small-graph tests and digests pin. A
+float32 column also keeps its arithmetic whatever block and thread it runs
+in, so the determinism above holds on both sides of the switch. Above it,
+a probe's numbers differ from its float64 ones: on ER graphs of 2048-5000
+vertices by at most 0.01 standard errors, and by 0.19 at large t for the
+heat trace of 1024 disjoint edges (the eigenvalue-0 node moves by about
+6e-6).
 
 The one-block path takes its raw probes from a probe bank, one per
 process (``_probe_bank``): row i is probe i drawn at MIN_PARALLEL_DIM - 1
@@ -191,14 +192,16 @@ def _probe_block(
 def _probe_rules(
     op: LinearOperator, cfg: SlqConfig, threads: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped (n_v, s) Gauss nodes and weights of every probe, in probe order."""
-    width = BLOCK_WIDTH
-    if op.dim < MIN_PARALLEL_DIM:
-        # the fewest blocks that MAX_BLOCK_WIDTH allows, of equal width padded
-        # to a multiple of BLOCK_WIDTH: a one-column block would give its
-        # probe other bits than the wider block it runs in for other n_v
-        count = -(-cfg.n_v // MAX_BLOCK_WIDTH)
-        width = -(-cfg.n_v // (count * BLOCK_WIDTH)) * BLOCK_WIDTH
+    """Clamped (n_v, s) Gauss nodes and weights of every probe, in probe order.
+
+    The probes fill the fewest blocks that the cap allows (see the module
+    docstring), all of one width padded to a multiple of BLOCK_WIDTH: a
+    one-column block would give its probe other bits than the wider block
+    it runs in for other n_v.
+    """
+    cap = MAX_BLOCK_WIDTH if op.dim < MIN_PARALLEL_DIM else BLOCK_WIDTH
+    count = -(-cfg.n_v // cap)
+    width = -(-cfg.n_v // (count * BLOCK_WIDTH)) * BLOCK_WIDTH
     firsts = range(0, cfg.n_v, width)
     # The calling thread runs blocks next to threads - 1 helpers, each thread
     # taking the next block not yet started: an idle calling thread would
@@ -271,11 +274,10 @@ def slq_trace(
     functions like x*ln(x) never see slightly negative Ritz values; a rule
     shortened by breakdown pads its row with zero-weight copies of its last
     node. Deterministic for a fixed cfg regardless of ``threads``: blocks
-    are gathered in ascending probe order.
+    are gathered in ascending probe order. This is slq_trace_grid at one
+    point, with f for every point.
     """
-    nodes, weights = _probe_rules(op, cfg, threads)
-    values = np.asarray(f(nodes), dtype=np.float64)
-    return _integrate(nodes, weights, op.dim, values[None])[0]
+    return slq_trace_grid(op, lambda t: f, (0.0,), cfg, threads=threads)[0]
 
 
 def slq_trace_grid(
@@ -290,11 +292,12 @@ def slq_trace_grid(
 
     f_family is called with a (k, 1, 1) array of consecutive grid points and
     must return an f that broadcasts it against the (n_v, s) node array to
-    (k, n_v, s) values, as ``lambda x: np.exp(-t * x)`` does. Grid points go
+    (k, n_v, s) values, as ``lambda x: np.exp(-t * x)`` does; values that
+    do not depend on the points are broadcast over them. Grid points go
     in tiles of at most about 32k node values, each integrated at once.
-    Bit-identical to calling slq_trace(op, f_family(t), cfg) per point: the
-    rules depend only on cfg, f acts elementwise, and every point is summed
-    in the same order.
+    Each point's estimate has the bits of a grid of that point alone, as
+    slq_trace(op, f_family(t), cfg) computes it: the rules depend only on
+    cfg, f acts elementwise, and every point is summed in the same order.
     """
     nodes, weights = _probe_rules(op, cfg, threads)
     ts = np.asarray(grid, dtype=np.float64).reshape(-1, 1, 1)
@@ -303,5 +306,6 @@ def slq_trace_grid(
     for start in range(0, len(ts), tile):
         t = ts[start : start + tile]
         values = np.asarray(f_family(t)(nodes), dtype=np.float64)
-        estimates += _integrate(nodes, weights, op.dim, values)
+        estimates += _integrate(nodes, weights, op.dim,
+                                np.broadcast_to(values, (len(t),) + nodes.shape))
     return estimates

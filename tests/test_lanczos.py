@@ -14,18 +14,26 @@ from spectrace.lanczos import (
     BlockTridiagonal,
     block_quadrature_rules,
     extremal_eigenvalues,
+    lanczos_block,
     lanczos_error_bound,
     lanczos_tridiagonalize,
     quadrature_rule,
     Tridiagonal,
 )
-from spectrace.operators import DENSE_SPECTRUM_CAP, OperatorKind, dense_spectrum, make_operator
+from spectrace.operators import (
+    DENSE_SPECTRUM_CAP,
+    LinearOperator,
+    OperatorKind,
+    dense_spectrum,
+    make_operator,
+)
 
 from conftest import (
     dense_operator_matrix,
     disjoint_edges,
     empty_graph,
     explicit_operator,
+    graph_from_edges,
     pad_vertices,
     random_graph,
 )
@@ -95,6 +103,37 @@ class TestTridiagonalize:
         tri = lanczos_tridiagonalize(op, np.array([1.0, 0, 0, 0]), 4)
         assert tri.steps == 1
         assert tri.alpha[0] == 0.0
+
+    def test_loose_spectral_bound_stops_no_column(self):
+        # breakdown is measured against each column's own tridiagonal rows,
+        # so a spectral bound 1e12 times too loose changes no bit of a run
+        op = make_operator(erdos_renyi(300, 10, 0), OperatorKind.NORMALIZED_LAPLACIAN)
+        loose = LinearOperator(op.dim, op.apply, (0.0, 1e12))
+        start = np.random.default_rng(5).standard_normal((op.dim, 8))
+        start /= np.linalg.norm(start, axis=0)
+        for dtype in (np.float64, np.float32):
+            true, wide = (lanczos_block(o, start.astype(dtype), 10) for o in (op, loose))
+            for name in ("alpha", "beta", "steps"):
+                assert np.array_equal(getattr(true, name), getattr(wide, name))
+            assert (true.steps == 10).all()
+        for reorth in (False, True):
+            true, wide = (lanczos_tridiagonalize(o, start[:, 0], 10, reorth=reorth)
+                          for o in (op, loose))
+            assert true.steps == wide.steps == 10
+            assert np.array_equal(true.alpha, wide.alpha)
+            assert np.array_equal(true.beta, wide.beta)
+
+    def test_breakdown_against_largest_row(self):
+        # the star's density matrix has 3 distinct eigenvalues, 0, 0.01 and
+        # 0.51; at step 3 rounding leaves a residual near 1e-13 of the
+        # largest row, but above 1e-12 of the small third row
+        op = make_operator(graph_from_edges(51, [(0, i) for i in range(1, 51)]),
+                           OperatorKind.DENSITY)
+        start = np.random.default_rng(6).standard_normal((op.dim, 8))
+        start /= np.linalg.norm(start, axis=0)
+        assert (lanczos_block(op, start.copy(), 10).steps == 3).all()
+        for reorth in (False, True):
+            assert lanczos_tridiagonalize(op, start[:, 0], 10, reorth=reorth).steps == 3
 
 
 class TestQuadratureRule:

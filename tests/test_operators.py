@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,19 @@ class TestMakeOperator:
                     with _product_path(loader_fails):
                         with pytest.raises(ValueError, match=f"column index {col} outside"):
                             make_operator(g, kind)
+
+    def test_wrong_shape_raises_on_both_paths(self):
+        # the kernel and the scipy.sparse fallback check their input alike,
+        # for float64 and for float32 input
+        g = erdos_renyi(50, 4, 0)
+        for loader_fails in (False, True):
+            with _product_path(loader_fails):
+                op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
+            for x in (np.ones(49), np.ones((51, 8)), np.ones((50, 2, 2))):
+                for dtype in (np.float64, np.float32):
+                    message = f"operator of dimension 50 cannot apply to shape {x.shape}"
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        op.apply(x.astype(dtype))
 
     def test_kernel_loads_by_file(self):
         # the extension leaves sys.modules as it found it, and a later
