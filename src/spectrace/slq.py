@@ -48,6 +48,16 @@ draw, so a corpus of small graphs draws its probes once instead of once
 per graph, with the same bits. The bank holds at most MAX_BLOCK_WIDTH x
 (MIN_PARALLEL_DIM - 1) floats, 4.2 MB (1.6 MB at n_v=100), and only the
 latest (seed, distribution, n_v) is kept.
+
+From MIN_PARALLEL_DIM rows on, up to MAX_BLOCK_WIDTH Rademacher probes come
+from a sign bank, one per process (``_sign_bank``): a normalized sign probe
+is exactly +-1/sqrt(n), so the bank keeps only each probe's packed signs,
+n_v x ceil(n / 8) bytes (250 KB at n_v=100 and n=20k, 12.5 MB at n=1M), and
+only the latest (seed, n_v, n). Each block draws its own probes the first
+time it runs, so a series of graphs of one size, as ``snapshots`` walks,
+draws every probe once, and the first graph's draws still spread over the
+threads. Gaussian probes and more than MAX_BLOCK_WIDTH probes are drawn
+probe by probe for every block.
 """
 
 from __future__ import annotations
@@ -148,6 +158,19 @@ def _probe_bank(seed: int, distribution: str, n_v: int) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=1)
+def _sign_bank(seed: int, n_v: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed signs of n_v Rademacher probes of n entries, n_v x ceil(n / 8)
+    bytes, and which rows are drawn yet; the blocks fill the rows as they
+    first need them. Only the latest configuration is kept."""
+    return np.zeros((n_v, -(-n // 8)), np.uint8), np.zeros(n_v, bool)
+
+
+# Serializes _sign_bank's cache misses: two threads missing at once would
+# each fill a bank of their own, and only one of them would be kept.
+_SIGN_BANK_LOCK = threading.Lock()
+
+
 def _probe_block(
     op: LinearOperator, cfg: SlqConfig, first: int, width: int = BLOCK_WIDTH
 ) -> BlockTridiagonal:
@@ -164,14 +187,16 @@ def _probe_block(
     either way. That holds only up to 8192 entries, the size of numpy's
     einsum buffer: at 8193 the two sums differ (numpy 2.4.6), so the bank's
     rows, MIN_PARALLEL_DIM - 1 entries, must not outgrow it. The bank takes
-    at most 4.2 MB. Larger operators draw probe
-    by probe: stacking their draws was slower (an 8-probe block took 3.8
-    instead of 2.7 ms at n=20k on a 2-core Xeon). The bank is copied, never
-    used as the block, because lanczos_block overwrites its start.
+    at most 4.2 MB. It is copied, never used as the block, because
+    lanczos_block overwrites its start.
 
-    From MIN_PARALLEL_DIM rows on, the block is float32: each probe is
-    drawn and normalized in float64 as below it, then rounded, and
-    lanczos_block runs in float32 with float64 reductions.
+    From MIN_PARALLEL_DIM rows on, the block is float32, and lanczos_block
+    runs in float32 with float64 reductions. With at most MAX_BLOCK_WIDTH
+    Rademacher probes, each probe's signs are drawn once per process into
+    the sign bank (``_sign_bank``), and its column is +-1/sqrt(n) rounded
+    to float32: the bits of the per-probe draw, normalization in float64
+    and rounding, since the draw's v.v is exactly n. Other probes are drawn
+    probe by probe and normalized in float64, then rounded.
     """
     dtype = np.float64 if op.dim < MIN_PARALLEL_DIM else np.float32
     block = np.zeros((op.dim, width), dtype)
@@ -180,6 +205,21 @@ def _probe_block(
         raw = _probe_bank(cfg.seed, cfg.distribution, cfg.n_v)[first:last, : op.dim]
         norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
         block[:, : last - first] = (raw / norms[:, None]).T
+    elif cfg.distribution == "rademacher" and cfg.n_v <= MAX_BLOCK_WIDTH:
+        with _SIGN_BANK_LOCK:
+            signs, drawn = _sign_bank(cfg.seed, cfg.n_v, op.dim)
+        for index in range(first, last):
+            if not drawn[index]:
+                v = _draw_probe(cfg.seed, index, op.dim, cfg.distribution)
+                signs[index], drawn[index] = np.packbits(v > 0), True
+        # v.v is exactly n, so every normalized entry is +-1/sqrt(n) rounded,
+        # r or -r; 2r * bit - r is that, exactly, and ran 5x faster than
+        # np.where(bits, r, -r) on an (n, 8) block
+        r = np.float32(1.0 / np.sqrt(op.dim))
+        probes = block[:, : last - first]
+        bits = np.unpackbits(signs[first:last], axis=1, count=op.dim)
+        np.multiply(bits.T, 2 * r, out=probes, dtype=np.float32)
+        probes -= r
     else:
         # not np.linalg.norm: its BLAS dot starts OpenBLAS threads above 10k
         # entries, which then spin on the cores the workers need

@@ -11,6 +11,11 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from spectrace.errors import ConvergenceError, TridiagonalEigenError
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
+    _DOT_CHUNK,
+    _LONG_ROWS,
+    _LONG_VIEW_MIN_ROWS,
+    _column_dots,
+    _scale_columns,
     BlockTridiagonal,
     block_quadrature_rules,
     extremal_eigenvalues,
@@ -134,6 +139,54 @@ class TestTridiagonalize:
         assert (lanczos_block(op, start.copy(), 10).steps == 3).all()
         for reorth in (False, True):
             assert lanczos_tridiagonalize(op, start[:, 0], 10, reorth=reorth).steps == 3
+
+
+class TestBlockKernels:
+    """The column scaling and column dots of lanczos_block."""
+
+    @pytest.mark.parametrize("ufunc", [np.multiply, np.divide])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [8, 104])
+    @pytest.mark.parametrize("n", [
+        _LONG_ROWS - 1,  # fewer rows than one long row
+        _LONG_VIEW_MIN_ROWS,  # whole long rows only
+        _LONG_VIEW_MIN_ROWS + _LONG_ROWS + 77,  # whole long rows and a rest
+        20_000,
+    ])
+    def test_scaling_matches_plain_broadcast(self, ufunc, dtype, width, n):
+        rng = np.random.default_rng(n + width)
+        x = rng.standard_normal((n, width)).astype(dtype)
+        c = (rng.standard_normal(width) * 10.0 ** rng.integers(-30, 30, width)).astype(dtype)
+        expected = ufunc(x, c).tobytes()
+        assert _scale_columns(ufunc, x, c).tobytes() == expected
+        aliased = x.copy()
+        assert _scale_columns(ufunc, aliased, c, out=aliased) is aliased
+        assert aliased.tobytes() == expected
+        # a column slice is not contiguous: it takes the plain broadcast
+        wide = np.zeros((n, width + 3), dtype)
+        wide[:, :width] = x
+        assert _scale_columns(ufunc, wide[:, :width], c).tobytes() == expected
+        out = np.zeros((n, width + 3), dtype)
+        _scale_columns(ufunc, x, c, out=out[:, :width])
+        assert out[:, :width].tobytes() == expected
+        assert not out[:, width:].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [300, _DOT_CHUNK - 1, _DOT_CHUNK, 3 * _DOT_CHUNK + 5])
+    def test_column_dots_sum_fixed_chunks(self, dtype, n):
+        # each whole chunk is summed in the block's dtype and the chunk sums
+        # and the rest's sum are added in float64, in chunk order
+        rng = np.random.default_rng(n)
+        x, y = (rng.standard_normal((n, 8)).astype(dtype) for _ in range(2))
+        whole = n - n % _DOT_CHUNK
+        expected = np.zeros(8)
+        for start in range(0, whole, _DOT_CHUNK):
+            rows = slice(start, start + _DOT_CHUNK)
+            expected += np.einsum("ij,ij->j", x[rows], y[rows])
+        expected += np.einsum("ij,ij->j", x[whole:], y[whole:])
+        dots = _column_dots(x, y)
+        assert dots.dtype == np.float64
+        assert dots.tobytes() == expected.tobytes()
 
 
 class TestQuadratureRule:

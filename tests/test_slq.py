@@ -1,5 +1,6 @@
 """Stochastic Lanczos quadrature trace estimator."""
 
+import collections
 import hashlib
 import os
 import subprocess
@@ -33,6 +34,7 @@ from spectrace.slq import (
     _probe_bank,
     _probe_block,
     _probe_rules,
+    _sign_bank,
     slq_trace,
     slq_trace_grid,
 )
@@ -521,6 +523,126 @@ class TestProbeBank:
             tracemalloc.stop()
             _probe_bank.cache_clear()
         assert peak < MAX_BLOCK_WIDTH * (MIN_PARALLEL_DIM - 1) * 8 + 2**20
+
+
+class TestSignBank:
+    """From MIN_PARALLEL_DIM rows on, with at most MAX_BLOCK_WIDTH Rademacher
+    probes, probes come from one packed sign bank per process; every bit
+    stays that of a per-probe draw, normalized and rounded to float32."""
+
+    @staticmethod
+    def _counted_draws(monkeypatch):
+        """A Counter of the probe indices that _draw_probe is called for."""
+        calls = collections.Counter()
+        real = slq._draw_probe
+
+        def counting(seed, index, n, distribution):
+            calls[index] += 1
+            return real(seed, index, n, distribution)
+
+        monkeypatch.setattr(slq, "_draw_probe", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [MIN_PARALLEL_DIM, MIN_PARALLEL_DIM + 1, 3001, 20_000])
+    @pytest.mark.parametrize("n_v,first", [(1, 0), (100, 0), (100, 96), (MAX_BLOCK_WIDTH, 0),
+                                           (MAX_BLOCK_WIDTH, 96)])
+    def test_start_block_bits_match_per_probe(self, monkeypatch, n, n_v, first):
+        # the block lanczos_block receives equals the per-probe draw,
+        # normalization and float32 rounding bit for bit, zero-padded past
+        # the last probe, when the block draws its probes and when it reads
+        # them back from the bank
+        starts = []
+        monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
+        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+        cfg = SlqConfig(n_v=n_v, seed=11)
+        expected = np.zeros((n, BLOCK_WIDTH), np.float32)
+        for j, index in enumerate(range(first, min(first + BLOCK_WIDTH, n_v))):
+            v = _fresh_probe(cfg.seed, index, n, "rademacher")
+            expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
+        _sign_bank.cache_clear()
+        calls = self._counted_draws(monkeypatch)
+        _probe_block(op, cfg, first)
+        _probe_block(op, cfg, first)
+        assert calls == collections.Counter(range(first, min(first + BLOCK_WIDTH, n_v)))
+        assert [start.dtype for start in starts] == [np.dtype(np.float32)] * 2
+        assert starts[0].tobytes() == starts[1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_graphs_of_one_size_draw_each_probe_once(self, monkeypatch, threads):
+        # more threads than cores, switching often: a bank made twice by
+        # racing threads would lose rows and draw them again
+        calls = self._counted_draws(monkeypatch)
+        _sign_bank.cache_clear()
+        n = MIN_PARALLEL_DIM + 500
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for graph_seed in (1, 2):
+                vnge_slq(erdos_renyi(n, 6, graph_seed), threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == collections.Counter(range(SlqConfig().n_v))
+
+    @pytest.mark.parametrize("kwargs", [{"distribution": "gaussian"},
+                                        {"n_v": MAX_BLOCK_WIDTH + 1, "s": 2}])
+    def test_other_configs_draw_per_block(self, monkeypatch, kwargs):
+        def refuse(*args):
+            raise AssertionError("sign bank consulted")
+
+        monkeypatch.setattr(slq, "_sign_bank", refuse)
+        calls = self._counted_draws(monkeypatch)
+        op = make_operator(erdos_renyi(MIN_PARALLEL_DIM, 6, 1), OperatorKind.DENSITY)
+        cfg = SlqConfig(**kwargs)
+        for _ in range(2):
+            slq_trace(op, np.exp, cfg, threads=2)
+        assert calls == collections.Counter({index: 2 for index in range(cfg.n_v)})
+
+    def test_memory_bound(self, monkeypatch):
+        # 256 probes of 20k signs keep 256 x 2500 bytes; a block and one
+        # probe's draw come and go
+        monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: None)
+        n = 20_000
+        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+        cfg = SlqConfig(n_v=MAX_BLOCK_WIDTH)
+        bank = MAX_BLOCK_WIDTH * -(-n // 8)
+        _probe_block(op, SlqConfig(n_v=1), 0)  # numpy's lazy imports, untraced
+        _sign_bank.cache_clear()
+        tracemalloc.start()
+        try:
+            for first in range(0, cfg.n_v, BLOCK_WIDTH):
+                _probe_block(op, cfg, first)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _sign_bank.cache_clear()
+        assert kept < bank + 2**16
+        assert peak < bank + BLOCK_WIDTH * 4 * n + 40 * n
+
+    def test_bytes_do_not_depend_on_history(self):
+        # every run prints the bytes it prints in a new interpreter, whatever
+        # the process computed before it: ER(3000) again after another
+        # graph of 3000 vertices, one of 2500, another seed and another n_v
+        runs = [((3000, 6, 1), {}), ((3000, 6, 2), {}), ((2500, 6, 1), {}),
+                ((3000, 6, 1), {"seed": 4}), ((3000, 6, 1), {"n_v": 7})]
+        code = ("import ast, sys\n"
+                "from spectrace.descriptors import descriptor_to_json, netlsd_slq, vnge_slq\n"
+                "from spectrace.graphs import erdos_renyi\n"
+                "from spectrace.slq import SlqConfig\n"
+                "args, kwargs = ast.literal_eval(sys.argv[1])\n"
+                "g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)\n"
+                "print(descriptor_to_json(netlsd_slq(g, cfg=cfg)))\n"
+                "print(descriptor_to_json(vnge_slq(g, cfg=cfg)))\n")
+        src = str(Path(spectrace.__file__).resolve().parents[1])
+        fresh = [subprocess.run([sys.executable, "-c", code, repr(run)], check=True,
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": src}).stdout
+                 for run in runs]
+        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0):
+            args, kwargs = runs[i]
+            g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)
+            out = (descriptor_to_json(netlsd_slq(g, cfg=cfg)) + "\n"
+                   + descriptor_to_json(vnge_slq(g, cfg=cfg)) + "\n")
+            assert out == fresh[i]
 
 
 class TestGoldenBytes:
