@@ -40,24 +40,20 @@ vertices by at most 0.01 standard errors, and by 0.19 at large t for the
 heat trace of 1024 disjoint edges (the eigenvalue-0 node moves by about
 6e-6).
 
-The one-block path takes its raw probes from a probe bank, one per
-process (``_probe_bank``): row i is probe i drawn at MIN_PARALLEL_DIM - 1
-entries, and an n-vertex graph uses the first n. The first n values of a
-longer ``integers(0, 2)`` or ``standard_normal`` draw equal an n-long
-draw, so a corpus of small graphs draws its probes once instead of once
-per graph, with the same bits. The bank holds at most MAX_BLOCK_WIDTH x
-(MIN_PARALLEL_DIM - 1) floats, 4.2 MB (1.6 MB at n_v=100), and only the
-latest (seed, distribution, n_v) is kept.
-
-From MIN_PARALLEL_DIM rows on, up to MAX_BLOCK_WIDTH Rademacher probes come
-from a sign bank, one per process (``_sign_bank``): a normalized sign probe
-is exactly +-1/sqrt(n), so the bank keeps only each probe's packed signs,
-n_v x ceil(n / 8) bytes (250 KB at n_v=100 and n=20k, 12.5 MB at n=1M), and
-only the latest (seed, n_v, n). Each block draws its own probes the first
-time it runs, so a series of graphs of one size, as ``snapshots`` walks,
-draws every probe once, and the first graph's draws still spread over the
-threads. Gaussian probes and more than MAX_BLOCK_WIDTH probes are drawn
-probe by probe for every block.
+Up to MAX_BLOCK_WIDTH Rademacher probes come from a sign bank, one per
+process (``_sign_bank``): a normalized sign probe is exactly +-1/sqrt(n),
+so the bank keeps only each probe's packed signs, drawn at
+max(n, MIN_PARALLEL_DIM - 1) entries, and only the latest (seed, n_v,
+length). An n-vertex graph reads the first n signs of each row: the first
+n values of a longer ``integers(0, 2)`` draw equal an n-long draw. So every
+graph below MIN_PARALLEL_DIM shares one bank of n_v x 256 bytes (25.6 KB at
+n_v=100), and a corpus of small graphs draws its probes once instead of
+once per graph; from MIN_PARALLEL_DIM on the bank takes n_v x ceil(n / 8)
+bytes (250 KB at n_v=100 and n=20k, 12.5 MB at n=1M). Each block draws its
+own probes the first time it runs, so a series of graphs of one size, as
+``snapshots`` walks, draws every probe once, and the first graph's draws
+still spread over the threads. Gaussian probes and more than
+MAX_BLOCK_WIDTH probes are drawn probe by probe for every block.
 """
 
 from __future__ import annotations
@@ -85,12 +81,11 @@ BLOCK_WIDTH = 8
 # Xeon, two workers took 1.5x as long as one on ER graphs of 100-500
 # vertices, broke even near 2000, and were 1.4-1.8x faster from 3000 to
 # 10000 vertices. So smaller operators run up to MAX_BLOCK_WIDTH probes in
-# one block, one product and one set of vector updates per step. The probe
-# bank's rows have MIN_PARALLEL_DIM - 1 entries, which must stay at or below
-# 8192 (see _probe_block). From it on, blocks are float32, as a step is
-# bound by memory traffic. Below it they stay float64: float32 there was
-# about 15% faster per corpus graph, but it lost results that are exact on
-# small graphs, such as K2's entropy of 0 and per-probe quadratic forms.
+# one block, one product and one set of vector updates per step. From it
+# on, blocks are float32, as a step is bound by memory traffic. Below it
+# they stay float64: float32 there was about 15% faster per corpus graph,
+# but it lost results that are exact on small graphs, such as K2's entropy
+# of 0 and per-probe quadratic forms.
 MIN_PARALLEL_DIM = 2048
 # Widest block below MIN_PARALLEL_DIM. A block keeps three (n, width)
 # arrays alive, so the cap bounds memory whatever n_v is: vnge_slq at
@@ -147,23 +142,12 @@ def _draw_probe(seed: int, index: int, n: int, distribution: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _probe_bank(seed: int, distribution: str, n_v: int) -> np.ndarray:
-    """Read-only (n_v, MIN_PARALLEL_DIM - 1) array whose row i is probe i
-    drawn at the largest dimension that runs as one block; only the latest
-    configuration is kept."""
-    bank = np.empty((n_v, MIN_PARALLEL_DIM - 1))
-    for i in range(n_v):
-        bank[i] = _draw_probe(seed, i, MIN_PARALLEL_DIM - 1, distribution)
-    bank.flags.writeable = False
-    return bank
-
-
-@functools.lru_cache(maxsize=1)
-def _sign_bank(seed: int, n_v: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed signs of n_v Rademacher probes of n entries, n_v x ceil(n / 8)
-    bytes, and which rows are drawn yet; the blocks fill the rows as they
-    first need them. Only the latest configuration is kept."""
-    return np.zeros((n_v, -(-n // 8)), np.uint8), np.zeros(n_v, bool)
+def _sign_bank(seed: int, n_v: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed signs of n_v Rademacher probes of length entries, n_v x
+    ceil(length / 8) bytes, and which rows are drawn yet; the blocks fill
+    the rows as they first need them. Only the latest configuration is
+    kept."""
+    return np.zeros((n_v, -(-length // 8)), np.uint8), np.zeros(n_v, bool)
 
 
 # Serializes _sign_bank's cache misses: two threads missing at once would
@@ -179,46 +163,33 @@ def _probe_block(
     columns wide: a probe run alone in a one-column block gets other bits
     than in a wider one (see the module docstring).
 
-    Below MIN_PARALLEL_DIM, with at most MAX_BLOCK_WIDTH probes, the raw
-    probes are the first op.dim columns of the process's probe bank
-    (``_probe_bank``): the first n values of a longer ``integers(0, 2)`` or
-    ``standard_normal`` draw equal an n-long draw, and the row einsum sums
-    each probe as the per-probe one does, so the block holds the same bits
-    either way. That holds only up to 8192 entries, the size of numpy's
-    einsum buffer: at 8193 the two sums differ (numpy 2.4.6), so the bank's
-    rows, MIN_PARALLEL_DIM - 1 entries, must not outgrow it. The bank takes
-    at most 4.2 MB. It is copied, never used as the block, because
-    lanczos_block overwrites its start.
-
     From MIN_PARALLEL_DIM rows on, the block is float32, and lanczos_block
-    runs in float32 with float64 reductions. With at most MAX_BLOCK_WIDTH
-    Rademacher probes, each probe's signs are drawn once per process into
-    the sign bank (``_sign_bank``), and its column is +-1/sqrt(n) rounded
-    to float32: the bits of the per-probe draw, normalization in float64
-    and rounding, since the draw's v.v is exactly n. Other probes are drawn
-    probe by probe and normalized in float64, then rounded.
+    runs in float32 with float64 reductions; below it the block is float64.
+    With at most MAX_BLOCK_WIDTH Rademacher probes, each probe's signs are
+    drawn once per process into the sign bank (``_sign_bank``), and its
+    column is +-1/sqrt(n) rounded to the block's dtype: the bits of the
+    per-probe draw, normalization in float64 and rounding, since the
+    draw's v.v is exactly n. Other probes are drawn probe by probe and
+    normalized in float64, then rounded.
     """
     dtype = np.float64 if op.dim < MIN_PARALLEL_DIM else np.float32
     block = np.zeros((op.dim, width), dtype)
     last = min(first + width, cfg.n_v)
-    if op.dim < MIN_PARALLEL_DIM and cfg.n_v <= MAX_BLOCK_WIDTH:
-        raw = _probe_bank(cfg.seed, cfg.distribution, cfg.n_v)[first:last, : op.dim]
-        norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
-        block[:, : last - first] = (raw / norms[:, None]).T
-    elif cfg.distribution == "rademacher" and cfg.n_v <= MAX_BLOCK_WIDTH:
+    if cfg.distribution == "rademacher" and cfg.n_v <= MAX_BLOCK_WIDTH:
+        length = max(op.dim, MIN_PARALLEL_DIM - 1)
         with _SIGN_BANK_LOCK:
-            signs, drawn = _sign_bank(cfg.seed, cfg.n_v, op.dim)
+            signs, drawn = _sign_bank(cfg.seed, cfg.n_v, length)
         for index in range(first, last):
             if not drawn[index]:
-                v = _draw_probe(cfg.seed, index, op.dim, cfg.distribution)
+                v = _draw_probe(cfg.seed, index, length, cfg.distribution)
                 signs[index], drawn[index] = np.packbits(v > 0), True
         # v.v is exactly n, so every normalized entry is +-1/sqrt(n) rounded,
         # r or -r; 2r * bit - r is that, exactly, and ran 5x faster than
         # np.where(bits, r, -r) on an (n, 8) block
-        r = np.float32(1.0 / np.sqrt(op.dim))
+        r = dtype(1.0 / np.sqrt(op.dim))
         probes = block[:, : last - first]
         bits = np.unpackbits(signs[first:last], axis=1, count=op.dim)
-        np.multiply(bits.T, 2 * r, out=probes, dtype=np.float32)
+        np.multiply(bits.T, 2 * r, out=probes, dtype=dtype)
         probes -= r
     else:
         # not np.linalg.norm: its BLAS dot starts OpenBLAS threads above 10k

@@ -31,7 +31,6 @@ from spectrace.slq import (
     MAX_BLOCK_WIDTH,
     MIN_PARALLEL_DIM,
     SlqConfig,
-    _probe_bank,
     _probe_block,
     _probe_rules,
     _sign_bank,
@@ -437,98 +436,11 @@ def _fresh_probe(seed, index, n, distribution):
     return rng.standard_normal(n)
 
 
-class TestProbeBank:
-    """Below MIN_PARALLEL_DIM, with at most MAX_BLOCK_WIDTH probes, probes
-    come from one bank per process; every bit stays that of a fresh draw."""
-
-    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
-    @pytest.mark.parametrize("seed", [0, 2**40 + 7])
-    def test_rows_are_fresh_draws(self, seed, distribution):
-        bank = _probe_bank(seed, distribution, 5)
-        assert bank.shape == (5, MIN_PARALLEL_DIM - 1)
-        for n in (1, 2, 7, 300, MIN_PARALLEL_DIM - 1):
-            for i in range(5):
-                assert np.array_equal(bank[i, :n], _fresh_probe(seed, i, n, distribution))
-
-    def test_read_only(self):
-        bank = _probe_bank(0, "rademacher", 3)
-        assert not bank.flags.writeable
-        with pytest.raises(ValueError):
-            bank[0, 0] = 0.0
-
-    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
-    @pytest.mark.parametrize("n", [1, 2, 300, MIN_PARALLEL_DIM - 1])
-    @pytest.mark.parametrize("n_v,first,width", [(1, 0, BLOCK_WIDTH), (100, 0, 104),
-                                                 (MAX_BLOCK_WIDTH, 8, BLOCK_WIDTH)])
-    def test_start_block_bits_match_per_probe(self, monkeypatch, distribution, n, n_v,
-                                              first, width):
-        # the block lanczos_block receives equals the per-probe draw and
-        # normalization bit for bit, zero-padded past the last probe
-        starts = []
-        monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
-        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
-        cfg = SlqConfig(n_v=n_v, distribution=distribution, seed=11)
-        _probe_block(op, cfg, first, width)
-        expected = np.zeros((n, width))
-        for j, index in enumerate(range(first, min(first + width, n_v))):
-            v = _fresh_probe(cfg.seed, index, n, distribution)
-            expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
-        assert np.array_equal(starts[0], expected)
-
-    @pytest.mark.parametrize("n,n_v", [(MIN_PARALLEL_DIM, 9), (300, MAX_BLOCK_WIDTH + 1)])
-    def test_not_consulted_past_one_block(self, monkeypatch, n, n_v):
-        def refuse(*args):
-            raise AssertionError("probe bank consulted")
-
-        monkeypatch.setattr(slq, "_probe_bank", refuse)
-        op = make_operator(erdos_renyi(n, 6, seed=1), OperatorKind.NORMALIZED_LAPLACIAN)
-        est = slq_trace(op, np.exp, SlqConfig(n_v=n_v, s=4, seed=2))
-        assert est.per_vector.shape == (n_v,)
-
-    def test_bytes_do_not_depend_on_history(self):
-        # every run prints the bytes it prints in a new interpreter, whatever
-        # the process computed before it: ER(300) again after ER(2047), ER(5),
-        # another seed and law, and another n_v
-        runs = [((300, 4, 1), {}), ((MIN_PARALLEL_DIM - 1, 10, 2), {}),
-                ((5, 2, 0), {}), ((300, 4, 1), {"seed": 4, "distribution": "gaussian"}),
-                ((300, 4, 1), {"n_v": 7})]
-        code = ("import ast, sys\n"
-                "from spectrace.descriptors import descriptor_to_json, netlsd_slq, vnge_slq\n"
-                "from spectrace.graphs import erdos_renyi\n"
-                "from spectrace.slq import SlqConfig\n"
-                "args, kwargs = ast.literal_eval(sys.argv[1])\n"
-                "g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)\n"
-                "print(descriptor_to_json(netlsd_slq(g, cfg=cfg)))\n"
-                "print(descriptor_to_json(vnge_slq(g, cfg=cfg)))\n")
-        src = str(Path(spectrace.__file__).resolve().parents[1])
-        fresh = [subprocess.run([sys.executable, "-c", code, repr(run)], check=True,
-                                capture_output=True, text=True, timeout=120,
-                                env={**os.environ, "PYTHONPATH": src}).stdout
-                 for run in runs]
-        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0):
-            args, kwargs = runs[i]
-            g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)
-            out = (descriptor_to_json(netlsd_slq(g, cfg=cfg)) + "\n"
-                   + descriptor_to_json(vnge_slq(g, cfg=cfg)) + "\n")
-            assert out == fresh[i]
-
-    def test_memory_bound(self):
-        # 256 x 2047 float64 take 4.0 MiB; drawing adds one row at a time
-        _probe_bank.cache_clear()
-        tracemalloc.start()
-        try:
-            _probe_bank(0, "rademacher", MAX_BLOCK_WIDTH)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            _probe_bank.cache_clear()
-        assert peak < MAX_BLOCK_WIDTH * (MIN_PARALLEL_DIM - 1) * 8 + 2**20
-
-
 class TestSignBank:
-    """From MIN_PARALLEL_DIM rows on, with at most MAX_BLOCK_WIDTH Rademacher
-    probes, probes come from one packed sign bank per process; every bit
-    stays that of a per-probe draw, normalized and rounded to float32."""
+    """With at most MAX_BLOCK_WIDTH Rademacher probes, probes come from one
+    packed sign bank per process on both sides of MIN_PARALLEL_DIM; every bit
+    stays that of a per-probe draw, normalized in float64 and rounded to the
+    block's dtype."""
 
     @staticmethod
     def _counted_draws(monkeypatch):
@@ -543,29 +455,41 @@ class TestSignBank:
         monkeypatch.setattr(slq, "_draw_probe", counting)
         return calls
 
-    @pytest.mark.parametrize("n", [MIN_PARALLEL_DIM, MIN_PARALLEL_DIM + 1, 3001, 20_000])
+    @pytest.mark.parametrize("n", [1, 2, 300, MIN_PARALLEL_DIM - 1, MIN_PARALLEL_DIM,
+                                   MIN_PARALLEL_DIM + 1, 3001, 20_000])
     @pytest.mark.parametrize("n_v,first", [(1, 0), (100, 0), (100, 96), (MAX_BLOCK_WIDTH, 0),
-                                           (MAX_BLOCK_WIDTH, 96)])
+                                           (MAX_BLOCK_WIDTH, 8), (MAX_BLOCK_WIDTH, 96)])
     def test_start_block_bits_match_per_probe(self, monkeypatch, n, n_v, first):
-        # the block lanczos_block receives equals the per-probe draw,
-        # normalization and float32 rounding bit for bit, zero-padded past
-        # the last probe, when the block draws its probes and when it reads
-        # them back from the bank
+        # for both laws, the block lanczos_block receives equals the per-probe
+        # draw, normalized in float64 and rounded to the block's dtype, bit
+        # for bit, zero-padded past the last probe, when the block draws its
+        # probes and when it reads them back; below the switch also at the
+        # width of the one block that runs every probe
         starts = []
         monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
-        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
-        cfg = SlqConfig(n_v=n_v, seed=11)
-        expected = np.zeros((n, BLOCK_WIDTH), np.float32)
-        for j, index in enumerate(range(first, min(first + BLOCK_WIDTH, n_v))):
-            v = _fresh_probe(cfg.seed, index, n, "rademacher")
-            expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
-        _sign_bank.cache_clear()
         calls = self._counted_draws(monkeypatch)
-        _probe_block(op, cfg, first)
-        _probe_block(op, cfg, first)
-        assert calls == collections.Counter(range(first, min(first + BLOCK_WIDTH, n_v)))
-        assert [start.dtype for start in starts] == [np.dtype(np.float32)] * 2
-        assert starts[0].tobytes() == starts[1].tobytes() == expected.tobytes()
+        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+        dtype = np.dtype(np.float64 if n < MIN_PARALLEL_DIM else np.float32)
+        widths = {BLOCK_WIDTH}
+        if n < MIN_PARALLEL_DIM and first == 0:
+            widths.add(-(-n_v // BLOCK_WIDTH) * BLOCK_WIDTH)
+        for distribution, draws in (("rademacher", 1), ("gaussian", 2)):
+            cfg = SlqConfig(n_v=n_v, distribution=distribution, seed=11)
+            for width in sorted(widths):
+                probes = range(first, min(first + width, n_v))
+                expected = np.zeros((n, width))
+                for j, index in enumerate(probes):
+                    v = _fresh_probe(cfg.seed, index, n, distribution)
+                    expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
+                _sign_bank.cache_clear()
+                calls.clear()
+                starts.clear()
+                _probe_block(op, cfg, first, width)
+                _probe_block(op, cfg, first, width)
+                assert calls == collections.Counter({index: draws for index in probes})
+                assert [start.dtype for start in starts] == [dtype] * 2
+                assert starts[0].tobytes() == starts[1].tobytes() == \
+                    expected.astype(dtype).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_graphs_of_one_size_draw_each_probe_once(self, monkeypatch, threads):
@@ -583,47 +507,74 @@ class TestSignBank:
             sys.setswitchinterval(interval)
         assert calls == collections.Counter(range(SlqConfig().n_v))
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_corpus_draws_each_probe_once(self, monkeypatch, threads):
+        # graphs of mixed sizes below the switch read prefixes of one bank's
+        # rows, so the whole corpus draws every probe once
+        calls = self._counted_draws(monkeypatch)
+        _sign_bank.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (120, 300, MIN_PARALLEL_DIM - 1, 500):
+                g = erdos_renyi(n, 4, 1)
+                netlsd_slq(g, threads=threads)
+                vnge_slq(g, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == collections.Counter(range(SlqConfig().n_v))
+
+    @pytest.mark.parametrize("n", [300, MIN_PARALLEL_DIM])
     @pytest.mark.parametrize("kwargs", [{"distribution": "gaussian"},
                                         {"n_v": MAX_BLOCK_WIDTH + 1, "s": 2}])
-    def test_other_configs_draw_per_block(self, monkeypatch, kwargs):
+    def test_other_configs_draw_per_block(self, monkeypatch, kwargs, n):
         def refuse(*args):
             raise AssertionError("sign bank consulted")
 
         monkeypatch.setattr(slq, "_sign_bank", refuse)
         calls = self._counted_draws(monkeypatch)
-        op = make_operator(erdos_renyi(MIN_PARALLEL_DIM, 6, 1), OperatorKind.DENSITY)
+        op = make_operator(erdos_renyi(n, 6, 1), OperatorKind.DENSITY)
         cfg = SlqConfig(**kwargs)
         for _ in range(2):
             slq_trace(op, np.exp, cfg, threads=2)
         assert calls == collections.Counter({index: 2 for index in range(cfg.n_v)})
 
     def test_memory_bound(self, monkeypatch):
-        # 256 probes of 20k signs keep 256 x 2500 bytes; a block and one
-        # probe's draw come and go
+        # 256 probes keep 256 x ceil(max(n, 2047) / 8) bytes: 256 x 256 below
+        # the switch, 256 x 2500 at 20k; a block and one probe's draw come
+        # and go
         monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: None)
-        n = 20_000
-        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
         cfg = SlqConfig(n_v=MAX_BLOCK_WIDTH)
-        bank = MAX_BLOCK_WIDTH * -(-n // 8)
-        _probe_block(op, SlqConfig(n_v=1), 0)  # numpy's lazy imports, untraced
-        _sign_bank.cache_clear()
-        tracemalloc.start()
-        try:
-            for first in range(0, cfg.n_v, BLOCK_WIDTH):
-                _probe_block(op, cfg, first)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        for n, itemsize in ((300, 8), (20_000, 4)):
+            op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+            length = max(n, MIN_PARALLEL_DIM - 1)
+            bank = MAX_BLOCK_WIDTH * -(-length // 8)
+            _probe_block(op, SlqConfig(n_v=1), 0)  # numpy's lazy imports, untraced
             _sign_bank.cache_clear()
-        assert kept < bank + 2**16
-        assert peak < bank + BLOCK_WIDTH * 4 * n + 40 * n
+            tracemalloc.start()
+            try:
+                for first in range(0, cfg.n_v, BLOCK_WIDTH):
+                    _probe_block(op, cfg, first)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                _sign_bank.cache_clear()
+            assert kept < bank + 2**16
+            assert peak < bank + BLOCK_WIDTH * itemsize * n + 40 * length
 
     def test_bytes_do_not_depend_on_history(self):
         # every run prints the bytes it prints in a new interpreter, whatever
-        # the process computed before it: ER(3000) again after another
-        # graph of 3000 vertices, one of 2500, another seed and another n_v
-        runs = [((3000, 6, 1), {}), ((3000, 6, 2), {}), ((2500, 6, 1), {}),
-                ((3000, 6, 1), {"seed": 4}), ((3000, 6, 1), {"n_v": 7})]
+        # the process computed before it: below the switch, ER(300) again
+        # after ER(2047), ER(5), another seed and law, and another n_v; above
+        # it, ER(3000) again after another graph of 3000 vertices, one of
+        # 2500, another seed and another n_v; then ER(300) after ER(3000),
+        # where the bank's rows shrink from 3000 to 2047 signs, and ER(2047)
+        # after ER(2048)
+        runs = [((300, 4, 1), {}), ((MIN_PARALLEL_DIM - 1, 10, 2), {}),
+                ((5, 2, 0), {}), ((300, 4, 1), {"seed": 4, "distribution": "gaussian"}),
+                ((300, 4, 1), {"n_v": 7}), ((3000, 6, 1), {}), ((3000, 6, 2), {}),
+                ((2500, 6, 1), {}), ((3000, 6, 1), {"seed": 4}), ((3000, 6, 1), {"n_v": 7}),
+                ((MIN_PARALLEL_DIM, 10, 2), {})]
         code = ("import ast, sys\n"
                 "from spectrace.descriptors import descriptor_to_json, netlsd_slq, vnge_slq\n"
                 "from spectrace.graphs import erdos_renyi\n"
@@ -637,7 +588,7 @@ class TestSignBank:
                                 capture_output=True, text=True, timeout=120,
                                 env={**os.environ, "PYTHONPATH": src}).stdout
                  for run in runs]
-        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0):
+        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 6, 5, 7, 5, 8, 5, 9, 5, 0, 10, 1):
             args, kwargs = runs[i]
             g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)
             out = (descriptor_to_json(netlsd_slq(g, cfg=cfg)) + "\n"
