@@ -436,82 +436,113 @@ def _fresh_probe(seed, index, n, distribution):
     return rng.standard_normal(n)
 
 
-class TestSignBank:
-    """With at most MAX_BLOCK_WIDTH Rademacher probes, probes come from one
-    packed sign bank per process on both sides of MIN_PARALLEL_DIM; every bit
-    stays that of a per-probe draw, normalized in float64 and rounded to the
-    block's dtype."""
+def _counted_draws(monkeypatch):
+    """A Counter of the probe indices that _draw_probe is called for."""
+    calls = collections.Counter()
+    real = slq._draw_probe
 
-    @staticmethod
-    def _counted_draws(monkeypatch):
-        """A Counter of the probe indices that _draw_probe is called for."""
-        calls = collections.Counter()
-        real = slq._draw_probe
+    def counting(seed, index, n, distribution):
+        calls[index] += 1
+        return real(seed, index, n, distribution)
 
-        def counting(seed, index, n, distribution):
-            calls[index] += 1
-            return real(seed, index, n, distribution)
+    monkeypatch.setattr(slq, "_draw_probe", counting)
+    return calls
 
-        monkeypatch.setattr(slq, "_draw_probe", counting)
-        return calls
 
-    @pytest.mark.parametrize("n", [1, 2, 300, MIN_PARALLEL_DIM - 1, MIN_PARALLEL_DIM,
-                                   MIN_PARALLEL_DIM + 1, 3001, 20_000])
-    @pytest.mark.parametrize("n_v,first", [(1, 0), (100, 0), (100, 96), (MAX_BLOCK_WIDTH, 0),
-                                           (MAX_BLOCK_WIDTH, 8), (MAX_BLOCK_WIDTH, 96)])
-    def test_start_block_bits_match_per_probe(self, monkeypatch, n, n_v, first):
-        # for both laws, the block lanczos_block receives equals the per-probe
-        # draw, normalized in float64 and rounded to the block's dtype, bit
-        # for bit, zero-padded past the last probe, when the block draws its
-        # probes and when it reads them back; below the switch also at the
-        # width of the one block that runs every probe
-        starts = []
-        monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
-        calls = self._counted_draws(monkeypatch)
-        op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
-        dtype = np.dtype(np.float64 if n < MIN_PARALLEL_DIM else np.float32)
-        widths = {BLOCK_WIDTH}
-        if n < MIN_PARALLEL_DIM and first == 0:
-            widths.add(-(-n_v // BLOCK_WIDTH) * BLOCK_WIDTH)
-        for distribution, draws in (("rademacher", 1), ("gaussian", 2)):
-            cfg = SlqConfig(n_v=n_v, distribution=distribution, seed=11)
-            for width in sorted(widths):
-                probes = range(first, min(first + width, n_v))
-                expected = np.zeros((n, width))
-                for j, index in enumerate(probes):
-                    v = _fresh_probe(cfg.seed, index, n, distribution)
-                    expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
-                _sign_bank.cache_clear()
-                calls.clear()
-                starts.clear()
-                _probe_block(op, cfg, first, width)
-                _probe_block(op, cfg, first, width)
-                assert calls == collections.Counter({index: draws for index in probes})
-                assert [start.dtype for start in starts] == [dtype] * 2
-                assert starts[0].tobytes() == starts[1].tobytes() == \
-                    expected.astype(dtype).tobytes()
+def _assert_start_block(monkeypatch, n, n_v, first, width, distribution):
+    """The block lanczos_block receives equals the per-probe draw, normalized
+    in float64 and rounded to the block's dtype, bit for bit, zero-padded
+    past the last probe, when the block draws its probes and when it reads
+    them back; Rademacher probes are drawn once, Gaussian ones per block."""
+    starts = []
+    monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
+    calls = _counted_draws(monkeypatch)
+    op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+    dtype = np.dtype(np.float64 if n < MIN_PARALLEL_DIM else np.float32)
+    draws = 1 if distribution == "rademacher" else 2
+    cfg = SlqConfig(n_v=n_v, distribution=distribution, seed=11)
+    probes = range(first, min(first + width, n_v))
+    expected = np.zeros((n, width))
+    for j, index in enumerate(probes):
+        v = _fresh_probe(cfg.seed, index, n, distribution)
+        expected[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
+    _sign_bank.cache_clear()
+    _probe_block(op, cfg, first, width)
+    _probe_block(op, cfg, first, width)
+    assert calls == collections.Counter({index: draws for index in probes})
+    assert [start.dtype for start in starts] == [dtype] * 2
+    assert starts[0].tobytes() == starts[1].tobytes() == expected.astype(dtype).tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_graphs_of_one_size_draw_each_probe_once(self, monkeypatch, threads):
-        # more threads than cores, switching often: a bank made twice by
-        # racing threads would lose rows and draw them again
-        calls = self._counted_draws(monkeypatch)
+
+def _assert_sign_bank_memory(monkeypatch, n):
+    """256 probes keep 256 x ceil(max(n, 2047) / 8) bytes; a block and one
+    probe's draw come and go."""
+    monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: None)
+    cfg = SlqConfig(n_v=MAX_BLOCK_WIDTH)
+    op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
+    itemsize = 8 if n < MIN_PARALLEL_DIM else 4
+    length = max(n, MIN_PARALLEL_DIM - 1)
+    bank = MAX_BLOCK_WIDTH * -(-length // 8)
+    _probe_block(op, SlqConfig(n_v=1), 0)  # numpy's lazy imports, untraced
+    _sign_bank.cache_clear()
+    tracemalloc.start()
+    try:
+        for first in range(0, cfg.n_v, BLOCK_WIDTH):
+            _probe_block(op, cfg, first)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
         _sign_bank.cache_clear()
-        n = MIN_PARALLEL_DIM + 500
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for graph_seed in (1, 2):
-                vnge_slq(erdos_renyi(n, 6, graph_seed), threads=threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == collections.Counter(range(SlqConfig().n_v))
+    assert kept < bank + 2**16
+    assert peak < bank + BLOCK_WIDTH * itemsize * n + 40 * length
+
+
+def _assert_bytes_do_not_depend_on_history(runs, order):
+    """Each run, computed in this process in the given order of run indices,
+    prints the bytes it prints in a new interpreter."""
+    code = ("import ast, sys\n"
+            "from spectrace.descriptors import descriptor_to_json, netlsd_slq, vnge_slq\n"
+            "from spectrace.graphs import erdos_renyi\n"
+            "from spectrace.slq import SlqConfig\n"
+            "args, kwargs = ast.literal_eval(sys.argv[1])\n"
+            "g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)\n"
+            "print(descriptor_to_json(netlsd_slq(g, cfg=cfg)))\n"
+            "print(descriptor_to_json(vnge_slq(g, cfg=cfg)))\n")
+    src = str(Path(spectrace.__file__).resolve().parents[1])
+    fresh = [subprocess.run([sys.executable, "-c", code, repr(run)], check=True,
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src}).stdout
+             for run in runs]
+    for i in order:
+        args, kwargs = runs[i]
+        g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)
+        out = (descriptor_to_json(netlsd_slq(g, cfg=cfg)) + "\n"
+               + descriptor_to_json(vnge_slq(g, cfg=cfg)) + "\n")
+        assert out == fresh[i]
+
+
+class TestProbeBank:
+    """Below MIN_PARALLEL_DIM, with at most MAX_BLOCK_WIDTH Rademacher probes,
+    probes come from the packed sign bank as prefixes of its rows of 2047
+    signs; Gaussian probes are drawn per block. Every bit stays that of a
+    per-probe draw in float64."""
+
+    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, 300, MIN_PARALLEL_DIM - 1])
+    @pytest.mark.parametrize("n_v,first,width", [(1, 0, BLOCK_WIDTH), (100, 0, 104),
+                                                 (MAX_BLOCK_WIDTH, 8, BLOCK_WIDTH),
+                                                 (100, 96, BLOCK_WIDTH),
+                                                 (MAX_BLOCK_WIDTH, 0, MAX_BLOCK_WIDTH)])
+    def test_start_block_bits_match_per_probe(self, monkeypatch, distribution, n, n_v,
+                                              first, width):
+        # widths 104 and 256 are the one block that runs every probe
+        _assert_start_block(monkeypatch, n, n_v, first, width, distribution)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_corpus_draws_each_probe_once(self, monkeypatch, threads):
         # graphs of mixed sizes below the switch read prefixes of one bank's
         # rows, so the whole corpus draws every probe once
-        calls = self._counted_draws(monkeypatch)
+        calls = _counted_draws(monkeypatch)
         _sign_bank.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -524,6 +555,49 @@ class TestSignBank:
             sys.setswitchinterval(interval)
         assert calls == collections.Counter(range(SlqConfig().n_v))
 
+    def test_bytes_do_not_depend_on_history(self):
+        # ER(300) again after ER(2047), ER(5), another seed and law, and
+        # another n_v; then after ER(3000), where the bank's rows shrink from
+        # 3000 to 2047 signs, and ER(2047) after ER(2048)
+        runs = [((300, 4, 1), {}), ((MIN_PARALLEL_DIM - 1, 10, 2), {}),
+                ((5, 2, 0), {}), ((300, 4, 1), {"seed": 4, "distribution": "gaussian"}),
+                ((300, 4, 1), {"n_v": 7}), ((3000, 6, 1), {}), ((MIN_PARALLEL_DIM, 10, 2), {})]
+        _assert_bytes_do_not_depend_on_history(
+            runs, (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1))
+
+    def test_memory_bound(self, monkeypatch):
+        # 256 x 256 bytes of signs below the switch
+        _assert_sign_bank_memory(monkeypatch, 300)
+
+
+class TestSignBank:
+    """From MIN_PARALLEL_DIM rows on, with at most MAX_BLOCK_WIDTH Rademacher
+    probes, probes come from one packed sign bank per process; every bit
+    stays that of a per-probe draw, normalized and rounded to float32."""
+
+    @pytest.mark.parametrize("n", [MIN_PARALLEL_DIM, MIN_PARALLEL_DIM + 1, 3001, 20_000])
+    @pytest.mark.parametrize("n_v,first", [(1, 0), (100, 0), (100, 96), (MAX_BLOCK_WIDTH, 0),
+                                           (MAX_BLOCK_WIDTH, 96)])
+    def test_start_block_bits_match_per_probe(self, monkeypatch, n, n_v, first):
+        for distribution in ("rademacher", "gaussian"):
+            _assert_start_block(monkeypatch, n, n_v, first, BLOCK_WIDTH, distribution)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_graphs_of_one_size_draw_each_probe_once(self, monkeypatch, threads):
+        # more threads than cores, switching often: a bank made twice by
+        # racing threads would lose rows and draw them again
+        calls = _counted_draws(monkeypatch)
+        _sign_bank.cache_clear()
+        n = MIN_PARALLEL_DIM + 500
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for graph_seed in (1, 2):
+                vnge_slq(erdos_renyi(n, 6, graph_seed), threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == collections.Counter(range(SlqConfig().n_v))
+
     @pytest.mark.parametrize("n", [300, MIN_PARALLEL_DIM])
     @pytest.mark.parametrize("kwargs", [{"distribution": "gaussian"},
                                         {"n_v": MAX_BLOCK_WIDTH + 1, "s": 2}])
@@ -532,7 +606,7 @@ class TestSignBank:
             raise AssertionError("sign bank consulted")
 
         monkeypatch.setattr(slq, "_sign_bank", refuse)
-        calls = self._counted_draws(monkeypatch)
+        calls = _counted_draws(monkeypatch)
         op = make_operator(erdos_renyi(n, 6, 1), OperatorKind.DENSITY)
         cfg = SlqConfig(**kwargs)
         for _ in range(2):
@@ -540,60 +614,15 @@ class TestSignBank:
         assert calls == collections.Counter({index: 2 for index in range(cfg.n_v)})
 
     def test_memory_bound(self, monkeypatch):
-        # 256 probes keep 256 x ceil(max(n, 2047) / 8) bytes: 256 x 256 below
-        # the switch, 256 x 2500 at 20k; a block and one probe's draw come
-        # and go
-        monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: None)
-        cfg = SlqConfig(n_v=MAX_BLOCK_WIDTH)
-        for n, itemsize in ((300, 8), (20_000, 4)):
-            op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
-            length = max(n, MIN_PARALLEL_DIM - 1)
-            bank = MAX_BLOCK_WIDTH * -(-length // 8)
-            _probe_block(op, SlqConfig(n_v=1), 0)  # numpy's lazy imports, untraced
-            _sign_bank.cache_clear()
-            tracemalloc.start()
-            try:
-                for first in range(0, cfg.n_v, BLOCK_WIDTH):
-                    _probe_block(op, cfg, first)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-                _sign_bank.cache_clear()
-            assert kept < bank + 2**16
-            assert peak < bank + BLOCK_WIDTH * itemsize * n + 40 * length
+        # 256 x 2500 bytes of signs at 20k
+        _assert_sign_bank_memory(monkeypatch, 20_000)
 
     def test_bytes_do_not_depend_on_history(self):
-        # every run prints the bytes it prints in a new interpreter, whatever
-        # the process computed before it: below the switch, ER(300) again
-        # after ER(2047), ER(5), another seed and law, and another n_v; above
-        # it, ER(3000) again after another graph of 3000 vertices, one of
-        # 2500, another seed and another n_v; then ER(300) after ER(3000),
-        # where the bank's rows shrink from 3000 to 2047 signs, and ER(2047)
-        # after ER(2048)
-        runs = [((300, 4, 1), {}), ((MIN_PARALLEL_DIM - 1, 10, 2), {}),
-                ((5, 2, 0), {}), ((300, 4, 1), {"seed": 4, "distribution": "gaussian"}),
-                ((300, 4, 1), {"n_v": 7}), ((3000, 6, 1), {}), ((3000, 6, 2), {}),
-                ((2500, 6, 1), {}), ((3000, 6, 1), {"seed": 4}), ((3000, 6, 1), {"n_v": 7}),
-                ((MIN_PARALLEL_DIM, 10, 2), {})]
-        code = ("import ast, sys\n"
-                "from spectrace.descriptors import descriptor_to_json, netlsd_slq, vnge_slq\n"
-                "from spectrace.graphs import erdos_renyi\n"
-                "from spectrace.slq import SlqConfig\n"
-                "args, kwargs = ast.literal_eval(sys.argv[1])\n"
-                "g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)\n"
-                "print(descriptor_to_json(netlsd_slq(g, cfg=cfg)))\n"
-                "print(descriptor_to_json(vnge_slq(g, cfg=cfg)))\n")
-        src = str(Path(spectrace.__file__).resolve().parents[1])
-        fresh = [subprocess.run([sys.executable, "-c", code, repr(run)], check=True,
-                                capture_output=True, text=True, timeout=120,
-                                env={**os.environ, "PYTHONPATH": src}).stdout
-                 for run in runs]
-        for i in (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 6, 5, 7, 5, 8, 5, 9, 5, 0, 10, 1):
-            args, kwargs = runs[i]
-            g, cfg = erdos_renyi(*args), SlqConfig(**kwargs)
-            out = (descriptor_to_json(netlsd_slq(g, cfg=cfg)) + "\n"
-                   + descriptor_to_json(vnge_slq(g, cfg=cfg)) + "\n")
-            assert out == fresh[i]
+        # ER(3000) again after another graph of 3000 vertices, one of 2500,
+        # another seed and another n_v
+        runs = [((3000, 6, 1), {}), ((3000, 6, 2), {}), ((2500, 6, 1), {}),
+                ((3000, 6, 1), {"seed": 4}), ((3000, 6, 1), {"n_v": 7})]
+        _assert_bytes_do_not_depend_on_history(runs, (0, 1, 0, 2, 0, 3, 0, 4, 0))
 
 
 class TestGoldenBytes:
