@@ -59,30 +59,30 @@ def _add_descriptor_options(p: argparse.ArgumentParser, method: bool = True) -> 
     if method:
         p.add_argument("--method", default="slq", help="computation route: " + "; ".join(
             f"{kind}: {', '.join(methods)}" for kind, methods in bench.METHODS.items()))
-    p.add_argument("--nv", type=_int_at_least(1), default=100, help="probe vectors")
-    p.add_argument("--steps", type=_int_at_least(1), default=10,
-                   help="Lanczos steps per probe")
+    p.add_argument("--nv", type=int, default=100, help="probe vectors")
+    p.add_argument("--steps", type=int, default=10, help="Lanczos steps per probe")
     p.add_argument("--distribution", choices=("rademacher", "gaussian"),
                    default="rademacher", help="probe distribution")
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="estimator master seed")
+    p.add_argument("--seed", type=int, default=0, help="estimator master seed")
     p.add_argument("--t-min", type=float, default=1e-2, help="first heat time")
     p.add_argument("--t-max", type=float, default=1e2, help="last heat time")
-    p.add_argument("--grid-points", type=_int_at_least(1), default=256,
-                   help="heat time count")
-    p.add_argument("--k", type=_int_at_least(1), default=300,
+    p.add_argument("--grid-points", type=int, default=256, help="heat time count")
+    p.add_argument("--k", type=_checked(int, lambda x: x >= 1, ">= 1"), default=300,
                    help="extremal eigenvalues per end for --method linear")
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than low."""
+def _checked(convert, ok, wanted: str):
+    """argparse type: convert(text), a value for which ok holds (NaN fails
+    every comparison)."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
         return value
 
     return parse
@@ -95,25 +95,11 @@ def _nonempty(text: str) -> str:
     return text
 
 
-def _float_where(ok, wanted: str):
-    """argparse type: a float for which ok holds (NaN fails every comparison)."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
-        return value
-
-    return parse
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     """--threads, by default one per CPU this process may run on."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    p.add_argument("--threads", type=_int_at_least(1), default=cpus or 1,
+    p.add_argument("--threads", type=_checked(int, lambda x: x >= 1, ">= 1"),
+                   default=cpus or 1,
                    help="worker threads over probe blocks; results never depend on it")
 
 
@@ -140,14 +126,9 @@ def _resolved(args, keys) -> str:
     return "# spectrace " + args.subcommand + " " + " ".join(parts) + "\n"
 
 
-def _cfg(args) -> SlqConfig:
-    return SlqConfig(n_v=args.nv, s=args.steps, distribution=args.distribution,
-                     seed=args.seed)
-
-
 def _compute(g, args):
     return bench.compute_descriptor(
-        g, args.kind, args.method, args.grid, _cfg(args), args.k, args.threads
+        g, args.kind, args.method, args.grid, args.cfg, args.k, args.threads
     )
 
 
@@ -171,7 +152,7 @@ def _cmd_compare(args) -> int:
 def _cmd_bench_error(args) -> int:
     graphs = [(Path(p).name, _load_graph(p, args)) for p in args.inputs]
     rows = bench.error_benchmark(
-        graphs, args.kind, args.methods.split(","), grid=args.grid, cfg=_cfg(args),
+        graphs, args.kind, args.methods.split(","), grid=args.grid, cfg=args.cfg,
         k=args.k, threads=args.threads,
     )
     with _open(args.output, "w") as out:
@@ -214,7 +195,7 @@ def _cmd_snapshots(args) -> int:
     with _open(args.events, "r") as fh:
         series = load_snapshots(fh, args.granularity, comment_prefix=args.comment_prefix)
     rows = bench.snapshot_distance_series(
-        series, args.kind, args.method, grid=args.grid, cfg=_cfg(args), k=args.k,
+        series, args.kind, args.method, grid=args.grid, cfg=args.cfg, k=args.k,
         threads=args.threads,
     )
     with _open(args.output, "w") as out:
@@ -225,10 +206,10 @@ def _cmd_snapshots(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if not 0 <= args.avg_degree <= args.n - 1:
-        args.parser.error(f"argument --avg-degree: must lie in [0, {args.n - 1}] "
-                          f"for --n {args.n}, got {args.avg_degree}")
-    g = erdos_renyi(args.n, args.avg_degree, args.seed)
+    try:
+        g = erdos_renyi(args.n, args.avg_degree, args.seed)
+    except ValueError as exc:
+        args.parser.error(f"arguments --n, --avg-degree: {exc}")
     with _open(args.output, "w") as out:
         write_edge_list(g, out)
     return 0
@@ -267,10 +248,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="1-NN accuracy from a 'path,label' manifest")
     p.add_argument("--manifest", required=True, help="'path,label' CSV, '-' for stdin")
-    p.add_argument("--train-frac", type=_float_where(lambda x: 0 < x < 1, "in (0, 1)"),
+    p.add_argument("--train-frac", type=_checked(float, lambda x: 0 < x < 1, "in (0, 1)"),
                    default=0.8, help="training fraction")
-    p.add_argument("--repeats", type=_int_at_least(1), default=1000, help="random splits")
-    p.add_argument("--split-seed", type=_int_at_least(0), default=0, help="split RNG seed")
+    p.add_argument("--repeats", type=_checked(int, lambda x: x >= 1, ">= 1"), default=1000,
+                   help="random splits")
+    p.add_argument("--split-seed", type=_checked(int, lambda x: x >= 0, ">= 0"), default=0,
+                   help="split RNG seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_graph_options(p)
     _add_descriptor_options(p)
@@ -279,7 +262,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("snapshots", help="descriptor drift over an event stream")
     p.add_argument("--events", required=True, help="'t op src dst' event file, '-' for stdin")
-    p.add_argument("--granularity", type=_float_where(lambda x: x > 0, "> 0"),
+    p.add_argument("--granularity", type=_checked(float, lambda x: x > 0, "> 0"),
                    required=True, help="bucket width")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_graph_options(p, edge_list=False)
@@ -289,9 +272,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic benchmark graph")
     p.add_argument("model", choices=("er",), help="generator family")
-    p.add_argument("--n", type=_int_at_least(1), required=True, help="vertex count")
+    p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--avg-degree", type=float, required=True, help="expected degree")
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed")
+    p.add_argument("--seed", type=_checked(int, lambda x: x >= 0, ">= 0"), default=0,
+                   help="generator seed")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     _add_common(p)
     p.set_defaults(func=_cmd_generate)
@@ -302,9 +286,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_methods(args) -> None:
-    """Exit 1 unless every requested method is one of --kind's, before any
-    input is read."""
+def _resolve(args) -> None:
+    """Check the requested methods and set args.grid and args.cfg from the
+    estimator flags, or exit 1 before any input is read if they make no run.
+    TimeGrid and SlqConfig decide what is valid."""
     if not hasattr(args, "kind"):
         return
     if hasattr(args, "methods"):
@@ -316,26 +301,23 @@ def _check_methods(args) -> None:
         if name not in known:
             args.parser.error(f"argument {flag}: {name!r} is not a {args.kind} method "
                               f"(choose from {', '.join(known)})")
-
-
-def _resolve_grid(args) -> None:
-    """Set args.grid from the heat-time flags, or exit 1 before any input is
-    read if they make no grid."""
-    if not hasattr(args, "t_min"):
-        return
     try:
         args.grid = dsc.TimeGrid(t_min=args.t_min, t_max=args.t_max,
                                  count=args.grid_points)
     except ValueError as exc:
         args.parser.error(f"arguments --t-min, --t-max, --grid-points: {exc}")
+    try:
+        args.cfg = SlqConfig(n_v=args.nv, s=args.steps, distribution=args.distribution,
+                             seed=args.seed)
+    except ValueError as exc:
+        args.parser.error(f"arguments --nv, --steps, --seed: {exc}")
 
 
 def main(argv=None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # reported by the subcommand's parser, which prints its usage
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    _check_methods(args)
-    _resolve_grid(args)
+    _resolve(args)
     try:
         return args.func(args)
     except (EdgeListError, ConvergenceError, TridiagonalEigenError, ValueError,

@@ -32,7 +32,7 @@ from .operators import (
     LinearOperator, OperatorKind, degrees, dense_spectrum, make_operator, trace,
     trace_squared,
 )
-from .slq import SlqConfig, slq_trace, slq_trace_grid
+from .slq import SlqConfig, _integer, slq_trace, slq_trace_grid
 
 __all__ = [
     "TimeGrid",
@@ -55,7 +55,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Logarithmically spaced heat-kernel time points."""
+    """Logarithmically spaced heat-kernel time points.
+
+    t_min and t_max are stored as Python floats and count as a Python int,
+    so a grid built from numpy scalars serializes as one built from Python
+    numbers does; a count that is not an integer raises TypeError."""
 
     t_min: float = 1e-2
     t_max: float = 1e2
@@ -63,6 +67,9 @@ class TimeGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "t_min", float(self.t_min))
+        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "count", _integer("count", self.count))
         if not np.isfinite([self.t_min, self.t_max]).all():
             raise ValueError(f"t_min and t_max must be finite, "
                              f"got t_min={self.t_min}, t_max={self.t_max}")

@@ -15,7 +15,7 @@ class EdgeListError(ValueError):
 
 class UndefinedDensityError(ValueError):
     """The density matrix L / tr(L) of a graph is undefined: it has no edges,
-    or tr(L) is too small to normalize."""
+    or tr(L) is too small or too large to normalize."""
 
 
 class TridiagonalEigenError(RuntimeError):

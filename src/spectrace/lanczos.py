@@ -290,36 +290,36 @@ def lanczos_block(op: LinearOperator, start: np.ndarray, s: int) -> BlockTridiag
     dtype = start.dtype
     tol = _SINGLE_BREAKDOWN_REL_TOL if dtype == np.float32 else _BREAKDOWN_REL_TOL
     alpha = np.zeros((width, s))
-    beta = np.zeros((width, s - 1))
+    # column i + 1 holds beta_i; column 0 is beta_{-1} = 0, which lets step 0
+    # run the general update against a zero block
+    beta = np.zeros((width, s))
     steps = np.full(width, s)
     active = np.ones(width, dtype=bool)
+    scale = np.zeros(width)
 
-    q_prev, q = None, start
+    q_prev, q = np.zeros_like(start), start
     for i in range(s):
         w = op.apply(q)
         a = _column_dots(q, w)
         alpha[:, i] = a
         if i == s - 1:
             break
-        if q_prev is None:
-            w -= _scale_columns(np.multiply, q, a.astype(dtype))
-        else:
-            # q_prev is dead after this step: its buffer takes both products
-            w -= _scale_columns(np.multiply, q_prev, beta[:, i - 1].astype(dtype), out=q_prev)
-            w -= _scale_columns(np.multiply, q, a.astype(dtype), out=q_prev)
+        # q_prev is dead after this step: its buffer takes both products
+        w -= _scale_columns(np.multiply, q_prev, beta[:, i].astype(dtype), out=q_prev)
+        w -= _scale_columns(np.multiply, q, a.astype(dtype), out=q_prev)
         b = np.sqrt(_column_dots(w, w))
-        scale = np.maximum(scale, np.abs(a) + beta[:, i - 1]) if i else np.abs(a)
+        scale = np.maximum(scale, np.abs(a) + beta[:, i])
         broke = active & (b <= tol * scale)
         steps[broke] = i + 1
         active &= ~broke
         if not active.any():
             break
         b[~active] = 0.0
-        beta[:, i] = b
+        beta[:, i + 1] = b
         _scale_columns(np.divide, w, np.where(active, b, 1.0).astype(dtype), out=w)
         w[:, ~active] = 0.0
         q_prev, q = q, w
-    return BlockTridiagonal(alpha=alpha, beta=beta, steps=steps)
+    return BlockTridiagonal(alpha=alpha, beta=beta[:, 1:], steps=steps)
 
 
 def block_quadrature_rules(tri: BlockTridiagonal) -> tuple[np.ndarray, np.ndarray]:

@@ -77,9 +77,18 @@ def _sources(g: Graph) -> np.ndarray:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    """Weighted degree vector: entry i is the sum of weights incident to i."""
+    """Weighted degree vector: entry i is the sum of weights incident to i.
+
+    Every operator, trace and spectrum starts here, so a degree that is not
+    finite (weights whose sum overflows a float) raises ValueError here,
+    for every route alike."""
     # summed in CSR order, as the product of the adjacency matrix with ones
-    return np.bincount(_sources(g), weights=g.weights, minlength=g.n)
+    d = np.bincount(_sources(g), weights=g.weights, minlength=g.n)
+    if not np.isfinite(d).all():
+        vertex = int(np.flatnonzero(~np.isfinite(d))[0])
+        raise ValueError(f"weighted degree of vertex {vertex} is {d[vertex]}: "
+                         f"its edge weights sum past the float range")
+    return d
 
 
 def _entries(
@@ -165,15 +174,16 @@ def _check_density(tr_l: float) -> None:
 
     It is not for a graph without edges, whose tr(L) is 0, nor when tr(L)^2,
     which trace_squared divides by, underflows to 0 (tr(L) below about
-    1.5e-154); the second covers every tr(L) whose inverse overflows. This
-    is the one place that decides: every entropy route reaches it through
-    ``make_operator``, ``dense_spectrum``, ``trace`` or ``trace_squared``.
+    1.5e-154) or overflows (tr(L) above about 1.3e154); the first bound
+    covers every tr(L) whose inverse overflows. This is the one place that
+    decides: every entropy route reaches it through ``make_operator``,
+    ``dense_spectrum``, ``trace`` or ``trace_squared``.
     """
     if tr_l <= 0:
         raise UndefinedDensityError("density matrix undefined for a graph without edges")
-    if tr_l * tr_l == 0:
-        raise UndefinedDensityError(
-            f"density matrix undefined: tr(L)={tr_l} is too small to normalize")
+    if not 0 < tr_l * tr_l < np.inf:
+        raise UndefinedDensityError(f"density matrix undefined: tr(L)={tr_l} is too "
+                                    f"{'small' if tr_l < 1 else 'large'} to normalize")
 
 
 _KERNEL_MODULE = "scipy.sparse._sparsetools"
@@ -306,16 +316,23 @@ def trace_squared(g: Graph, kind: OperatorKind) -> float:
 
     Uses tr(M^2) = sum of squared entries for symmetric M: the diagonal
     contributes degree terms, the off-diagonal one term per stored entry.
-    np.sum is pairwise, which keeps huge accumulations accurate.
+    np.sum is pairwise, which keeps huge accumulations accurate. The result
+    is never NaN: the degrees are finite (``degrees``), and a normalized
+    entry w^2 / (d_i d_j) whose denominator overflows or leaves the normal
+    range is taken as (w / d_i) (w / d_j), two factors of at most 1.
     """
     d = degrees(g)
     if kind is OperatorKind.LAPLACIAN:
         return float(np.sum(d * d) + np.sum(g.weights * g.weights))
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         diag = float(np.count_nonzero(d > 0))
-        src = _sources(g)
-        denom = d[src] * d[g.col_indices]
-        return diag + float(np.sum(g.weights * g.weights / denom))
+        w, d_src, d_dst = g.weights, d[_sources(g)], d[g.col_indices]
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = d_src * d_dst
+            terms = w * w / denom
+        odd = (denom < np.finfo(np.float64).tiny) | (denom == np.inf)
+        terms[odd] = (w[odd] / d_src[odd]) * (w[odd] / d_dst[odd])
+        return diag + float(np.sum(terms))
     if kind is OperatorKind.DENSITY:
         tr_l = trace(g, OperatorKind.LAPLACIAN)
         _check_density(tr_l)

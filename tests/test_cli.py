@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import spectrace
+from spectrace import bench
 from spectrace.cli import build_parser, main
 
 
@@ -454,6 +455,29 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.strip() == ("spectrace: error: density matrix undefined: "
                                "tr(L)=3e-323 is too small to normalize")
+
+    @pytest.mark.parametrize("kind, method", [
+        (kind, method) for kind in ("netlsd", "vnge") for method in bench.METHODS[kind]])
+    def test_overflowing_weights_are_data_error(self, capsys, tmp_path, kind, method):
+        # P3's middle degree sums to inf; a triangle of weight 1e200 has a
+        # tr(L) of 6e200, whose square overflows
+        graph = tmp_path / "g.tsv"
+        graph.write_text("0 1 1e308\n1 2 1e308\n")
+        argv = ["descriptor", "--input", str(graph), "--kind", kind, "--weighted",
+                "--method", method, "--grid-points", "8", "--k", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.strip() == ("spectrace: error: weighted degree of vertex 1 is inf: "
+                               "its edge weights sum past the float range")
+        graph.write_text("0 1 1e200\n1 2 1e200\n2 0 1e200\n")
+        code, out, err = run(capsys, *argv)
+        if kind == "vnge":
+            assert code == 2 and out == ""
+            assert err.strip() == ("spectrace: error: density matrix undefined: "
+                                   "tr(L)=6e+200 is too large to normalize")
+        else:
+            assert code == 0 and err == ""
+            assert all(math.isfinite(v) for v in json.loads(out)["values"])
 
     def test_memory_error_is_data_error(self, capsys, monkeypatch, p3_file):
         def exhausted(*args, **kwargs):

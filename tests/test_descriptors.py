@@ -81,6 +81,17 @@ class TestTimeGrid:
     def test_single_point(self):
         assert np.array_equal(GRID_T1.values, [1.0])
 
+    @pytest.mark.parametrize("count", [2.5, 4.0, np.float64(4.0), "4"],
+                             ids=["2.5", "4.0", "float64", "str"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match="count must be an integer"):
+            TimeGrid(0.1, 10.0, count)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        grid = TimeGrid(np.float32(0.5), np.float64(2.0), np.int64(3))
+        assert [type(v) for v in (grid.t_min, grid.t_max, grid.count)] == [float, float, int]
+        assert grid == TimeGrid(float(np.float32(0.5)), 2.0, 3)
+
     @pytest.mark.parametrize("t_min, t_max, count", [
         (1.0, np.inf, 8),
         (np.inf, np.inf, 1),
@@ -343,12 +354,14 @@ class TestVngeFinger:
 
 
 # Graphs without a density matrix: no edges, a tr(L) of 3e-323 whose
-# inverse overflows, and a tr(L) of 6e-300 whose square underflows.
+# inverse overflows, a tr(L) of 6e-300 whose square underflows, and a
+# tr(L) of 6e200 whose square overflows.
 UNDEFINED_DENSITY = {
     "edgeless": empty_graph(3),
     "denormal-triangle": graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324),
                                               (2, 0, 5e-324)]),
     "tiny-weights": graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)]),
+    "huge-triangle": graph_from_edges(3, [(0, 1, 1e200), (1, 2, 1e200), (2, 0, 1e200)]),
 }
 DENSITY_ROUTES = {
     "exact": vnge_exact,
@@ -366,6 +379,40 @@ def test_undefined_density_is_refused_alike(graph, route):
     # one check decides for every entropy route and for the density trace
     with pytest.raises(ValueError, match="density matrix undefined"):
         DENSITY_ROUTES[route](UNDEFINED_DENSITY[graph])
+
+
+HEAT_TRACE_ROUTES = {
+    "exact": netlsd_exact,
+    "slq": netlsd_slq,
+    "taylor": netlsd_taylor,
+    "linear": lambda g: netlsd_linear(g, k=1),
+}
+
+
+@pytest.mark.parametrize("route", [f"netlsd-{name}" for name in HEAT_TRACE_ROUTES]
+                         + [f"vnge-{name}" for name in DENSITY_ROUTES])
+def test_overflowing_degree_is_refused_by_every_route(route):
+    # P3 with weights 1e308: the middle vertex's degree sums to inf
+    g = graph_from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    kind, name = route.split("-", 1)
+    routes = HEAT_TRACE_ROUTES if kind == "netlsd" else DENSITY_ROUTES
+    with pytest.raises(ValueError, match="weighted degree of vertex 1 is inf"):
+        routes[name](g)
+
+
+@pytest.mark.parametrize("weight", [1e200, 1e-200])
+@pytest.mark.parametrize("route", HEAT_TRACE_ROUTES)
+def test_heat_trace_of_extreme_weights_matches_unit_weights(route, weight):
+    # the normalized Laplacian does not change when every weight is scaled;
+    # the taylor route's squared entries, whose degree products overflow or
+    # underflow, are computed as products of ratios
+    scaled = graph_from_edges(3, [(0, 1, weight), (1, 2, weight), (2, 0, weight)])
+    values = HEAT_TRACE_ROUTES[route](scaled).values
+    unit = HEAT_TRACE_ROUTES[route](graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])).values
+    assert np.isfinite(values).all()
+    np.testing.assert_allclose(values, unit, rtol=1e-12)
+    if route == "taylor":
+        assert values.tobytes() == unit.tobytes()
 
 
 def test_hand_built_one_edge_graph_is_computed_by_every_route():
@@ -461,3 +508,19 @@ class TestSerialization:
         buf = io.StringIO()
         descriptor_to_json(vnge_exact(k2), buf)
         assert '"kind": "vnge"' in buf.getvalue()
+
+    def test_numpy_scalars_round_trip(self, k3):
+        # numpy scalars are stored as Python numbers, so the JSON is the
+        # one that Python numbers give
+        grid = TimeGrid(np.float32(0.1), np.float64(10.0), np.int64(4))
+        cfg = SlqConfig(n_v=np.int64(3), s=np.int32(2), seed=np.uint8(9))
+        d = netlsd_slq(k3, grid, cfg)
+        text = descriptor_to_json(d)
+        assert text == descriptor_to_json(netlsd_slq(
+            k3, TimeGrid(float(np.float32(0.1)), 10.0, 4), SlqConfig(n_v=3, s=2, seed=9)))
+        back = descriptor_from_json(text)
+        assert back.grid == grid and back.params == {"n_v": 3, "s": 2,
+                                                     "distribution": "rademacher", "seed": 9}
+        assert back.values.tobytes() == d.values.tobytes()
+        e = vnge_slq(k3, cfg)
+        assert descriptor_from_json(descriptor_to_json(e)).params == back.params

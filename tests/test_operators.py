@@ -130,6 +130,10 @@ class TestMakeOperator:
         denormal = graph_from_edges(3, [(0, 1, 5e-324), (1, 2, 5e-324), (2, 0, 5e-324)])
         # tr(L) = 6e-300: tr(L)^2 underflows, and the density matrix is undefined too
         tiny = graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)])
+        # tr(L) = 4e300: tr(L)^2 overflows, so its density matrix is undefined;
+        # 5e-324 next to 1e300: its normalized entries underflow
+        huge = graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
+                                    (4, 5, 1.0), (6, 7, 5e-324)])
         graphs = [
             random_graph(rng, n=40, p=0.2, weighted=True),
             pad_vertices(random_graph(rng, n=30, p=0.1), 45),
@@ -138,8 +142,9 @@ class TestMakeOperator:
             disjoint_edges(4),
             tiny,
             denormal,
-            # 5e-324 next to 1e300: normalized and density entries underflow
-            graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
+            huge,
+            # 5e-324 next to 1e150: normalized and density entries underflow
+            graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e150), (1, 3, 1e150),
                                  (4, 5, 1.0), (6, 7, 5e-324)]),
         ]
         cases = [(g, panel_rows) for g in graphs
@@ -160,12 +165,13 @@ class TestMakeOperator:
             for kind in ALL_KINDS:
                 if kind is OperatorKind.DENSITY and g.m == 0:
                     continue
-                if kind is OperatorKind.DENSITY and g in (denormal, tiny):
+                if kind is OperatorKind.DENSITY and g in (denormal, tiny, huge):
+                    message = f"too {'large' if g is huge else 'small'} to normalize"
                     for loader_fails in (False, True):
                         with _product_path(loader_fails):
-                            with pytest.raises(ValueError, match="too small to normalize"):
+                            with pytest.raises(ValueError, match=message):
                                 make_operator(g, kind)
-                    with pytest.raises(ValueError, match="too small to normalize"):
+                    with pytest.raises(ValueError, match=message):
                         trace_squared(g, kind)
                     continue
                 ref = _algebra_csr(g, kind)

@@ -63,6 +63,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SlqConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_v", "s", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3"],
+                             ids=["2.5", "3.0", "float64", "str"])
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            SlqConfig(**{field: value})
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        cfg = SlqConfig(n_v=np.int64(3), s=np.int32(2), seed=np.uint64(7))
+        assert [type(v) for v in (cfg.n_v, cfg.s, cfg.seed)] == [int, int, int]
+        assert cfg == SlqConfig(n_v=3, s=2, seed=7)
+        with pytest.raises(ValueError, match="n_v must be >= 1"):
+            SlqConfig(n_v=np.int8(0))
+
 
 class TestSlqTrace:
     def test_identity_operator(self):
@@ -476,7 +490,7 @@ def _assert_start_block(monkeypatch, n, n_v, first, width, distribution):
 
 def _assert_sign_bank_memory(monkeypatch, n):
     """256 probes keep 256 x ceil(max(n, 2047) / 8) bytes; a block and one
-    probe's draw come and go."""
+    probe's draw, about 8 bytes per entry of int64 bits, come and go."""
     monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: None)
     cfg = SlqConfig(n_v=MAX_BLOCK_WIDTH)
     op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
@@ -494,7 +508,7 @@ def _assert_sign_bank_memory(monkeypatch, n):
         tracemalloc.stop()
         _sign_bank.cache_clear()
     assert kept < bank + 2**16
-    assert peak < bank + BLOCK_WIDTH * itemsize * n + 40 * length
+    assert peak < bank + BLOCK_WIDTH * itemsize * n + 16 * length
 
 
 def _assert_bytes_do_not_depend_on_history(runs, order):
