@@ -15,7 +15,9 @@ finger    entropy only: taylor quadratic times a log spectral-scale factor
 The entropy taylor expansion is the consistent quadratic
 Q = 1 - tr(L^2)/tr(L)^2, exact on a single edge. Every entropy route
 refuses a graph whose density matrix is undefined (no edges, or tr(L) too
-small to normalize) with the ValueError of the ``operators`` module.
+small or too large to normalize) with the ValueError of the ``operators``
+module, and every route of both kinds refuses a weighted degree that is
+not finite.
 """
 
 from __future__ import annotations

@@ -243,8 +243,9 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     ------
     ValueError
         If the density matrix is requested for an edgeless graph or one
-        whose tr(L) is too small to normalize, or if a column index of g
-        lies outside [0, n).
+        whose tr(L) is too small or too large to normalize, if a weighted
+        degree of g is not finite, or if a column index of g lies outside
+        [0, n).
     """
     rows, cols, vals, interval = _entries(g, kind)
     n, nnz = g.n, len(vals)
