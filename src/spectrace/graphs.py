@@ -61,10 +61,18 @@ class Graph:
         Vertex count.
     row_offsets : ndarray, shape (n+1,), int64
         CSR row pointers; ``row_offsets[n] == 2*m`` for simple graphs.
-    col_indices : ndarray, int64
-        Neighbor indices, sorted within each row.
+    col_indices : ndarray, int32
+        Neighbor indices, sorted within each row. Every vertex id lies below
+        ``VERTEX_ID_LIMIT`` = 2**31, so int32 holds them all.
     weights : ndarray, float64
-        Strictly positive edge weights (1.0 everywhere if unweighted).
+        Strictly positive edge weights. When every weight is 1.0, as for all
+        unweighted input, this is the read-only view
+        ``np.broadcast_to(np.float64(1.0), (nnz,))``, which holds 8 bytes in
+        all in place of 8 per entry.
+
+    A hand-built Graph may hold its columns as int64 and its unit weights as
+    a stored array of ones: it compares equal to the lean form and has the
+    same ``content_hash``.
     """
 
     n: int
@@ -102,12 +110,19 @@ class Graph:
         )
 
     def content_hash(self) -> str:
-        """Hex digest identifying the canonical graph content."""
+        """Hex digest identifying the canonical graph content.
+
+        It is the sha256 of n, the row offsets and the column indices as
+        int64 and the weights as float64, whatever dtype or view holds them.
+        Each array is converted in chunks of 64k entries, so no full-size
+        copy is made.
+        """
         h = hashlib.sha256()
         h.update(np.int64(self.n).tobytes())
-        h.update(self.row_offsets.tobytes())
-        h.update(self.col_indices.tobytes())
-        h.update(self.weights.tobytes())
+        for arr, dtype in ((self.row_offsets, np.int64), (self.col_indices, np.int64),
+                           (self.weights, np.float64)):
+            for start in range(0, arr.size, 1 << 16):
+                h.update(np.ascontiguousarray(arr[start:start + (1 << 16)], dtype=dtype))
         return h.hexdigest()
 
 
@@ -156,25 +171,29 @@ class SnapshotSeries:
                     graph = None
             if graph is None:
                 lo, hi = np.divmod(self.keys[live], self.n)
-                graph = _build_csr(self.n, lo, hi, np.ones(lo.size))
+                graph = _build_csr(self.n, lo, hi, None)
             yield graph
 
 
-def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
-    """Assemble the canonical Graph on n vertices from int64 edge arrays.
+def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None) -> Graph:
+    """Assemble the canonical Graph on n vertices from int64 edge arrays and
+    their weights, None for unit weights.
 
     Self-loops are dropped, the remaining edges are symmetrized, and an edge
-    given more than once keeps its maximum weight.
+    given more than once keeps its maximum weight. If every weight left is
+    1.0, the Graph gets the unit view (see Graph).
     """
     # Each temporary is deleted once dead, and the results are allocated
     # before the last sort's scratch: allocated after it, they can sit above
     # the freed scratch in the heap and keep it from going back to the
     # system. With parse_edge_list freeing its text and lines first, parsing
-    # ER(1M) peaks at 505 MB of RSS, 3.2x the graph, against 1,296 MB without.
+    # ER(1M) peaked at 505 MB of RSS against 1,296 MB without.
     # mode="clip" changes no index of a permutation, where the default
     # "raise" gathers into a hidden copy of out.
     keep = u != v
-    u, v, w = u[keep], v[keep], w[keep]
+    u, v = u[keep], v[keep]
+    if w is not None:
+        w = w[keep]
     del keep
     keys = np.minimum(u, v)
     keys *= n
@@ -183,24 +202,31 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    w = np.maximum.reduceat(w[order], starts)
+    if w is not None:
+        w = np.maximum.reduceat(w[order], starts)
+        if (w == 1.0).all():
+            w = None
     del order
     lo, hi = np.divmod(keys[starts], n)
     del keys, starts
     rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
+    cols = np.concatenate([hi, lo], dtype=np.int32, casting="same_kind")
     del lo, hi
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
     col_indices = np.empty_like(cols)
-    weights = np.empty(cols.size)
+    if w is None:
+        weights = np.broadcast_to(np.float64(1.0), cols.shape)
+    else:
+        weights = np.empty(cols.size)
     rows *= n
     rows += cols
     order = np.argsort(rows)
     del rows
     np.take(cols, order, out=col_indices, mode="clip")
     del cols
-    np.take(np.concatenate([w, w]), order, out=weights, mode="clip")
+    if w is not None:
+        np.take(np.concatenate([w, w]), order, out=weights, mode="clip")
     return Graph(n=n, row_offsets=row_offsets, col_indices=col_indices, weights=weights)
 
 
@@ -278,8 +304,8 @@ def _read_records(stream, separator, comment_prefix, dtype, columns, parse, empt
     lines are read again by ``_line_rows``, the authority on what is valid,
     which reports the first bad line. ``columns`` runs while the lines are
     still held, so that what it allocates sits below them in the heap:
-    parse_edge_list's unit weights, allocated after the lines were freed,
-    raised the peak of parsing ER(100k) from 83.4 to 83.7 MB.
+    an array of unit weights allocated after the lines were freed raised
+    the peak of parsing ER(100k) from 83.4 to 83.7 MB.
     """
     for name, value in (("separator", separator), ("comment_prefix", comment_prefix)):
         if value == "":
@@ -340,10 +366,10 @@ def parse_edge_list(
     """
 
     def columns(rows):
-        # unweighted rows get weight 1.0 and pass the same checks
+        # unweighted rows get unit weights, None to _build_csr
         u, v = rows["u"], rows["v"]
-        w = rows["w"] if weighted else np.ones(u.size)
-        if np.isfinite(w).all() and (w > 0).all() and _ids_in_range(u, v):
+        w = rows["w"] if weighted else None
+        if (w is None or (np.isfinite(w).all() and (w > 0).all())) and _ids_in_range(u, v):
             return u, v, w
         return None
 
@@ -398,7 +424,7 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     if n_pairs <= 1 << 23:
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(n_pairs) < p
-        return _build_csr(n, iu[mask], ju[mask], np.ones(int(mask.sum())))
+        return _build_csr(n, iu[mask], ju[mask], None)
     m_target = int(rng.binomial(n_pairs, p))
     seen = np.empty(0, dtype=np.int64)
     while seen.size < m_target:
@@ -417,7 +443,7 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
             keys = keys[~np.isin(keys, seen)]
         seen = np.concatenate([seen, keys[: m_target - seen.size]])
     lo, hi = np.divmod(seen, n)
-    return _build_csr(n, lo, hi, np.ones(seen.size))
+    return _build_csr(n, lo, hi, None)
 
 
 _EVENT = np.dtype([("t", np.float64), ("op", "U4"), ("u", np.int64), ("v", np.int64)])

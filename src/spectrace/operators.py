@@ -7,8 +7,12 @@ is 0), and the trace-one density matrix ``L / tr(L)``. Each is assembled once
 in numpy, straight from the graph's CSR arrays, its entries laid out in row
 panels; applying it to a vector or to an (n, W) block of vectors is one
 call of scipy's compiled COO product kernel, loaded by file so that
-``scipy.sparse`` is never imported: one pass over the edges. Traces and
-squared traces come from closed-form identities.
+``scipy.sparse`` is never imported: one pass over the edges. An operator
+holds its values in the dtype of its first product only: float32 for the
+Lanczos blocks of large graphs, float64 otherwise (see ``make_operator``).
+The degrees of a graph with unit weights (see ``Graph``) are its row
+lengths, read without an array of ones. Traces and squared traces come
+from closed-form identities.
 ``dense_spectrum``, the exact reference, densifies the same entries.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -82,8 +87,14 @@ def degrees(g: Graph) -> np.ndarray:
     Every operator, trace and spectrum starts here, so a degree that is not
     finite (weights whose sum overflows a float) raises ValueError here,
     for every route alike."""
-    # summed in CSR order, as the product of the adjacency matrix with ones
-    d = np.bincount(_sources(g), weights=g.weights, minlength=g.n)
+    w = g.weights
+    if w.size and w.strides[0] == 0 and w[0] == 1.0:
+        # the unit view of Graph: the degrees are the row lengths, which
+        # are exactly bincount's sums of ones
+        d = np.diff(g.row_offsets).astype(np.float64)
+    else:
+        # summed in CSR order, as the product of the adjacency matrix with ones
+        d = np.bincount(_sources(g), weights=w, minlength=g.n)
     if not np.isfinite(d).all():
         vertex = int(np.flatnonzero(~np.isfinite(d))[0])
         raise ValueError(f"weighted degree of vertex {vertex} is {d[vertex]}: "
@@ -140,7 +151,7 @@ def _entries(
     # they do not sit above the freed scratch in the heap (see _build_csr).
     size = src.size + diag.size
     rows, cols, vals = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
-    inserted = np.insert(g.col_indices.astype(np.int32), at, diag)
+    inserted = np.insert(g.col_indices.astype(np.int32, copy=False), at, diag)
     key = (inserted // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS))
     order = np.argsort(key, kind="stable")
     del key
@@ -232,12 +243,20 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     the kernel cannot be loaded by file, the product is a
     ``scipy.sparse.coo_matrix``'s. Either way the input is checked and cast
     first, in one place: float32 input, such as the Lanczos blocks of large
-    operators, is multiplied in float32 by a float32 copy of the entries,
-    made at its first use; any other input is made C-contiguous float64 and
-    multiplied by the float64 entries. An input that is not an (n,) vector
-    or an (n, W) block raises ValueError. The float64 path is the only one
-    that ``eigsh``, the deflated baseline operators and every small graph
-    use.
+    operators, is multiplied in float32 by the entries rounded to float32;
+    any other input is made C-contiguous float64 and multiplied by the
+    float64 entries. An input that is not an (n,) vector or an (n, W) block
+    raises ValueError. The float64 path is the only one that ``eigsh``, the
+    deflated baseline operators and every small graph use.
+
+    The operator holds its values in one dtype only. It keeps the float64
+    values of ``_entries`` until its first product, whose dtype decides the
+    copy kept: a float32 product rounds them and lets the float64 values go,
+    so the slq route above the switch holds 12 bytes per entry (int32 rows
+    and columns, float32 values). A later product in the other dtype builds
+    that dtype's values again from g, and both copies are kept from then
+    on. Each copy is built once, under a lock, however many threads make
+    their first products at once.
 
     Raises
     ------
@@ -247,18 +266,26 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         degree of g is not finite, or if a column index of g lies outside
         [0, n).
     """
-    rows, cols, vals, interval = _entries(g, kind)
-    n, nnz = g.n, len(vals)
+    rows, cols, first, interval = _entries(g, kind)
+    n, nnz = g.n, len(first)
     kernels = _coo_kernels()
+    lock = threading.Lock()
+    built = {}  # dtype -> the values in dtype, or the fallback's matrix of them
 
-    @cache
     def entries(dtype: np.dtype):
         """The entries' values in dtype, or the fallback's matrix of them."""
-        if kernels is not None:
-            return vals.astype(dtype, copy=False)
-        import scipy.sparse
+        nonlocal first
+        with lock:
+            if dtype not in built:
+                if first is None:
+                    first = _entries(g, kind)[2]
+                values, first = first.astype(dtype, copy=False), None
+                if kernels is None:
+                    import scipy.sparse
 
-        return scipy.sparse.coo_matrix((vals.astype(dtype, copy=False), (rows, cols)), shape=(n, n))
+                    values = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n))
+                built[dtype] = values
+            return built[dtype]
 
     def apply(x: np.ndarray) -> np.ndarray:
         single = getattr(x, "dtype", None) == np.float32

@@ -1,6 +1,7 @@
 """Graph parsing, generation, and snapshot loading."""
 
 import gc
+import hashlib
 import io
 import math
 import random
@@ -348,6 +349,95 @@ def _distinct_pairs(g):
     rows = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
     lo, hi = np.minimum(rows, g.col_indices), np.maximum(rows, g.col_indices)
     return set(zip(lo.tolist(), hi.tolist()))
+
+
+def _is_unit_view(w: np.ndarray) -> bool:
+    return (w.dtype == np.float64 and w.strides == (0,) and not w.flags.writeable
+            and bool(np.all(w == 1.0)))
+
+
+def _hand_built(g: Graph) -> Graph:
+    """g with int64 columns and stored float64 weights, built from its edges."""
+    return Graph(n=g.n, row_offsets=g.row_offsets.copy(),
+                 col_indices=np.array(g.col_indices, dtype=np.int64),
+                 weights=np.array(g.weights, dtype=np.float64))
+
+
+class TestLeanGraph:
+    """Columns are int32, unit weights are one read-only stride-0 view, and
+    neither changes a comparison, a content hash or the edge-list text."""
+
+    @staticmethod
+    def _unit_graphs():
+        g = erdos_renyi(2000, 6, seed=4)
+        text = io.StringIO()
+        write_edge_list(g, text)
+        events = "".join(f"{i} add {u} {v}\n" for i, (u, v, _) in enumerate(g.edges()))
+        return {
+            "parsed": parse_edge_list(text.getvalue()),
+            "erdos_renyi mask": erdos_renyi(300, 4, seed=1),
+            "erdos_renyi pairs": g,
+            "snapshot": list(load_snapshots(events, 5000.0))[-1],
+            "single edge": parse_edge_list("0 1"),
+        }
+
+    def test_int32_columns_and_unit_view(self):
+        for name, g in self._unit_graphs().items():
+            assert g.col_indices.dtype == np.int32, name
+            assert not g.col_indices.flags.writeable, name
+            assert _is_unit_view(g.weights), name
+            assert g.weights.size == g.col_indices.size, name
+
+    def test_hash_and_equality_match_hand_built_copy(self):
+        for name, g in self._unit_graphs().items():
+            wide = _hand_built(g)
+            assert wide.col_indices.dtype == np.int64 and wide.weights.strides == (8,)
+            assert g == wide and wide == g, name
+            assert g.content_hash() == wide.content_hash(), name
+        # the hash of the lean form is the sha256 of the wide form's bytes
+        g = self._unit_graphs()["parsed"]
+        wide = _hand_built(g)
+        h = hashlib.sha256()
+        for part in (np.int64(g.n), wide.row_offsets, wide.col_indices, wide.weights):
+            h.update(part.tobytes())
+        assert g.content_hash() == h.hexdigest()
+
+    def test_edges_and_text_round_trip(self):
+        for name, g in self._unit_graphs().items():
+            wide = _hand_built(g)
+            assert list(g.edges()) == list(wide.edges()), name
+            for weighted in (False, True):
+                text, wide_text = io.StringIO(), io.StringIO()
+                write_edge_list(g, text, weighted=weighted)
+                write_edge_list(wide, wide_text, weighted=weighted)
+                assert text.getvalue() == wide_text.getvalue(), name
+                again = parse_edge_list(text.getvalue(), weighted=weighted)
+                assert again == g and again.content_hash() == g.content_hash(), name
+                assert _is_unit_view(again.weights), name
+
+    def test_weighted_unit_file_is_the_unweighted_graph(self):
+        g = erdos_renyi(500, 5, seed=2)
+        text = io.StringIO()
+        write_edge_list(g, text, weighted=True)
+        assert text.getvalue().split("\n")[0].endswith(" 1.0")
+        weighted = parse_edge_list(text.getvalue(), weighted=True)
+        assert _is_unit_view(weighted.weights)
+        assert weighted == g and weighted.content_hash() == g.content_hash()
+        # a duplicate's larger weight of 1.0 leaves every weight 1.0 too
+        assert _is_unit_view(parse_edge_list("0 1 0.5\n1 0 1.0\n1 2 1", weighted=True).weights)
+
+    def test_random_weights_keep_a_stored_array(self):
+        rng = np.random.default_rng(5)
+        lines = [f"{u} {v} {w!r}" for u, v, w in zip(
+            rng.integers(0, 100, 600).tolist(), rng.integers(0, 100, 600).tolist(),
+            (rng.random(600) + 0.5).tolist())]
+        g = parse_edge_list("\n".join(lines), weighted=True)
+        assert g.col_indices.dtype == np.int32
+        assert g.weights.dtype == np.float64 and g.weights.strides == (8,)
+        assert not g.weights.flags.writeable
+        assert not np.all(g.weights == 1.0)
+        wide = _hand_built(g)
+        assert g == wide and g.content_hash() == wide.content_hash()
 
 
 class TestEdgeCount:

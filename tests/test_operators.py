@@ -1,11 +1,15 @@
 """Operator matvecs and trace identities against dense oracles."""
 
 import contextlib
+import gc
 import importlib.util
 import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +333,110 @@ print(scipy.sparse._sparsetools.coo_matvec is not None)
         assert eigs.min() >= -1e-10
         assert eigs.max() <= 1 + 1e-10
         assert abs(eigs.sum() - 1.0) < 1e-10
+
+
+@cache
+def _er3000():
+    return erdos_renyi(3000, 10, 3)
+
+
+class TestValuesPerDtype:
+    """An operator holds its values in the dtype of its first product; a
+    product in the other dtype builds that dtype's values again from the
+    graph. Checked with the kernel loaded by file and with the scipy.sparse
+    fallback."""
+
+    @pytest.fixture(params=[False, True], ids=["kernel", "fallback"])
+    def fallback(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(operators, "_coo_kernels", lambda: None)
+        elif operators._coo_kernels() is None:
+            pytest.skip("this scipy has no file-loadable COO kernels")
+        return request.param
+
+    def test_either_order_matches_fresh_operators(self, fallback):
+        g = _er3000()
+        rng = np.random.default_rng(13)
+        double = rng.standard_normal((g.n, 8))
+        inputs = [double, double[:, 0], double.astype(np.float32),
+                  double[:, 0].astype(np.float32)]
+        for kind in ALL_KINDS:
+            fresh = [make_operator(g, kind).apply(x).tobytes() for x in inputs]
+            for order in ((0, 1, 2, 3), (2, 3, 0, 1)):
+                op = make_operator(g, kind)
+                # each input twice: once while its dtype's values are built,
+                # once after both dtypes are held
+                for i in order + order:
+                    assert op.apply(inputs[i]).tobytes() == fresh[i], (kind, order, i)
+
+    def test_float32_product_lets_float64_values_go(self, fallback):
+        g = _er3000()
+        block = np.ones((g.n, 8), np.float32)
+        entries = g.col_indices.size + np.count_nonzero(degrees(g))
+        for kind in ALL_KINDS:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                op = make_operator(g, kind)
+                op.apply(block)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            # int32 rows and columns and float32 values take 12 bytes per
+            # entry; float64 values held next to them would make it 20
+            assert held < 16 * entries, (kind, held / entries)
+            del op
+
+    def test_concurrent_first_products_build_values_once(self, fallback, monkeypatch):
+        g = _er3000()
+        block = np.random.default_rng(14).standard_normal((g.n, 8)).astype(np.float32)
+        expected = {kind: make_operator(g, kind).apply(block).tobytes() for kind in ALL_KINDS}
+        built = []
+        if fallback:
+            coo_matrix = sp.coo_matrix
+
+            def counting(*args, **kwargs):
+                built.append(args[0][0])
+                return coo_matrix(*args, **kwargs)
+
+            monkeypatch.setattr(sp, "coo_matrix", counting)
+        else:
+            matvec, matmat = operators._coo_kernels()
+
+            def recording(*args):
+                built.append(args[4])
+                return matmat(*args)
+
+            monkeypatch.setattr(operators, "_coo_kernels", lambda: (matvec, recording))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind in ALL_KINDS:
+                for _ in range(5):
+                    built.clear()
+                    op = make_operator(g, kind)
+                    barrier = threading.Barrier(4, timeout=60)
+                    results = [None] * 4
+
+                    def first_product(i):
+                        barrier.wait()
+                        results[i] = op.apply(block).tobytes()
+
+                    threads = [threading.Thread(target=first_product, args=(i,))
+                               for i in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                        assert not thread.is_alive()
+                    assert results == [expected[kind]] * 4
+                    # the fallback builds one matrix; the kernel reads one
+                    # float32 array in all four products
+                    assert len(built) == (1 if fallback else 4)
+                    assert all(vals is built[0] for vals in built)
+                    assert built[0].dtype == np.float32
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTraces:
