@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UndefinedDensityError
-from .graphs import Graph
+from .graphs import Graph, _row_blocks
 
 __all__ = [
     "OperatorKind",
@@ -81,6 +81,11 @@ def _sources(g: Graph) -> np.ndarray:
     return np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.row_offsets))
 
 
+def _is_unit_view(w: np.ndarray) -> bool:
+    """Whether w is Graph's stride-0 view of unit weights."""
+    return bool(w.size and w.strides[0] == 0 and w[0] == 1.0)
+
+
 def degrees(g: Graph) -> np.ndarray:
     """Weighted degree vector: entry i is the sum of weights incident to i.
 
@@ -88,7 +93,7 @@ def degrees(g: Graph) -> np.ndarray:
     finite (weights whose sum overflows a float) raises ValueError here,
     for every route alike."""
     w = g.weights
-    if w.size and w.strides[0] == 0 and w[0] == 1.0:
+    if _is_unit_view(w):
         # the unit view of Graph: the degrees are the row lengths, which
         # are exactly bincount's sums of ones
         d = np.diff(g.row_offsets).astype(np.float64)
@@ -339,6 +344,10 @@ def trace(g: Graph, kind: OperatorKind) -> float:
     raise ValueError(f"unknown operator kind: {kind!r}")
 
 
+# Stored entries per block of trace_squared's normalized terms.
+_TERM_ENTRIES = 1 << 16
+
+
 def trace_squared(g: Graph, kind: OperatorKind) -> float:
     """Exact trace of the squared operator in one edge pass.
 
@@ -348,18 +357,30 @@ def trace_squared(g: Graph, kind: OperatorKind) -> float:
     is never NaN: the degrees are finite (``degrees``), and a normalized
     entry w^2 / (d_i d_j) whose denominator overflows or leaves the normal
     range is taken as (w / d_i) (w / d_j), two factors of at most 1.
+
+    No temporary has one entry per stored entry but the normalized terms:
+    unit weights square to a sum of exactly nnz (a pairwise sum of ones is
+    exact below 2**53), and the terms are filled in blocks of rows of about
+    ``_TERM_ENTRIES`` entries before their one sum.
     """
     d = degrees(g)
+    w = g.weights
     if kind is OperatorKind.LAPLACIAN:
-        return float(np.sum(d * d) + np.sum(g.weights * g.weights))
+        squares = float(w.size) if _is_unit_view(w) else np.sum(w * w)
+        return float(np.sum(d * d) + squares)
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         diag = float(np.count_nonzero(d > 0))
-        w, d_src, d_dst = g.weights, d[_sources(g)], d[g.col_indices]
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = d_src * d_dst
-            terms = w * w / denom
-        odd = (denom < np.finfo(np.float64).tiny) | (denom == np.inf)
-        terms[odd] = (w[odd] / d_src[odd]) * (w[odd] / d_dst[odd])
+        offsets, terms = g.row_offsets, np.empty(w.size)
+        for r0, r1 in _row_blocks(offsets, _TERM_ENTRIES):
+            a, b = offsets[r0], offsets[r1]
+            w_ab, out = w[a:b], terms[a:b]
+            d_src = np.repeat(d[r0:r1], np.diff(offsets[r0:r1 + 1]))
+            d_dst = d[g.col_indices[a:b]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                denom = d_src * d_dst
+                np.divide(w_ab * w_ab, denom, out=out)
+            odd = (denom < np.finfo(np.float64).tiny) | (denom == np.inf)
+            out[odd] = (w_ab[odd] / d_src[odd]) * (w_ab[odd] / d_dst[odd])
         return diag + float(np.sum(terms))
     if kind is OperatorKind.DENSITY:
         tr_l = trace(g, OperatorKind.LAPLACIAN)

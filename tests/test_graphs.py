@@ -26,7 +26,14 @@ from spectrace.graphs import (
     write_edge_list,
 )
 
-from conftest import CANCELLING_STREAM, disjoint_edges, empty_graph, graph_from_edges
+from conftest import (
+    CANCELLING_STREAM,
+    disjoint_edges,
+    empty_graph,
+    graph_from_edges,
+    pad_vertices,
+    random_graph,
+)
 
 
 class TestParseEdgeList:
@@ -853,3 +860,110 @@ class TestGolden:
         else:
             expected = "".join(f"{u} {v}\n" for u, v, _ in reference)
         assert buf.getvalue() == expected
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestGenerateBytes:
+    """erdos_renyi and write_edge_list, which `generate` runs, keep every
+    graph and every byte of text that the np.unique sampler and the
+    f-string writer produced."""
+
+    # (n, avg_degree, seed): content_hash, text sha256, weighted text sha256;
+    # (2000, 6, 4) takes the Bernoulli mask over all pairs, the rest the
+    # binomial count of distinct pairs; (4200, 50, 2) draws 2,527 keys more
+    # than once, the others 10 to 106
+    PINS = {
+        (2000, 6, 4): ("3a2ff6fb1fa89a9257a1390e6a2577bfdc4fd7d8bbcb686f584d393672206c85",
+                       "30f6f2746031babc63dd2f0893078aab2c926e59ccd8355b44d73c15fcbe3ac8",
+                       "179c66ab0e55022fbfd1c8a1b47c3a574fefbf8095687ee53d0cae80fc92d8ad"),
+        (5000, 4, 5): ("fea57f9dfe72143666278181a425b7c278336b517b29b34458311cc44103cc51",
+                       "1098966787d2fa0b027ff07dffb3c41a82644be53346548a5ca3a3bd6a894641",
+                       "80522410fa33b4bae503fb639c9cc0a5ef45399acabb2b4d7c79e1ea4caea113"),
+        (4200, 50, 2): ("34fad25f8c62b10113270592bea90337734f9f9c8e49b7319bc68a0f94164ec8",
+                        "4d625ecd937433c33b53ce140290b4f23434050c94566d42f8548843ceca78f3",
+                        None),
+        (20000, 3, 2): ("f2627e4a9c700f784c110d4a3f28a12b70871bcffb145b3d882a459f7ed88e15",
+                        "1b08b480809d369fd9e5edb88df6305eb11241be3c176fe318583306de8c254d",
+                        None),
+        (100000, 10, 1): ("914149afbd98d273fc59d345608ca3590b67631fef5b6d01779508f2030b40d8",
+                          "fcd6952ba53db294d7c5c9b650510a04564397aa521ff8c18ead9fb39286789a",
+                          None),
+    }
+
+    @pytest.mark.parametrize("args", list(PINS))
+    def test_pinned_graph_and_text(self, args):
+        graph_digest, text_digest, weighted_digest = self.PINS[args]
+        g = erdos_renyi(*args)
+        assert g.content_hash() == graph_digest
+        text = io.StringIO()
+        write_edge_list(g, text)
+        assert _sha256(text.getvalue()) == text_digest
+        if weighted_digest is not None:
+            text = io.StringIO()
+            write_edge_list(g, text, weighted=True)
+            assert _sha256(text.getvalue()) == weighted_digest
+
+    @given(n=hst.integers(1, 40), p=hst.floats(0.0, 1.0), seed=hst.integers(0, 2**32 - 1),
+           weighted=hst.booleans(), entries=hst.integers(1, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_text_matches_the_f_string_writer(self, n, p, seed, weighted, entries):
+        # random_graph builds edge by edge, independently of erdos_renyi;
+        # small blocks make the writer split the rows many ways
+        g = random_graph(np.random.default_rng(seed), n, p, weighted=weighted)
+        if weighted:
+            expected = "".join(f"{u} {v} {w!r}\n" for u, v, w in g.edges())
+        else:
+            expected = "".join(f"{u} {v}\n" for u, v, _ in g.edges())
+        text = io.StringIO()
+        with mock.patch.object(graphs, "_WRITE_ENTRIES", entries):
+            write_edge_list(g, text, weighted=weighted)
+        assert text.getvalue() == expected
+        if g.m:
+            parsed = parse_edge_list(text.getvalue(), weighted=weighted)
+            assert pad_vertices(parsed, n) == g
+
+    @pytest.mark.parametrize("ids", [
+        [0, 9, 10, 99, 100, 2**31 - 1],
+        [0, 1, 9],
+        [5],
+        [99_999, 100_000, 7],
+    ])
+    def test_id_formatter(self, ids):
+        lo = np.array(ids, dtype=np.int64)
+        for hi in (lo[::-1].astype(np.int32), np.zeros(len(ids), dtype=np.int32)):
+            expected = "".join(f"{u} {v}\n" for u, v in zip(lo.tolist(), hi.tolist()))
+            assert graphs._edge_lines(lo, hi) == expected
+        assert graphs._edge_lines(lo[:0], lo[:0]) == ""
+
+    @pytest.mark.parametrize("g", [empty_graph(6), erdos_renyi(10, 0, seed=3),
+                                   erdos_renyi(1, 0, seed=0)], ids=["built", "er", "single"])
+    def test_edgeless_graph_writes_nothing(self, g):
+        for weighted in (False, True):
+            text = io.StringIO()
+            write_edge_list(g, text, weighted=weighted)
+            assert text.getvalue() == ""
+
+    def test_peak_memory(self):
+        # numpy reports its arrays to tracemalloc. The np.unique sampler and
+        # a list of every line read 192.5 bytes per edge; drawing in place,
+        # argsorting only the draws of repeated keys and writing in blocks
+        # read 67.4, most of it _build_csr's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = erdos_renyi(200_000, 10, 0)
+            write_edge_list(g, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * g.m, peak / g.m
