@@ -15,10 +15,11 @@ does not grow with the bucket count. Vertex ids must lie below
 
 Edge lists and event streams share one record reader. Every input is split
 into lines at ``"\\n"`` only and read in bulk with ``np.loadtxt``, one
-record per line. Input that the bulk reader cannot take whole (a malformed
-line, or a token only Python's ``int``/``float`` accept, such as ``1_0``) is
-re-read line by line into records of the same dtype; that reader is the
-authority on what is valid and reports errors with their line number.
+record per line, a block of lines at a time. Input that the bulk reader
+cannot take whole (a malformed line, or a token only Python's
+``int``/``float`` accept, such as ``1_0``) is re-read line by line into
+records of the same dtype; that reader is the authority on what is valid
+and reports errors with their line number.
 """
 
 from __future__ import annotations
@@ -170,18 +171,23 @@ class SnapshotSeries:
                 if flipped.size:
                     graph = None
             if graph is None:
-                lo, hi = np.divmod(self.keys[live], self.n)
-                graph = _build_csr(self.n, lo, hi, None)
+                graph = _build_csr(self.n, [*np.divmod(self.keys[live], self.n), None])
             yield graph
 
 
-def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None) -> Graph:
-    """Assemble the canonical Graph on n vertices from int64 edge arrays and
-    their weights, None for unit weights.
+def _build_csr(n: int, edges: list) -> Graph:
+    """Assemble the canonical Graph on n vertices from ``edges``: int64 edge
+    arrays u and v and their weights w, None for unit weights, in a list
+    that this function empties.
 
     Self-loops are dropped, the remaining edges are symmetrized, and an edge
     given more than once keeps its maximum weight. If every weight left is
     1.0, the Graph gets the unit view (see Graph).
+
+    A caller hands its arrays over by holding no other reference to them,
+    so that each is freed here once dead: building ER(200k, degree 10)
+    from its pairs traced 65.6 bytes per edge while the caller held them,
+    and 49.6 handed over.
     """
     # Each temporary is deleted once dead, and the results are allocated
     # before the last sort's scratch: allocated after it, they can sit above
@@ -190,6 +196,8 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None) -> Gr
     # ER(1M) peaked at 505 MB of RSS against 1,296 MB without.
     # mode="clip" changes no index of a permutation, where the default
     # "raise" gathers into a hidden copy of out.
+    u, v, w = edges
+    edges.clear()
     keep = u != v
     u, v = u[keep], v[keep]
     if w is not None:
@@ -230,47 +238,66 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None) -> Gr
     return Graph(n=n, row_offsets=row_offsets, col_indices=col_indices, weights=weights)
 
 
-def _read_lines(stream, comment_prefix: str) -> tuple[list[str], bool]:
-    """Read the whole input once; return its lines, and whether
+def _read_lines(stream, comment_prefix: str) -> tuple[str, bool]:
+    """Read the whole input once; return its lines as one text, and whether
     comment_prefix occurs in it.
 
-    Every input becomes one text: a string is the text, an open file is read
-    whole, and any other iterable's lines are joined with ``"\\n"``, each
-    without its trailing ``"\\n"``. The text splits at ``"\\n"`` only, as
-    iterating over a file does, so the same text reads the same way in every
-    form; a ``"\\r"`` left at a line's end is stripped with its whitespace.
-    A text read here is freed on return, before the bulk read: held through
-    it, it raised the peak of parsing ER(100k) from a file from 83.4 MB to
-    86.1-88.9 MB (the figure moves with the heap's layout), and ER(1M) from
-    505 to 562 MB.
+    A string is the text, an open file is read whole, and any other
+    iterable's lines are joined with ``"\\n"``, each without its trailing
+    ``"\\n"``. The text splits at ``"\\n"`` only, as iterating over a file
+    does, so the same text reads the same way in every form; a ``"\\r"``
+    left at a line's end is stripped with its whitespace.
     """
     if hasattr(stream, "read"):
         stream = stream.read()
     elif not isinstance(stream, str):
         stream = "\n".join(line.rstrip("\n") for line in stream)
-    return stream.split("\n"), comment_prefix in stream
+    return stream, comment_prefix in stream
 
 
-def _bulk_rows(lines: list[str], commented: bool, separator: str | None,
+# Characters per block of lines that the bulk reader splits and loads at once.
+_READ_CHARS = 1 << 16
+
+
+def _bulk_rows(text: str, commented: bool, separator: str | None,
                comment_prefix: str, dtype: np.dtype) -> np.ndarray | None:
-    """Read every non-comment line with one ``np.loadtxt``; None on any failure.
+    """Read every non-comment line with ``np.loadtxt``; None on any failure.
 
-    Comment lines are looked for only if ``commented``. Warnings are raised
-    as errors: numpy 1.24-1.26 read ``"4.0"`` into an int64 field with only
-    a DeprecationWarning, which ``int`` would reject.
+    The text is cut at the first ``"\\n"`` after every ``_READ_CHARS``
+    characters, and each block's lines are loaded into one array of a
+    record per line of the text, so no list of all the lines is held: at
+    ER(1M) that list took 5M ``str`` objects, about 330 MB, next to the
+    69 MB text. Comment lines are looked for only if ``commented``.
+    Warnings are raised as errors: numpy 1.24-1.26 read ``"4.0"`` into an
+    int64 field with only a DeprecationWarning, which ``int`` would reject.
     """
-    if commented:
-        lines = [line for line in lines if not line.strip().startswith(comment_prefix)]
-    if separator is not None:
-        # np.loadtxt skips whitespace-only lines only when it splits on whitespace
-        lines = [line for line in lines if not line.isspace()]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=dtype, comments=None, delimiter=separator, ndmin=1)
-    except (ValueError, TypeError, Warning):
-        return None
-    return rows if rows.size else None
+    rows = np.empty(text.count("\n") + 1, dtype)
+    filled = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHARS)
+        end = len(text) if end < 0 else end
+        block, start = text[start:end], end + 1
+        if block.isspace():
+            continue
+        lines = block.split("\n")
+        del block
+        if commented or separator is not None:
+            # blank lines go too: np.loadtxt skips whitespace-only lines only
+            # when it splits on whitespace
+            lines = [line for line in lines if (stripped := line.strip())
+                     and not (commented and stripped.startswith(comment_prefix))]
+        if not lines:
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = np.loadtxt(lines, dtype=dtype, comments=None, delimiter=separator,
+                                    ndmin=1)
+        except (ValueError, TypeError, Warning):
+            return None
+        rows[filled:filled + loaded.size] = loaded
+        filled += loaded.size
+    return rows[:filled] if filled else None
 
 
 def _line_rows(lines, separator, comment_prefix, dtype, parse, empty):
@@ -301,20 +328,19 @@ def _read_records(stream, separator, comment_prefix, dtype, columns, parse, empt
 
     The input is read once and in bulk. ``columns(records)`` returns the
     caller's arrays, or None when a record breaks one of its rules; then the
-    lines are read again by ``_line_rows``, the authority on what is valid,
-    which reports the first bad line. ``columns`` runs while the lines are
-    still held, so that what it allocates sits below them in the heap:
-    an array of unit weights allocated after the lines were freed raised
-    the peak of parsing ER(100k) from 83.4 to 83.7 MB.
+    text is read again, line by line, by ``_line_rows``, the authority on
+    what is valid, which reports the first bad line.
     """
     for name, value in (("separator", separator), ("comment_prefix", comment_prefix)):
         if value == "":
             raise ValueError(f"{name} must not be empty")
-    lines, commented = _read_lines(stream, comment_prefix)
-    records = _bulk_rows(lines, commented, separator, comment_prefix, dtype)
+    text, commented = _read_lines(stream, comment_prefix)
+    records = _bulk_rows(text, commented, separator, comment_prefix, dtype)
     result = None if records is None else columns(records)
+    del records
     if result is None:
-        result = columns(_line_rows(lines, separator, comment_prefix, dtype, parse, empty))
+        result = columns(_line_rows(text.split("\n"), separator, comment_prefix, dtype,
+                                    parse, empty))
     return result
 
 
@@ -370,7 +396,7 @@ def parse_edge_list(
         u, v = rows["u"], rows["v"]
         w = rows["w"] if weighted else None
         if (w is None or (np.isfinite(w).all() and (w > 0).all())) and _ids_in_range(u, v):
-            return u, v, w
+            return [u, v, w]
         return None
 
     def parse(fields, line, lineno):
@@ -390,10 +416,11 @@ def parse_edge_list(
             raise EdgeListError(f"weight must be strictly positive: {line!r}", lineno)
         return u, v, w
 
-    u, v, w = _read_records(stream, separator, comment_prefix,
-                            _WEIGHTED_EDGE if weighted else _EDGE, columns, parse,
-                            "empty input: no edges or vertices found")
-    return _build_csr(int(max(u.max(), v.max())) + 1, u, v, w)
+    # the list goes to _build_csr with its arrays, which it frees
+    edges = _read_records(stream, separator, comment_prefix,
+                          _WEIGHTED_EDGE if weighted else _EDGE, columns, parse,
+                          "empty input: no edges or vertices found")
+    return _build_csr(int(max(edges[0].max(), edges[1].max())) + 1, edges)
 
 
 def _row_blocks(row_offsets: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
@@ -461,6 +488,10 @@ def write_edge_list(g: Graph, stream: IO[str], *, weighted: bool = False) -> Non
             stream.write(_edge_lines(lo, hi))
 
 
+# Pairs per block of the Bernoulli draws of erdos_renyi.
+_DRAW_PAIRS = 1 << 16
+
+
 def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     """Sample G(n, p) with p = avg_degree / (n - 1) (0 at n = 1), deterministically
     per seed.
@@ -485,9 +516,20 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     n_pairs = n * (n - 1) // 2
     if n_pairs <= 1 << 23:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(n_pairs) < p
-        return _build_csr(n, iu[mask], ju[mask], None)
+        # the draws come in blocks, one stream; pair k of the upper triangle,
+        # row by row, is (i, i + 1 + k - offsets[i]), where offsets[i] counts
+        # the pairs of the rows above i
+        chosen = [np.empty(0, dtype=np.int64)]
+        for start in range(0, n_pairs, _DRAW_PAIRS):
+            draws = rng.random(min(_DRAW_PAIRS, n_pairs - start))
+            chosen.append(np.flatnonzero(draws < p) + start)
+        k = np.concatenate(chosen)
+        del chosen
+        offsets = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+        i = np.searchsorted(offsets, k, side="right") - 1
+        k -= offsets[i]
+        k += i + 1
+        return _build_csr(n, [i, k, None])
     m_target = int(rng.binomial(n_pairs, p))
     seen = np.empty(0, dtype=np.int64)
     while seen.size < m_target:
@@ -523,9 +565,9 @@ def erdos_renyi(n: int, avg_degree: float, seed: int) -> Graph:
             keys = keys[~np.isin(keys, seen)]
         seen = np.concatenate([seen, keys[: m_target - seen.size]])
         del keys
-    lo, hi = np.divmod(seen, n)
+    edges = [*np.divmod(seen, n), None]
     del seen
-    return _build_csr(n, lo, hi, None)
+    return _build_csr(n, edges)
 
 
 _EVENT = np.dtype([("t", np.float64), ("op", "U4"), ("u", np.int64), ("v", np.int64)])

@@ -4,16 +4,21 @@ Three symmetric operators are exposed without materializing anything dense:
 the Laplacian ``D - A``, the normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``
 (isolated vertices contribute a zero row and column, so their eigenvalue
 is 0), and the trace-one density matrix ``L / tr(L)``. Each is assembled once
-in numpy, straight from the graph's CSR arrays, its entries laid out in row
-panels; applying it to a vector or to an (n, W) block of vectors is one
-call of scipy's compiled COO product kernel, loaded by file so that
-``scipy.sparse`` is never imported: one pass over the edges. An operator
+in numpy, straight from the graph's CSR arrays: each undirected edge is
+stored once, as a pair of vertex ids in panels of the smaller id, next to
+the diagonal. Applying it to a vector or to an (n, W) block of vectors is
+three calls of scipy's compiled COO product kernel into one output, the
+pairs below the diagonal, the diagonal, the pairs above it, so each output
+entry sums its row in column order, as the sparse algebra does. The kernel
+is loaded by file so that ``scipy.sparse`` is never imported. An operator
 holds its values in the dtype of its first product only: float32 for the
-Lanczos blocks of large graphs, float64 otherwise (see ``make_operator``).
+Lanczos blocks of large graphs, float64 otherwise; with int32 ids, that is
+6 bytes per stored entry of the graph in float32 (see ``make_operator``).
 The degrees of a graph with unit weights (see ``Graph``) are its row
 lengths, read without an array of ones. Traces and squared traces come
 from closed-form identities.
-``dense_spectrum``, the exact reference, densifies the same entries.
+``dense_spectrum``, the exact reference, densifies the pairs below the
+diagonal and the diagonal, the triangle that LAPACK reads.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class LinearOperator:
     interval: tuple[float, float]
 
 
-# Rows per panel of an operator's entries (see _entries). For an 8-column
+# Rows per panel of an operator's pairs (see _entries). For an 8-column
 # block a panel's rows of the product take 512 KB, which stay in cache.
 PANEL_ROWS = 8192
 
@@ -107,21 +112,30 @@ def degrees(g: Graph) -> np.ndarray:
     return d
 
 
-def _entries(
-    g: Graph, kind: OperatorKind
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
-    """The operator's entries as (rows, cols, vals) in row panels, with its
-    spectral interval.
+def _entries(g: Graph, kind: OperatorKind) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray,
+        tuple[np.ndarray, np.ndarray, np.ndarray], tuple[float, float]]:
+    """The operator as ``(lo, hi, diag, (lower, diagonal, upper), interval)``.
 
-    Panels of PANEL_ROWS rows follow one another; within a panel the entries
-    run in column order, then row order. A product then reads the input rows
-    of each panel in ascending address order instead of jumping across the
-    whole input as a CSR product does: 1.8x faster for an (n, 8) block at
-    n=100k on a 2-core Xeon with 2 MB of L2 per core, where the input
-    outgrows the cache; a graph of at most PANEL_ROWS vertices is one panel,
-    and its (n, 8) products take as long as CSR's. Within every row the
-    entries keep their column order, so every product entry is summed in the
-    same order, bit for bit, as with the CSR matrix.
+    Each undirected edge is stored once, as a pair of int32 vertex ids
+    ``lo < hi``, and the vertices with an edge once, in ``diag``. The three
+    value arrays are the operator's entries at (hi, lo), below the
+    diagonal, at (diag, diag) and at (lo, hi), above it; ``lower`` is
+    ``upper`` itself except for the normalized Laplacian of a graph with
+    stored weights, where (w s_hi) s_lo and (w s_lo) s_hi can round
+    apart. ``interval`` is the operator's spectral interval.
+
+    The pairs are g's CSR entries below the diagonal, in CSR order, stably
+    partitioned into panels of PANEL_ROWS by their smaller id: ordered by
+    (panel of lo, hi, lo). Within a panel, a product's call on (hi, lo)
+    reads the input rows of that panel and its call on (lo, hi) writes the
+    output rows of that panel, instead of jumping across the whole block:
+    an (n, 8) float32 product at n=100k took 6.2-6.7 ms in panels against
+    17.6 ms in one (2-core Xeon with 2 MB of L2 per core, where the block
+    outgrows the cache). A graph of at most PANEL_ROWS vertices is one
+    panel and is not sorted. Either way each row of the operator meets its
+    pairs below the diagonal in ascending column order as (hi, lo), and
+    those above it as (lo, hi).
 
     Each value is computed in the operation order of the sparse algebra
     ``diags(d) - A``, ``diags(d > 0) - S A S`` with ``S = diags(d^{-1/2})``
@@ -131,58 +145,70 @@ def _entries(
     Laplacian that underflows stays as +0.0, where the algebra drops it;
     this changes no product and no dense entry.
 
-    Rows and columns are int32 (vertex ids lie below 2**31) and every one
-    lies in [0, n): the product kernel does no bounds checks, so a
+    Every id lies in [0, n): the product kernel does no bounds checks, so a
     hand-built graph whose column indices leave that range raises
     ValueError here.
     """
     if g.col_indices.size:
-        lo, hi = int(g.col_indices.min()), int(g.col_indices.max())
-        if lo < 0 or hi >= g.n:
-            raise ValueError(f"column index {lo if lo < 0 else hi} outside [0, {g.n})")
+        low, high = int(g.col_indices.min()), int(g.col_indices.max())
+        if low < 0 or high >= g.n:
+            raise ValueError(f"column index {low if low < 0 else high} outside [0, {g.n})")
     d = degrees(g)
     tr_l = float(d.sum())
     if kind is OperatorKind.DENSITY:
         _check_density(tr_l)
-    # each diagonal entry goes in its row before the first column above it;
-    # it holds -d, which the negation below turns into d
+    diag = np.flatnonzero(d > 0).astype(np.int32)
     src = _sources(g)
-    diag = np.flatnonzero(d > 0)
-    at = g.row_offsets[diag] + np.bincount(src[g.col_indices < src], minlength=g.n)[diag]
-    # the operator is symmetric, so its column-ordered panels are its CSR
-    # with rows and columns swapped, stably partitioned by panel; the key's
-    # dtype holds every panel index (numpy radix-sorts 8- and 16-bit keys).
-    # The results are allocated before the scratch that fills them, so that
-    # they do not sit above the freed scratch in the heap (see _build_csr).
-    size = src.size + diag.size
-    rows, cols, vals = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
-    inserted = np.insert(g.col_indices.astype(np.int32, copy=False), at, diag)
-    key = (inserted // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS))
-    order = np.argsort(key, kind="stable")
-    del key
-    np.take(inserted, order, out=rows, mode="clip")
-    del inserted
-    np.take(np.insert(src, at, diag), order, out=cols, mode="clip")
+    below = g.col_indices < src
+    hi = src[below]
     del src
-    np.take(np.insert(g.weights, at, -d[diag]), order, out=vals, mode="clip")
-    del order
+    lo = g.col_indices[below].astype(np.int32, copy=False)
+    w = None if _is_unit_view(g.weights) else g.weights[below]
+    del below
+    if g.n > PANEL_ROWS:
+        # the key's dtype holds every panel index (numpy radix-sorts 8- and
+        # 16-bit keys); mode="clip" changes no index of a permutation, where
+        # the default "raise" gathers into a hidden copy
+        order = np.argsort((lo // PANEL_ROWS).astype(np.min_scalar_type(g.n // PANEL_ROWS)),
+                           kind="stable")
+        lo = np.take(lo, order, mode="clip")
+        hi = np.take(hi, order, mode="clip")
+        if w is not None:
+            w = np.take(w, order, mode="clip")
+        del order
     if kind is OperatorKind.NORMALIZED_LAPLACIAN:
         scale = np.zeros(g.n)
         scale[diag] = 1.0 / np.sqrt(d[diag])
-        vals *= scale[rows]
-        vals *= scale[cols]
+
+        def scaled(row, col):
+            """(w s_row) s_col, the algebra's scaled entry at (row, col)."""
+            vals = scale[row]
+            if w is not None:
+                vals *= w
+            vals *= scale[col]
+            return vals
+
+        upper = scaled(lo, hi)
+        # with unit weights, s_hi s_lo and s_lo s_hi are the same product
+        lower = upper if w is None else scaled(hi, lo)
+        diagonal, interval = np.ones(diag.size), (0.0, 2.0)
+    else:
+        upper = lower = np.ones(lo.size) if w is None else w
+        diagonal = d[diag]
+        interval = (0.0, 2.0 * float(d.max(initial=0.0)))
+        if kind is OperatorKind.DENSITY:
+            interval = (0.0, 1.0)
+        elif kind is not OperatorKind.LAPLACIAN:
+            raise ValueError(f"unknown operator kind: {kind!r}")
     # 0.0 - x, not -x: an underflowed +0.0 stays +0.0, which densifies as
     # the algebra's dropped entry does
-    np.subtract(0.0, vals, out=vals)
-    if kind is OperatorKind.LAPLACIAN:
-        return rows, cols, vals, (0.0, 2.0 * float(d.max(initial=0.0)))
-    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        vals[rows == cols] = 1.0
-        return rows, cols, vals, (0.0, 2.0)
+    for vals in (upper,) if lower is upper else (lower, upper):
+        np.subtract(0.0, vals, out=vals)
+        if kind is OperatorKind.DENSITY:
+            vals *= 1.0 / tr_l
     if kind is OperatorKind.DENSITY:
-        vals *= 1.0 / tr_l
-        return rows, cols, vals, (0.0, 1.0)
-    raise ValueError(f"unknown operator kind: {kind!r}")
+        diagonal *= 1.0 / tr_l
+    return lo, hi, diag, (lower, diagonal, upper), interval
 
 
 def _check_density(tr_l: float) -> None:
@@ -240,13 +266,17 @@ def _coo_kernels() -> tuple[Callable, Callable] | None:
 
 
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
-    """Build the operator of the requested kind for g from its entries in
-    row panels (``_entries``).
+    """Build the operator of the requested kind for g from its stored pairs
+    and diagonal (``_entries``).
 
-    A product runs scipy's compiled COO kernel on the entries: the calls
-    ``coo_matrix.__matmul__`` makes, so every product has the same bits. If
-    the kernel cannot be loaded by file, the product is a
-    ``scipy.sparse.coo_matrix``'s. Either way the input is checked and cast
+    A product is three calls of scipy's compiled COO kernel, the call
+    ``coo_matrix.__matmul__`` makes, into one zeroed output: the pairs as
+    (hi, lo), the terms below the diagonal; the diagonal; the pairs as
+    (lo, hi), the terms above it. Each output entry thus sums its row's
+    terms in column order, as a CSR product does, so every product has the
+    sparse algebra's bits. If the kernel cannot be loaded by file, the
+    product is that of one ``scipy.sparse.coo_matrix`` of the three parts,
+    concatenated in call order. Either way the input is checked and cast
     first, in one place: float32 input, such as the Lanczos blocks of large
     operators, is multiplied in float32 by the entries rounded to float32;
     any other input is made C-contiguous float64 and multiplied by the
@@ -256,12 +286,15 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
 
     The operator holds its values in one dtype only. It keeps the float64
     values of ``_entries`` until its first product, whose dtype decides the
-    copy kept: a float32 product rounds them and lets the float64 values go,
-    so the slq route above the switch holds 12 bytes per entry (int32 rows
-    and columns, float32 values). A later product in the other dtype builds
-    that dtype's values again from g, and both copies are kept from then
-    on. Each copy is built once, under a lock, however many threads make
-    their first products at once.
+    copy kept: a float32 product rounds them and lets the float64 values
+    go, so the slq route above the switch holds 12 bytes per undirected
+    edge (int32 ids lo and hi, one float32 value), 6 per stored entry of
+    the graph, plus 8 per vertex for the diagonal; the normalized Laplacian
+    of a graph with stored weights adds 2 per stored entry for the values
+    below the diagonal. A later product in the other dtype builds that
+    dtype's values again from g, and both copies are kept from then on.
+    Each copy is built once, under a lock, however many threads make their
+    first products at once.
 
     Raises
     ------
@@ -271,25 +304,35 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         degree of g is not finite, or if a column index of g lies outside
         [0, n).
     """
-    rows, cols, first, interval = _entries(g, kind)
-    n, nnz = g.n, len(first)
+    lo, hi, diag, first, interval = _entries(g, kind)
+    n = g.n
     kernels = _coo_kernels()
+    calls = ((hi, lo), (diag, diag), (lo, hi))  # the rows and columns of each call
+    if kernels is None:
+        # the fallback's matrices share these ids, concatenated in call order
+        calls = tuple(np.concatenate(ids) for ids in zip(*calls))
+    del lo, hi, diag
     lock = threading.Lock()
-    built = {}  # dtype -> the values in dtype, or the fallback's matrix of them
+    built = {}  # dtype -> the three calls' values in dtype, or the fallback's matrix
 
-    def entries(dtype: np.dtype):
-        """The entries' values in dtype, or the fallback's matrix of them."""
+    def values(dtype: np.dtype):
+        """The values of the three calls in dtype, or the fallback's matrix of them."""
         nonlocal first
         with lock:
             if dtype not in built:
                 if first is None:
-                    first = _entries(g, kind)[2]
-                values, first = first.astype(dtype, copy=False), None
+                    first = _entries(g, kind)[3]
+                lower, diagonal, upper = first
+                first = None
+                cast = upper.astype(dtype, copy=False)
+                # one array serves both triangles unless _entries built two
+                lower = cast if lower is upper else lower.astype(dtype, copy=False)
+                built[dtype] = lower, diagonal.astype(dtype, copy=False), cast
                 if kernels is None:
                     import scipy.sparse
 
-                    values = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(n, n))
-                built[dtype] = values
+                    built[dtype] = scipy.sparse.coo_matrix(
+                        (np.concatenate(built[dtype]), calls), shape=(n, n))
             return built[dtype]
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -299,12 +342,13 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         if x.ndim > 2 or x.shape[0] != n:
             raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
         if kernels is None:
-            return entries(x.dtype) @ x
+            return values(x.dtype) @ x
         out = np.zeros(x.shape, x.dtype)
-        if x.ndim == 1:
-            kernels[0](nnz, rows, cols, entries(x.dtype), x, out)
-        else:
-            kernels[1](nnz, x.shape[1], rows, cols, entries(x.dtype), x.ravel("C"), out)
+        for (rows, cols), vals in zip(calls, values(x.dtype)):
+            if x.ndim == 1:
+                kernels[0](vals.size, rows, cols, vals, x, out)
+            else:
+                kernels[1](vals.size, x.shape[1], rows, cols, vals, x.ravel("C"), out)
         return out
 
     return LinearOperator(dim=n, apply=apply, interval=interval)
@@ -314,8 +358,10 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     """All eigenvalues of the densified operator, ascending.
 
     This is the exact reference for every approximation in the package; it
-    refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices. The dense array
-    belongs to this call, so LAPACK works in it: one n x n copy is held.
+    refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices. Only the lower
+    triangle is densified, which is all that LAPACK reads (``uplo='L'``).
+    The dense array belongs to this call, so LAPACK works in it: one n x n
+    copy is held.
     """
     if g.n > DENSE_SPECTRUM_CAP:
         raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {DENSE_SPECTRUM_CAP}")
@@ -323,11 +369,12 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     # cost every CLI start about 70 ms and 8 MB of RSS on a 2-core Xeon
     import scipy.linalg
 
-    rows, cols, vals, _ = _entries(g, kind)
+    lo, hi, diag, (lower, diagonal, _), _ = _entries(g, kind)
     dense = np.zeros((g.n, g.n), order="F")
     # added to zeros, as a sparse matrix densifies: -0.0 lands as +0.0
-    dense[rows, cols] += vals
-    return scipy.linalg.eigvalsh(dense, overwrite_a=True)
+    dense[hi, lo] += lower
+    dense[diag, diag] += diagonal
+    return scipy.linalg.eigvalsh(dense, lower=True, overwrite_a=True)
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:

@@ -332,7 +332,10 @@ class TestVngeSlq:
         # entropy on 2 threads, per stored entry of ER(50k, 10). It read
         # 46-49 bytes with int32 columns, unit weights as a view and float32
         # operator values only, against 66-70 with int64 columns, 8 bytes of
-        # 1.0 per entry and float64 values next to the float32 ones
+        # 1.0 per entry and float64 values next to the float32 ones. With
+        # each undirected edge stored once in the operator and the lines
+        # read in blocks it reads 39.0-42.5, set by the probe threads'
+        # blocks; the bound leaves 8% above that
         path = tmp_path / "er50k.tsv"
         g = erdos_renyi(50_000, 10, seed=0)
         with open(path, "w") as f:
@@ -347,7 +350,7 @@ class TestVngeSlq:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 58 * entries, peak / entries
+        assert peak <= 46 * entries, peak / entries
 
 
 class TestVngeTaylor:

@@ -124,8 +124,8 @@ class TestMakeOperator:
                 assert np.allclose(op.apply(x), mat @ x, atol=1e-12)
 
     def test_row_panels_match_csr_bit_for_bit(self, monkeypatch):
-        # the operator's entries are the sparse algebra's, laid out in row
-        # panels: panel by panel, then by column, then by row. With one
+        # the operator's entries are the sparse algebra's: each pair once,
+        # in panels of its smaller id, and the diagonal. With one
         # panel or many, and with the kernel loaded by file or the
         # scipy.sparse fallback, its products, the dense spectrum and the
         # degrees equal the algebra's bit for bit
@@ -179,18 +179,34 @@ class TestMakeOperator:
                         trace_squared(g, kind)
                     continue
                 ref = _algebra_csr(g, kind)
-                rows, cols, vals, _ = operators._entries(g, kind)
-                # the algebra drops a normalized entry that underflows to 0;
-                # the panels keep it as +0.0, which changes no product
-                extra = (vals == 0) & (kind is OperatorKind.NORMALIZED_LAPLACIAN)
-                assert not np.signbit(vals[extra]).any()
-                rows, cols, vals = (np.delete(a, extra) for a in (rows, cols, vals))
+                lo, hi, diag, (lower, diagonal, upper), _ = operators._entries(g, kind)
+                assert lo.dtype == hi.dtype == diag.dtype == np.int32
+                # the values below the diagonal are those above it, but for
+                # the normalized Laplacian of stored weights
+                own = (kind is OperatorKind.NORMALIZED_LAPLACIAN
+                       and not operators._is_unit_view(g.weights))
+                assert (lower is not upper) == own
                 coo = ref.tocoo()
-                order = np.lexsort((coo.row, coo.col, coo.row // panel_rows))
-                assert rows.dtype == cols.dtype == np.int32
-                assert np.array_equal(rows, coo.row[order])
-                assert np.array_equal(cols, coo.col[order])
-                assert vals.tobytes() == coo.data[order].tobytes()
+                # each pair once, ordered by (panel of lo, hi, lo): the
+                # algebra's entries below the diagonal as (hi, lo), and
+                # above it as (lo, hi)
+                for rows, cols, vals, part in ((hi, lo, lower, coo.row > coo.col),
+                                               (lo, hi, upper, coo.row < coo.col)):
+                    # the algebra drops a normalized entry that underflows
+                    # to 0; the pairs keep it as +0.0, which changes no product
+                    extra = (vals == 0) & (kind is OperatorKind.NORMALIZED_LAPLACIAN)
+                    assert not np.signbit(vals[extra]).any()
+                    rows, cols, vals = (np.delete(a, extra) for a in (rows, cols, vals))
+                    r, c = coo.row[part], coo.col[part]
+                    order = np.lexsort((np.minimum(r, c), np.maximum(r, c),
+                                        np.minimum(r, c) // panel_rows))
+                    assert np.array_equal(rows, r[order])
+                    assert np.array_equal(cols, c[order])
+                    assert vals.tobytes() == coo.data[part][order].tobytes()
+                on_diagonal = coo.row == coo.col
+                assert np.array_equal(diag, np.sort(coo.row[on_diagonal]))
+                assert diagonal.tobytes() == coo.data[on_diagonal][
+                    np.argsort(coo.row[on_diagonal])].tobytes()
                 for loader_fails in (False, True):
                     with _product_path(loader_fails):
                         op = make_operator(g, kind)
@@ -382,9 +398,11 @@ class TestValuesPerDtype:
                 held = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            # int32 rows and columns and float32 values take 12 bytes per
-            # entry; float64 values held next to them would make it 20
-            assert held < 16 * entries, (kind, held / entries)
+            # each pair once as int32 ids and a float32 value takes 6.3-6.8
+            # bytes per entry, 12.1 in the fallback, whose matrix holds the
+            # ids of every entry; float64 values held next to them would
+            # add 4
+            assert held < (14 if fallback else 8) * entries, (kind, held / entries)
             del op
 
     def test_concurrent_first_products_build_values_once(self, fallback, monkeypatch):
@@ -430,13 +448,118 @@ class TestValuesPerDtype:
                         thread.join(timeout=60)
                         assert not thread.is_alive()
                     assert results == [expected[kind]] * 4
-                    # the fallback builds one matrix; the kernel reads one
-                    # float32 array in all four products
-                    assert len(built) == (1 if fallback else 4)
-                    assert all(vals is built[0] for vals in built)
-                    assert built[0].dtype == np.float32
+                    # the fallback builds one matrix; the kernel's three
+                    # calls read the same two float32 arrays in all four
+                    # products: with unit weights, the values below the
+                    # diagonal are those above it
+                    assert len(built) == (1 if fallback else 12)
+                    assert len({id(vals) for vals in built}) == (1 if fallback else 2)
+                    assert all(vals.dtype == np.float32 for vals in built)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _asymmetric_normalized_graph():
+    """A weighted graph whose normalized Laplacian in the sparse algebra has
+    entries (w s_i) s_j and (w s_j) s_i that round apart."""
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, n=40, p=0.3, weighted=True)
+    ref = _algebra_csr(g, OperatorKind.NORMALIZED_LAPLACIAN)
+    assert (ref != ref.T).nnz > 0
+    return g
+
+
+def _density_defined(g):
+    tr_l = trace(g, OperatorKind.LAPLACIAN)
+    return 0 < tr_l * tr_l < np.inf
+
+
+class TestStoredPairs:
+    """Each undirected edge is stored once. A product is three kernel calls
+    into one zeroed output: the pairs below the diagonal, the diagonal, the
+    pairs above it. Every output entry thus sums its row's terms in column
+    order, so products equal the sparse algebra's bit for bit."""
+
+    @staticmethod
+    def _graphs():
+        rng = np.random.default_rng(41)
+        yield random_graph(rng, n=40, p=0.2, weighted=True)
+        yield pad_vertices(random_graph(rng, n=30, p=0.1), 45)  # stored ones
+        yield erdos_renyi(300, 4, 2)  # the unit view
+        yield empty_graph(5)
+        yield disjoint_edges(4)
+        yield _asymmetric_normalized_graph()
+        # normalized and density entries underflow, and are denormal
+        yield graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e150), (1, 3, 1e150),
+                                   (4, 5, 1.0), (6, 7, 5e-324)])
+        # normalized entries underflow; the density matrix is undefined
+        yield graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
+                                   (4, 5, 1.0), (6, 7, 5e-324)])
+        yield graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)])
+
+    @pytest.mark.parametrize("panel_rows", [operators.PANEL_ROWS, 7, 1])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("loader_fails", [False, True], ids=["kernel", "fallback"])
+    def test_products_match_the_algebra(self, panel_rows, dtype, loader_fails, monkeypatch):
+        monkeypatch.setattr(operators, "PANEL_ROWS", panel_rows)
+        rng = np.random.default_rng(42)
+        for g in self._graphs():
+            block = rng.standard_normal((g.n, 8)).astype(dtype)
+            inputs = [block, block[:, ::3], block[:, :1], block[:, 0]]
+            for kind in ALL_KINDS:
+                if kind is OperatorKind.DENSITY and not _density_defined(g):
+                    continue
+                # weights of 1e300 round to inf in float32, on both sides
+                with np.errstate(over="ignore"):
+                    ref = _algebra_csr(g, kind).astype(dtype)
+                    with _product_path(loader_fails):
+                        op = make_operator(g, kind)
+                    for v in inputs:
+                        out = op.apply(v)
+                        assert out.dtype == dtype
+                        assert out.tobytes() == (ref @ v).tobytes(), (g.n, kind)
+
+    def test_weighted_normalized_transpose_has_its_own_values(self):
+        # (w s_hi) s_lo and (w s_lo) s_hi round apart on this graph, so a
+        # product that reused the values above the diagonal below it would
+        # differ from the algebra's
+        g = _asymmetric_normalized_graph()
+        kind = OperatorKind.NORMALIZED_LAPLACIAN
+        _, _, _, (lower, _, upper), _ = operators._entries(g, kind)
+        assert lower.tobytes() != upper.tobytes()
+        block = np.random.default_rng(43).standard_normal((g.n, 8))
+        inputs = [block, block[:, 0], block.astype(np.float32)]
+        for loader_fails in (False, True):
+            with _product_path(loader_fails):
+                op = make_operator(g, kind)
+            for x in inputs:
+                ref = _algebra_csr(g, kind).astype(x.dtype)
+                assert op.apply(x).tobytes() == (ref @ x).tobytes()
+
+    def test_dense_spectrum_matches_eigvalsh_of_the_algebra(self):
+        for g in self._graphs():
+            for kind in ALL_KINDS:
+                if kind is OperatorKind.DENSITY and not _density_defined(g):
+                    continue
+                exact = scipy.linalg.eigvalsh(_algebra_csr(g, kind).toarray(order="F"),
+                                              overwrite_a=True)
+                assert dense_spectrum(g, kind).tobytes() == exact.tobytes(), (g.n, kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_make_operator_peak(self, kind):
+        # traced, per stored entry of ER(50k, 10), with the graph held: it
+        # read 41.1 for the full row-panel layout and 11.2-14.1 for one
+        # stored copy of each pair
+        g = erdos_renyi(50_000, 10, 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op = make_operator(g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del op
+        assert peak <= 20 * g.col_indices.size, peak / g.col_indices.size
 
 
 class TestTraces:
