@@ -261,8 +261,9 @@ def _scale_columns(ufunc, x: np.ndarray, c: np.ndarray, out: np.ndarray | None =
     return out
 
 
-def lanczos_block(op: LinearOperator, start: np.ndarray, s: int) -> BlockTridiagonal:
-    """Run up to s Lanczos steps on every column of the (n, W) block start.
+def lanczos_block(op: LinearOperator, start: list[np.ndarray], s: int) -> BlockTridiagonal:
+    """Run up to s Lanczos steps on every column of the (n, W) start block,
+    handed over in the one-element list start, which this function empties.
 
     Columns must have unit norm, or be zero: a zero column breaks down at its
     first step with the one-node rule at 0. Each column follows the plain
@@ -273,7 +274,12 @@ def lanczos_block(op: LinearOperator, start: np.ndarray, s: int) -> BlockTridiag
     leave its tridiagonal untouched. Requested steps beyond op.dim are
     clamped. Every step is one op.apply on the whole block and updates in
     place, so at most three (n, W) arrays live: the two latest Lanczos
-    blocks and the new product. start is overwritten.
+    blocks and the new product. The start buffer is handed over: the
+    recurrence overwrites it and frees it once rotated out, so a caller
+    holds no other reference to it. Kept by the caller, it is a fourth
+    block: the probe threads on ER(200k) traced 4.26 (n, W) blocks each
+    while their caller kept the start buffer and its unpacked signs, and
+    3.01 with both handed over or freed.
 
     A float32 start block keeps every (n, W) array in float32, half the
     bytes of a float64 one, and op.apply gets float32 blocks; alpha, beta
@@ -285,9 +291,10 @@ def lanczos_block(op: LinearOperator, start: np.ndarray, s: int) -> BlockTridiag
     """
     if s < 1:
         raise ValueError(f"step budget must be >= 1, got {s}")
-    n, width = start.shape
+    q = start.pop()
+    n, width = q.shape
     s = min(s, n)
-    dtype = start.dtype
+    dtype = q.dtype
     tol = _SINGLE_BREAKDOWN_REL_TOL if dtype == np.float32 else _BREAKDOWN_REL_TOL
     alpha = np.zeros((width, s))
     # column i + 1 holds beta_i; column 0 is beta_{-1} = 0, which lets step 0
@@ -297,7 +304,7 @@ def lanczos_block(op: LinearOperator, start: np.ndarray, s: int) -> BlockTridiag
     active = np.ones(width, dtype=bool)
     scale = np.zeros(width)
 
-    q_prev, q = np.zeros_like(start), start
+    q_prev = np.zeros_like(q)
     for i in range(s):
         w = op.apply(q)
         a = _column_dots(q, w)

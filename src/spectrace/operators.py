@@ -10,10 +10,11 @@ the diagonal. Applying it to a vector or to an (n, W) block of vectors is
 three calls of scipy's compiled COO product kernel into one output, the
 pairs below the diagonal, the diagonal, the pairs above it, so each output
 entry sums its row in column order, as the sparse algebra does. The kernel
-is loaded by file so that ``scipy.sparse`` is never imported. An operator
-holds its values in the dtype of its first product only: float32 for the
-Lanczos blocks of large graphs, float64 otherwise; with int32 ids, that is
-6 bytes per stored entry of the graph in float32 (see ``make_operator``).
+is loaded by file so that ``scipy.sparse`` is never imported. The build
+keeps ids, no values; each dtype's values are built, in chunks, on the
+first product in that dtype: float32 for the Lanczos blocks of large
+graphs, float64 otherwise. With int32 ids, a float32 operator holds 6 bytes per
+stored entry of the graph (see ``make_operator``).
 The degrees of a graph with unit weights (see ``Graph``) are its row
 lengths, read without an array of ones. Traces and squared traces come
 from closed-form identities.
@@ -76,7 +77,7 @@ class LinearOperator:
     interval: tuple[float, float]
 
 
-# Rows per panel of an operator's pairs (see _entries). For an 8-column
+# Rows per panel of an operator's pairs (see _pairs). For an 8-column
 # block a panel's rows of the product take 512 KB, which stay in cache.
 PANEL_ROWS = 8192
 
@@ -112,18 +113,16 @@ def degrees(g: Graph) -> np.ndarray:
     return d
 
 
-def _entries(g: Graph, kind: OperatorKind) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray,
-        tuple[np.ndarray, np.ndarray, np.ndarray], tuple[float, float]]:
-    """The operator as ``(lo, hi, diag, (lower, diagonal, upper), interval)``.
+def _pairs(g: Graph, kind: OperatorKind) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray | None, np.ndarray],
+        tuple[float, float]]:
+    """The operator's stored ids as ``(lo, hi, diag, (w, d), interval)``.
 
     Each undirected edge is stored once, as a pair of int32 vertex ids
-    ``lo < hi``, and the vertices with an edge once, in ``diag``. The three
-    value arrays are the operator's entries at (hi, lo), below the
-    diagonal, at (diag, diag) and at (lo, hi), above it; ``lower`` is
-    ``upper`` itself except for the normalized Laplacian of a graph with
-    stored weights, where (w s_hi) s_lo and (w s_lo) s_hi can round
-    apart. ``interval`` is the operator's spectral interval.
+    ``lo < hi``, and the vertices with an edge once, in ``diag``; ``w``
+    holds the pairs' weights in pair order, None for unit weights, and
+    ``d`` the degrees, which ``_values`` builds the entries from.
+    ``interval`` is the operator's spectral interval.
 
     The pairs are g's CSR entries below the diagonal, in CSR order, stably
     partitioned into panels of PANEL_ROWS by their smaller id: ordered by
@@ -135,15 +134,8 @@ def _entries(g: Graph, kind: OperatorKind) -> tuple[
     outgrows the cache). A graph of at most PANEL_ROWS vertices is one
     panel and is not sorted. Either way each row of the operator meets its
     pairs below the diagonal in ascending column order as (hi, lo), and
-    those above it as (lo, hi).
-
-    Each value is computed in the operation order of the sparse algebra
-    ``diags(d) - A``, ``diags(d > 0) - S A S`` with ``S = diags(d^{-1/2})``
-    and ``(diags(d) - A) * (1 / tr L)``, so it equals that algebra's entry
-    bit for bit. Only vertices with an edge get a diagonal entry, as the
-    algebra drops zero diagonals. An off-diagonal entry of the normalized
-    Laplacian that underflows stays as +0.0, where the algebra drops it;
-    this changes no product and no dense entry.
+    those above it as (lo, hi). Only vertices with an edge get a diagonal
+    entry, as the sparse algebra drops zero diagonals.
 
     Every id lies in [0, n): the product kernel does no bounds checks, so a
     hand-built graph whose column indices leave that range raises
@@ -154,9 +146,15 @@ def _entries(g: Graph, kind: OperatorKind) -> tuple[
         if low < 0 or high >= g.n:
             raise ValueError(f"column index {low if low < 0 else high} outside [0, {g.n})")
     d = degrees(g)
-    tr_l = float(d.sum())
     if kind is OperatorKind.DENSITY:
-        _check_density(tr_l)
+        _check_density(float(d.sum()))
+        interval = (0.0, 1.0)
+    elif kind is OperatorKind.NORMALIZED_LAPLACIAN:
+        interval = (0.0, 2.0)
+    elif kind is OperatorKind.LAPLACIAN:
+        interval = (0.0, 2.0 * float(d.max(initial=0.0)))
+    else:
+        raise ValueError(f"unknown operator kind: {kind!r}")
     diag = np.flatnonzero(d > 0).astype(np.int32)
     src = _sources(g)
     below = g.col_indices < src
@@ -176,39 +174,60 @@ def _entries(g: Graph, kind: OperatorKind) -> tuple[
         if w is not None:
             w = np.take(w, order, mode="clip")
         del order
-    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        scale = np.zeros(g.n)
-        scale[diag] = 1.0 / np.sqrt(d[diag])
+    return lo, hi, diag, (w, d), interval
 
-        def scaled(row, col):
-            """(w s_row) s_col, the algebra's scaled entry at (row, col)."""
-            vals = scale[row]
-            if w is not None:
-                vals *= w
-            vals *= scale[col]
-            return vals
 
-        upper = scaled(lo, hi)
-        # with unit weights, s_hi s_lo and s_lo s_hi are the same product
-        lower = upper if w is None else scaled(hi, lo)
-        diagonal, interval = np.ones(diag.size), (0.0, 2.0)
-    else:
-        upper = lower = np.ones(lo.size) if w is None else w
-        diagonal = d[diag]
-        interval = (0.0, 2.0 * float(d.max(initial=0.0)))
-        if kind is OperatorKind.DENSITY:
-            interval = (0.0, 1.0)
-        elif kind is not OperatorKind.LAPLACIAN:
-            raise ValueError(f"unknown operator kind: {kind!r}")
+def _values(kind: OperatorKind, lo: np.ndarray, hi: np.ndarray, diag: np.ndarray,
+            w: np.ndarray | None, d: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """The operator's entries in dtype, as ``(lower, diagonal, upper)``, for
+    the pairs and diagonal of ``_pairs``.
+
+    The three arrays are the entries at (hi, lo), below the diagonal, at
+    (diag, diag) and at (lo, hi), above it; ``lower`` is ``upper`` itself
+    except for the normalized Laplacian of a graph with stored weights,
+    where (w s_hi) s_lo and (w s_lo) s_hi can round apart.
+
+    Each value is computed in float64 in the operation order of the sparse
+    algebra ``diags(d) - A``, ``diags(d > 0) - S A S`` with ``S =
+    diags(d^{-1/2})`` and ``(diags(d) - A) * (1 / tr L)``, so it equals
+    that algebra's entry bit for bit, and then rounded into dtype. The
+    pairs go in chunks of ``_TERM_ENTRIES``, so no float64 temporary has
+    one entry per pair; with unit weights, the Laplacian's and the density
+    matrix's off-diagonal entries are one constant. An off-diagonal entry
+    of the normalized Laplacian that underflows stays as +0.0, where the
+    algebra drops it; this changes no product and no dense entry.
+    """
+    # 1 / tr L for the density matrix; a factor of 1.0 changes no bit
+    factor = 1.0 / float(d.sum()) if kind is OperatorKind.DENSITY else 1.0
+
+    def chunked(term: Callable[[slice], np.ndarray]) -> np.ndarray:
+        """term over the pairs, chunk by chunk, rounded into dtype."""
+        out = np.empty(lo.size, dtype)
+        for a in range(0, lo.size, _TERM_ENTRIES):
+            out[a:a + _TERM_ENTRIES] = term(slice(a, a + _TERM_ENTRIES))
+        return out
+
     # 0.0 - x, not -x: an underflowed +0.0 stays +0.0, which densifies as
     # the algebra's dropped entry does
-    for vals in (upper,) if lower is upper else (lower, upper):
-        np.subtract(0.0, vals, out=vals)
-        if kind is OperatorKind.DENSITY:
-            vals *= 1.0 / tr_l
-    if kind is OperatorKind.DENSITY:
-        diagonal *= 1.0 / tr_l
-    return lo, hi, diag, (lower, diagonal, upper), interval
+    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
+        scale = np.zeros(d.size)
+        scale[diag] = 1.0 / np.sqrt(d[diag])
+
+        def scaled(row: np.ndarray, col: np.ndarray, k: slice) -> np.ndarray:
+            """0.0 - (w s_row) s_col, the algebra's entries at (row[k], col[k])."""
+            vals = scale[row[k]]
+            if w is not None:
+                vals *= w[k]
+            vals *= scale[col[k]]
+            return np.subtract(0.0, vals, out=vals)
+
+        upper = chunked(lambda k: scaled(lo, hi, k))
+        # with unit weights, s_hi s_lo and s_lo s_hi are the same product
+        lower = upper if w is None else chunked(lambda k: scaled(hi, lo, k))
+        return lower, np.ones(diag.size, dtype), upper
+    # unit weights make every chunk one constant
+    upper = chunked(lambda k: np.subtract(0.0, 1.0 if w is None else w[k]) * factor)
+    return upper, (d[diag] * factor).astype(dtype, copy=False), upper
 
 
 def _check_density(tr_l: float) -> None:
@@ -267,7 +286,7 @@ def _coo_kernels() -> tuple[Callable, Callable] | None:
 
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     """Build the operator of the requested kind for g from its stored pairs
-    and diagonal (``_entries``).
+    and diagonal (``_pairs``).
 
     A product is three calls of scipy's compiled COO kernel, the call
     ``coo_matrix.__matmul__`` makes, into one zeroed output: the pairs as
@@ -284,17 +303,19 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     raises ValueError. The float64 path is the only one that ``eigsh``, the
     deflated baseline operators and every small graph use.
 
-    The operator holds its values in one dtype only. It keeps the float64
-    values of ``_entries`` until its first product, whose dtype decides the
-    copy kept: a float32 product rounds them and lets the float64 values
-    go, so the slq route above the switch holds 12 bytes per undirected
-    edge (int32 ids lo and hi, one float32 value), 6 per stored entry of
-    the graph, plus 8 per vertex for the diagonal; the normalized Laplacian
-    of a graph with stored weights adds 2 per stored entry for the values
-    below the diagonal. A later product in the other dtype builds that
-    dtype's values again from g, and both copies are kept from then on.
-    Each copy is built once, under a lock, however many threads make their
-    first products at once.
+    The operator returned holds ids, no values: the pairs, the diagonal,
+    the degrees and, for a graph with stored weights, the pairs' weights,
+    which the first value build takes. Each dtype's values are built by
+    ``_values`` on the first product in that dtype, in chunks rounded
+    straight into it, so no float64 array with one entry per pair is made
+    for a float32 product. The slq route above the switch thus holds 12
+    bytes per undirected edge (int32 ids lo and hi, one float32 value), 6
+    per stored entry of the graph, plus 8 per vertex for the diagonal; the
+    normalized Laplacian of a graph with stored weights adds 2 per stored
+    entry for the values below the diagonal. A later product in the other
+    dtype derives the weights and degrees from g again, and both dtypes'
+    values are kept from then on. Each dtype's values are built once,
+    under a lock, however many threads make their first products at once.
 
     Raises
     ------
@@ -304,30 +325,29 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         degree of g is not finite, or if a column index of g lies outside
         [0, n).
     """
-    lo, hi, diag, first, interval = _entries(g, kind)
+    lo, hi, diag, pending, interval = _pairs(g, kind)
     n = g.n
     kernels = _coo_kernels()
     calls = ((hi, lo), (diag, diag), (lo, hi))  # the rows and columns of each call
     if kernels is None:
-        # the fallback's matrices share these ids, concatenated in call order
+        # the fallback's matrices share these ids, concatenated in call
+        # order; the value builds read the pairs and diagonal as views
         calls = tuple(np.concatenate(ids) for ids in zip(*calls))
-    del lo, hi, diag
+        hi, lo, diag = calls[0][:lo.size], calls[1][:lo.size], calls[0][lo.size:][:diag.size]
     lock = threading.Lock()
     built = {}  # dtype -> the three calls' values in dtype, or the fallback's matrix
 
     def values(dtype: np.dtype):
         """The values of the three calls in dtype, or the fallback's matrix of them."""
-        nonlocal first
+        nonlocal pending
         with lock:
             if dtype not in built:
-                if first is None:
-                    first = _entries(g, kind)[3]
-                lower, diagonal, upper = first
-                first = None
-                cast = upper.astype(dtype, copy=False)
-                # one array serves both triangles unless _entries built two
-                lower = cast if lower is upper else lower.astype(dtype, copy=False)
-                built[dtype] = lower, diagonal.astype(dtype, copy=False), cast
+                # the first build takes the weights and degrees of _pairs;
+                # a later one derives them from g again
+                w, d = pending or _pairs(g, kind)[3]
+                pending = None
+                built[dtype] = _values(kind, lo, hi, diag, w, d, dtype)
+                del w, d
                 if kernels is None:
                     import scipy.sparse
 
@@ -341,10 +361,13 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
         # checked here for both paths: the kernel reads x without bounds checks
         if x.ndim > 2 or x.shape[0] != n:
             raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
+        # built before the output is allocated: a first product's peak
+        # holds one or the other
+        parts = values(x.dtype)
         if kernels is None:
-            return values(x.dtype) @ x
+            return parts @ x
         out = np.zeros(x.shape, x.dtype)
-        for (rows, cols), vals in zip(calls, values(x.dtype)):
+        for (rows, cols), vals in zip(calls, parts):
             if x.ndim == 1:
                 kernels[0](vals.size, rows, cols, vals, x, out)
             else:
@@ -369,7 +392,8 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     # cost every CLI start about 70 ms and 8 MB of RSS on a 2-core Xeon
     import scipy.linalg
 
-    lo, hi, diag, (lower, diagonal, _), _ = _entries(g, kind)
+    lo, hi, diag, (w, d), _ = _pairs(g, kind)
+    lower, diagonal, _ = _values(kind, lo, hi, diag, w, d, np.float64)
     dense = np.zeros((g.n, g.n), order="F")
     # added to zeros, as a sparse matrix densifies: -0.0 lands as +0.0
     dense[hi, lo] += lower

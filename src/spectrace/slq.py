@@ -90,7 +90,8 @@ BLOCK_WIDTH = 8
 MIN_PARALLEL_DIM = 2048
 # Widest block below MIN_PARALLEL_DIM. A block keeps three (n, width)
 # arrays alive, so the cap bounds memory whatever n_v is: vnge_slq at
-# n = 2047 peaks near 17 MiB, where one block of 4000 probes took 251 MiB.
+# n = 2047 peaks at 12.4-12.9 MiB traced for n_v = 256 to 4000, where one
+# block of 4000 probes took 251 MiB.
 MAX_BLOCK_WIDTH = 256
 # Node values per tile of slq_trace_grid: 32 grid points at n_v=100, s=10.
 # A bound keeps the (k, n_v, s) temporaries small whatever the grid size.
@@ -211,6 +212,7 @@ def _probe_block(
         bits = np.unpackbits(signs[first:last], axis=1, count=op.dim)
         np.multiply(bits.T, 2 * r, out=probes, dtype=dtype)
         probes -= r
+        del probes, bits
     else:
         # not np.linalg.norm: its BLAS dot starts OpenBLAS threads above 10k
         # entries, which then spin on the cores the workers need
@@ -219,7 +221,11 @@ def _probe_block(
             if cfg.distribution == "rademacher":
                 v = v * 2.0 - 1.0
             block[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
-    return lanczos_block(op, block, cfg.s)
+        del v
+    # handed over: lanczos_block frees the block once its recurrence is done with it
+    start = [block]
+    del block
+    return lanczos_block(op, start, cfg.s)
 
 
 def _probe_rules(

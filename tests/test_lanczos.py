@@ -117,7 +117,7 @@ class TestTridiagonalize:
         start = np.random.default_rng(5).standard_normal((op.dim, 8))
         start /= np.linalg.norm(start, axis=0)
         for dtype in (np.float64, np.float32):
-            true, wide = (lanczos_block(o, start.astype(dtype), 10) for o in (op, loose))
+            true, wide = (lanczos_block(o, [start.astype(dtype)], 10) for o in (op, loose))
             for name in ("alpha", "beta", "steps"):
                 assert np.array_equal(getattr(true, name), getattr(wide, name))
             assert (true.steps == 10).all()
@@ -136,7 +136,7 @@ class TestTridiagonalize:
                            OperatorKind.DENSITY)
         start = np.random.default_rng(6).standard_normal((op.dim, 8))
         start /= np.linalg.norm(start, axis=0)
-        assert (lanczos_block(op, start.copy(), 10).steps == 3).all()
+        assert (lanczos_block(op, [start.copy()], 10).steps == 3).all()
         for reorth in (False, True):
             assert lanczos_tridiagonalize(op, start[:, 0], 10, reorth=reorth).steps == 3
 

@@ -179,7 +179,8 @@ class TestMakeOperator:
                         trace_squared(g, kind)
                     continue
                 ref = _algebra_csr(g, kind)
-                lo, hi, diag, (lower, diagonal, upper), _ = operators._entries(g, kind)
+                lo, hi, diag, (w, d), _ = operators._pairs(g, kind)
+                lower, diagonal, upper = operators._values(kind, lo, hi, diag, w, d, np.float64)
                 assert lo.dtype == hi.dtype == diag.dtype == np.int32
                 # the values below the diagonal are those above it, but for
                 # the normalized Laplacian of stored weights
@@ -357,10 +358,11 @@ def _er3000():
 
 
 class TestValuesPerDtype:
-    """An operator holds its values in the dtype of its first product; a
-    product in the other dtype builds that dtype's values again from the
-    graph. Checked with the kernel loaded by file and with the scipy.sparse
-    fallback."""
+    """make_operator keeps ids, no values: each dtype's values are built
+    from the stored ids on the first product in that dtype, and kept. The
+    first build takes the weights and degrees that the pair build made; a
+    build in the other dtype derives them from the graph again. Checked
+    with the kernel loaded by file and with the scipy.sparse fallback."""
 
     @pytest.fixture(params=[False, True], ids=["kernel", "fallback"])
     def fallback(self, request, monkeypatch):
@@ -459,6 +461,66 @@ class TestValuesPerDtype:
             sys.setswitchinterval(interval)
 
 
+def _weighted_er50k():
+    """ER(50k, 10) with a stored weight in [0.25, 4.25) on each edge, the
+    same in both directions."""
+    g = erdos_renyi(50_000, 10, 0)
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.row_offsets))
+    lo, hi = np.minimum(src, g.col_indices), np.maximum(src, g.col_indices)
+    weights = 0.25 + 4.0 * ((lo * 1_000_003 + hi) % 9973) / 9973.0
+    return Graph(n=g.n, row_offsets=g.row_offsets, col_indices=g.col_indices,
+                 weights=weights)
+
+
+class TestValueBuildMemory:
+    """Traced bytes per stored entry of ER(50k, 10) that an operator holds
+    and peaks at, with the graph held."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_unit_weights_hold_no_values_after_build(self, kind):
+        # int32 ids of each pair take 4 bytes per entry and the diagonal's
+        # ids and the degrees 1.2 more: 5.2 here. The float64 values that
+        # make_operator used to keep until the first product added 4 (9.2)
+        g = erdos_renyi(50_000, 10, 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op = make_operator(g, kind)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del op
+        assert held <= 6 * g.col_indices.size, held / g.col_indices.size
+
+    @pytest.mark.parametrize("kind,held_bound,peak_bound", [
+        (OperatorKind.LAPLACIAN, 7, 13.5),
+        (OperatorKind.NORMALIZED_LAPLACIAN, 9, 17.5),
+        (OperatorKind.DENSITY, 7, 13.5),
+    ])
+    def test_weighted_first_float32_product(self, kind, held_bound, peak_bound):
+        # after make_operator, the held pair-ordered weights stand where the
+        # float64 values stood. The first float32 product's peak read 14.8
+        # (20.4 for the normalized Laplacian) when it rounded the held
+        # float64 values with the product's output allocated; built in
+        # chunks before the output, 12.4 (16.2). Held after it: 6.8 (8.8)
+        # on both
+        g = _weighted_er50k()
+        block = np.ones((g.n, 8), np.float32)
+        entries = g.col_indices.size
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op = make_operator(g, kind)
+            tracemalloc.reset_peak()
+            op.apply(block)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del op
+        assert held <= held_bound * entries, held / entries
+        assert peak <= peak_bound * entries, peak / entries
+
+
 def _asymmetric_normalized_graph():
     """A weighted graph whose normalized Laplacian in the sparse algebra has
     entries (w s_i) s_j and (w s_j) s_i that round apart."""
@@ -525,7 +587,8 @@ class TestStoredPairs:
         # differ from the algebra's
         g = _asymmetric_normalized_graph()
         kind = OperatorKind.NORMALIZED_LAPLACIAN
-        _, _, _, (lower, _, upper), _ = operators._entries(g, kind)
+        lo, hi, diag, (w, d), _ = operators._pairs(g, kind)
+        lower, _, upper = operators._values(kind, lo, hi, diag, w, d, np.float64)
         assert lower.tobytes() != upper.tobytes()
         block = np.random.default_rng(43).standard_normal((g.n, 8))
         inputs = [block, block[:, 0], block.astype(np.float32)]

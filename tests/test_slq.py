@@ -469,7 +469,7 @@ def _assert_start_block(monkeypatch, n, n_v, first, width, distribution):
     past the last probe, when the block draws its probes and when it reads
     them back; Rademacher probes are drawn once, Gaussian ones per block."""
     starts = []
-    monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.append(start))
+    monkeypatch.setattr(slq, "lanczos_block", lambda op, start, s: starts.extend(start))
     calls = _counted_draws(monkeypatch)
     op = LinearOperator(dim=n, apply=None, interval=(0.0, 1.0))
     dtype = np.dtype(np.float64 if n < MIN_PARALLEL_DIM else np.float32)
@@ -639,6 +639,32 @@ class TestSignBank:
         _assert_bytes_do_not_depend_on_history(runs, (0, 1, 0, 2, 0, 3, 0, 4, 0))
 
 
+class TestProbeThreadMemory:
+    """Each probe thread holds what the Lanczos recurrence reads: the two
+    latest blocks and the new product. The start block is handed over, so
+    it is freed once the recurrence rotates it out."""
+
+    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+    def test_three_blocks_per_thread(self, distribution):
+        # traced peak of _probe_rules on ER(50k)'s density matrix, with the
+        # operator's float32 values built and the sign bank drawn, in (n, 8)
+        # float32 blocks per thread: 4.27-4.29 while the caller and the
+        # recurrence kept the start block, 3.03 handed over
+        n = 50_000
+        op = make_operator(erdos_renyi(n, 10, 0), OperatorKind.DENSITY)
+        cfg = SlqConfig(n_v=2 * BLOCK_WIDTH, distribution=distribution)
+        _probe_rules(op, cfg, 2)
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                _probe_rules(op, cfg, threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            blocks = peak / (n * BLOCK_WIDTH * 4) / threads
+            assert blocks <= 3.2, (threads, blocks)
+
+
 class TestGoldenBytes:
     """descriptor_to_json bytes of the default estimator, pinned to the
     per-block, per-point implementation that the one-block and tiled paths
@@ -686,7 +712,7 @@ class TestSinglePrecision:
         real = slq.lanczos_block
 
         def recording(op, start, s):
-            dtypes.append(start.dtype)
+            dtypes.append(start[0].dtype)
             return real(op, start, s)
 
         monkeypatch.setattr(slq, "lanczos_block", recording)
@@ -700,7 +726,7 @@ class TestSinglePrecision:
         for j in range(min(BLOCK_WIDTH, cfg.n_v)):
             v = _fresh_probe(cfg.seed, j, op.dim, cfg.distribution)
             block[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
-        return lanczos_block(op, block, cfg.s).steps
+        return lanczos_block(op, [block], cfg.s).steps
 
     @pytest.mark.parametrize("args", [(MIN_PARALLEL_DIM, 10, 2), (5000, 10, 0)])
     def test_threads_do_not_change_bytes(self, start_dtypes, args):
