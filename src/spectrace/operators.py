@@ -9,8 +9,10 @@ stored once, as a pair of vertex ids in panels of the smaller id, next to
 the diagonal. Applying it to a vector or to an (n, W) block of vectors is
 three calls of scipy's compiled COO product kernel into one output, the
 pairs below the diagonal, the diagonal, the pairs above it, so each output
-entry sums its row in column order, as the sparse algebra does. The kernel
-is loaded by file so that ``scipy.sparse`` is never imported. The build
+entry sums its row in column order, as the sparse algebra does; a scipy
+without the block kernel runs a block column by column, to the same bits.
+The kernel is loaded by file so that ``scipy.sparse`` is not imported,
+and imported with its package only where that load fails. The build
 keeps ids, no values; each dtype's values are built, in chunks, on the
 first product in that dtype: float32 for the Lanczos blocks of large
 graphs, float64 otherwise. With int32 ids, a float32 operator holds 6 bytes per
@@ -250,38 +252,46 @@ def _check_density(tr_l: float) -> None:
 _KERNEL_MODULE = "scipy.sparse._sparsetools"
 
 
+def _sparsetools_by_file():
+    """scipy.sparse's ``_sparsetools`` extension loaded from its file, or
+    None if the file cannot be found or loaded."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return None
+    folder = Path(scipy_spec.submodule_search_locations[0], "sparse")
+    paths = (folder / f"_sparsetools{s}" for s in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        return None
+    try:
+        spec = importlib.util.spec_from_file_location(_KERNEL_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    finally:
+        # the extension registers itself in sys.modules; left there
+        # without its package, scipy.sparse would later import it
+        # without setting its own ``_sparsetools`` attribute
+        sys.modules.pop(_KERNEL_MODULE, None)
+    return module
+
+
 @cache
-def _coo_kernels() -> tuple[Callable, Callable] | None:
-    """scipy's compiled ``coo_matvec`` and ``coo_matmat_dense``, or None if
-    they cannot be loaded.
+def _coo_kernels() -> tuple[Callable, Callable | None]:
+    """scipy's compiled ``coo_matvec`` and ``coo_matmat_dense``; the second
+    is None in a scipy that lacks it, where ``make_operator`` runs an
+    (n, W) block column by column through the first.
 
     The extension module is loaded by file, so ``scipy.sparse``'s package
     init, which costs about 0.2 s on a 2-core Xeon, does not run; if that
-    package already loaded it, its module is used as it is.
+    package already loaded it, its module is used as it is. Where the file
+    cannot be found or loaded, for example in an editable install of
+    scipy, the module is imported with its package.
     """
-    module = sys.modules.get(_KERNEL_MODULE)
-    if module is None:
-        scipy_spec = importlib.util.find_spec("scipy")
-        if scipy_spec is None or not scipy_spec.submodule_search_locations:
-            return None
-        folder = Path(scipy_spec.submodule_search_locations[0], "sparse")
-        paths = (folder / f"_sparsetools{s}" for s in importlib.machinery.EXTENSION_SUFFIXES)
-        path = next((p for p in paths if p.is_file()), None)
-        if path is None:
-            return None
-        try:
-            spec = importlib.util.spec_from_file_location(_KERNEL_MODULE, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except (ImportError, OSError):
-            return None
-        finally:
-            # the extension registers itself in sys.modules; left there
-            # without its package, scipy.sparse would later import it
-            # without setting its own ``_sparsetools`` attribute
-            sys.modules.pop(_KERNEL_MODULE, None)
-    kernels = (getattr(module, "coo_matvec", None), getattr(module, "coo_matmat_dense", None))
-    return None if None in kernels else kernels
+    module = (sys.modules.get(_KERNEL_MODULE) or _sparsetools_by_file()
+              or importlib.import_module(_KERNEL_MODULE))
+    return module.coo_matvec, getattr(module, "coo_matmat_dense", None)
 
 
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
@@ -293,10 +303,11 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     (hi, lo), the terms below the diagonal; the diagonal; the pairs as
     (lo, hi), the terms above it. Each output entry thus sums its row's
     terms in column order, as a CSR product does, so every product has the
-    sparse algebra's bits. If the kernel cannot be loaded by file, the
-    product is that of one ``scipy.sparse.coo_matrix`` of the three parts,
-    concatenated in call order. Either way the input is checked and cast
-    first, in one place: float32 input, such as the Lanczos blocks of large
+    sparse algebra's bits. In a scipy without ``coo_matmat_dense`` (see
+    ``_coo_kernels``), an (n, W) block runs column by column through
+    ``coo_matvec``, which adds the same terms in the same order, so the
+    bits are the same. Either way the input is checked and cast first, in
+    one place: float32 input, such as the Lanczos blocks of large
     operators, is multiplied in float32 by the entries rounded to float32;
     any other input is made C-contiguous float64 and multiplied by the
     float64 entries. An input that is not an (n,) vector or an (n, W) block
@@ -327,18 +338,13 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     """
     lo, hi, diag, pending, interval = _pairs(g, kind)
     n = g.n
-    kernels = _coo_kernels()
+    matvec, matmat = _coo_kernels()
     calls = ((hi, lo), (diag, diag), (lo, hi))  # the rows and columns of each call
-    if kernels is None:
-        # the fallback's matrices share these ids, concatenated in call
-        # order; the value builds read the pairs and diagonal as views
-        calls = tuple(np.concatenate(ids) for ids in zip(*calls))
-        hi, lo, diag = calls[0][:lo.size], calls[1][:lo.size], calls[0][lo.size:][:diag.size]
     lock = threading.Lock()
-    built = {}  # dtype -> the three calls' values in dtype, or the fallback's matrix
+    built = {}  # dtype -> the three calls' values in dtype
 
-    def values(dtype: np.dtype):
-        """The values of the three calls in dtype, or the fallback's matrix of them."""
+    def values(dtype: np.dtype) -> tuple[np.ndarray, ...]:
+        """The values of the three calls in dtype."""
         nonlocal pending
         with lock:
             if dtype not in built:
@@ -348,31 +354,39 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
                 pending = None
                 built[dtype] = _values(kind, lo, hi, diag, w, d, dtype)
                 del w, d
-                if kernels is None:
-                    import scipy.sparse
-
-                    built[dtype] = scipy.sparse.coo_matrix(
-                        (np.concatenate(built[dtype]), calls), shape=(n, n))
             return built[dtype]
+
+    def product(x: np.ndarray, parts: tuple[np.ndarray, ...]) -> np.ndarray:
+        """x, checked and cast, times the operator: the three kernel calls
+        into one zeroed output."""
+        out = np.zeros(x.shape, x.dtype)
+        for (rows, cols), vals in zip(calls, parts):
+            if x.ndim == 1:
+                matvec(vals.size, rows, cols, vals, x, out)
+            else:
+                matmat(vals.size, x.shape[1], rows, cols, vals, x.ravel("C"), out)
+        return out
 
     def apply(x: np.ndarray) -> np.ndarray:
         single = getattr(x, "dtype", None) == np.float32
         x = np.ascontiguousarray(x, dtype=np.float32 if single else np.float64)
-        # checked here for both paths: the kernel reads x without bounds checks
+        # checked here for every route: the kernel reads x without bounds checks
         if x.ndim > 2 or x.shape[0] != n:
             raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
         # built before the output is allocated: a first product's peak
         # holds one or the other
         parts = values(x.dtype)
-        if kernels is None:
-            return parts @ x
-        out = np.zeros(x.shape, x.dtype)
-        for (rows, cols), vals in zip(calls, parts):
-            if x.ndim == 1:
-                kernels[0](vals.size, rows, cols, vals, x, out)
-            else:
-                kernels[1](vals.size, x.shape[1], rows, cols, vals, x.ravel("C"), out)
-        return out
+        if x.ndim == 2 and matmat is None:
+            # column by column, the same terms in the same order; filled in
+            # place, so that an (n, 0) block gives an (n, 0) product. Not
+            # through apply itself: a closure that calls itself is a
+            # reference cycle, which would hold the operator's arrays until
+            # the garbage collector runs
+            out = np.empty(x.shape, x.dtype)
+            for j in range(x.shape[1]):
+                out[:, j] = product(np.ascontiguousarray(x[:, j]), parts)
+            return out
+        return product(x, parts)
 
     return LinearOperator(dim=n, apply=apply, interval=interval)
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import spectrace
-from spectrace import slq
+from spectrace import operators, slq
 from spectrace.descriptors import TimeGrid, descriptor_to_json, netlsd_slq, vnge_slq
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
@@ -689,6 +689,24 @@ class TestGoldenBytes:
         g = erdos_renyi(*args)
         desc = netlsd_slq(g) if kind == "netlsd" else vnge_slq(g)
         assert hashlib.sha256(descriptor_to_json(desc).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [(300, 4, 1), (MIN_PARALLEL_DIM, 10, 2)])
+def test_per_column_products_keep_descriptor_bytes(args, monkeypatch):
+    # in a scipy without coo_matmat_dense, make_operator runs each (n, W)
+    # block column by column through coo_matvec: the descriptors, below and
+    # above the float32 switch and at 1 and 2 threads, keep the block
+    # kernel's bytes
+    g = erdos_renyi(*args)
+
+    def descriptors():
+        return [descriptor_to_json(describe(g, threads=threads))
+                for describe in (netlsd_slq, vnge_slq) for threads in (1, 2)]
+
+    block = descriptors()
+    matvec, _ = operators._coo_kernels()
+    monkeypatch.setattr(operators, "_coo_kernels", lambda: (matvec, None))
+    assert descriptors() == block
 
 
 def _c6_copies(copies, isolated):
