@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, TridiagonalEigenError
-from .operators import LinearOperator
+from .operators import LinearOperator, _eigvalsh
 
 __all__ = [
     "Tridiagonal",
@@ -184,8 +184,7 @@ def quadrature_rule(tri: Tridiagonal) -> QuadratureRule:
         If the symmetric tridiagonal eigensolver fails to converge or
         refuses a non-finite entry.
     """
-    # imported on first use, like scipy.linalg in operators.dense_spectrum:
-    # the estimator path never needs it
+    # imported on first use: the estimator path never needs it
     import scipy.linalg
 
     try:
@@ -394,9 +393,8 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k == n:
-        import scipy.linalg
-
-        return scipy.linalg.eigvalsh(op.apply(np.eye(n)))
+        # scipy.linalg.eigvalsh's call, on the Fortran copy that it makes
+        return _eigvalsh(np.asfortranarray(np.asarray_chkfinite(op.apply(np.eye(n)))))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k)))
     v0 = rng.standard_normal(n)
     if not np.any(op.apply(v0)):

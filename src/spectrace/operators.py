@@ -21,13 +21,16 @@ The degrees of a graph with unit weights (see ``Graph``) are its row
 lengths, read without an array of ones. Traces and squared traces come
 from closed-form identities.
 ``dense_spectrum``, the exact reference, densifies the pairs below the
-diagonal and the diagonal, the triangle that LAPACK reads.
+diagonal and the diagonal, the triangle that LAPACK reads, on pages of its
+own, and calls LAPACK's ``dsyevr`` in it, loaded by file as the kernel is.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
+import mmap
 import sys
 import threading
 from dataclasses import dataclass
@@ -250,31 +253,42 @@ def _check_density(tr_l: float) -> None:
 
 
 _KERNEL_MODULE = "scipy.sparse._sparsetools"
+_LAPACK_MODULE = "scipy.linalg._flapack"
 
 
-def _sparsetools_by_file():
-    """scipy.sparse's ``_sparsetools`` extension loaded from its file, or
-    None if the file cannot be found or loaded."""
+def _extension_by_file(name: str):
+    """The compiled scipy module ``name``, such as ``"scipy.sparse._sparsetools"``,
+    loaded from its file, or None if the file cannot be found or loaded."""
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None or not scipy_spec.submodule_search_locations:
         return None
-    folder = Path(scipy_spec.submodule_search_locations[0], "sparse")
-    paths = (folder / f"_sparsetools{s}" for s in importlib.machinery.EXTENSION_SUFFIXES)
+    *package, stem = name.split(".")[1:]
+    folder = Path(scipy_spec.submodule_search_locations[0], *package)
+    paths = (folder / f"{stem}{s}" for s in importlib.machinery.EXTENSION_SUFFIXES)
     path = next((p for p in paths if p.is_file()), None)
     if path is None:
         return None
     try:
-        spec = importlib.util.spec_from_file_location(_KERNEL_MODULE, path)
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     except (ImportError, OSError):
         return None
     finally:
         # the extension registers itself in sys.modules; left there
-        # without its package, scipy.sparse would later import it
-        # without setting its own ``_sparsetools`` attribute
-        sys.modules.pop(_KERNEL_MODULE, None)
+        # without its package, the package would later import it without
+        # setting its own attribute for it
+        sys.modules.pop(name, None)
     return module
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module ``name``: the package's own if the package
+    has loaded it, else loaded from its file (``_extension_by_file``), so
+    that the package's init does not run. Where the file cannot be found or
+    loaded, for example in an editable install of scipy, it is imported
+    with its package."""
+    return sys.modules.get(name) or _extension_by_file(name) or importlib.import_module(name)
 
 
 @cache
@@ -283,15 +297,45 @@ def _coo_kernels() -> tuple[Callable, Callable | None]:
     is None in a scipy that lacks it, where ``make_operator`` runs an
     (n, W) block column by column through the first.
 
-    The extension module is loaded by file, so ``scipy.sparse``'s package
-    init, which costs about 0.2 s on a 2-core Xeon, does not run; if that
-    package already loaded it, its module is used as it is. Where the file
-    cannot be found or loaded, for example in an editable install of
-    scipy, the module is imported with its package.
+    The extension module comes from ``_scipy_extension``, so
+    ``scipy.sparse``'s package init, which costs about 0.2 s on a 2-core
+    Xeon, does not run.
     """
-    module = (sys.modules.get(_KERNEL_MODULE) or _sparsetools_by_file()
-              or importlib.import_module(_KERNEL_MODULE))
+    module = _scipy_extension(_KERNEL_MODULE)
     return module.coo_matvec, getattr(module, "coo_matmat_dense", None)
+
+
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, from
+    ``_scipy_extension``: ``import scipy.linalg`` added 22 MB of RSS to a
+    ``bench-error`` child on ER(3000, 10), the extension alone 2.5 MB."""
+    return _scipy_extension(_LAPACK_MODULE)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the symmetric matrix whose lower
+    triangle is the (n, n) float64 Fortran-ordered array a, which LAPACK
+    overwrites.
+
+    This is the call that ``scipy.linalg.eigvalsh(a, lower=True,
+    overwrite_a=True)`` makes, so the bits are the same: ``dsyevr`` with
+    the workspace sizes of ``dsyevr_lwork``, converted to int as scipy
+    does (``dsytrd``'s block size depends on them), and scipy's errors for
+    a standard problem. Unlike scipy, it does not check that a is finite or
+    that n > 0: its callers do.
+    """
+    n = a.shape[0]
+    lapack = _lapack()
+    lwork, liwork, info = lapack.dsyevr_lwork(n, lower=1)
+    if info:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(lwork),
+                                     liwork=int(liwork), overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"Illegal value in argument {-info} of internal dsyevr"
+                                    if info < -1 else "Internal Error.")
+    return w
 
 
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
@@ -396,23 +440,45 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
 
     This is the exact reference for every approximation in the package; it
     refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices. Only the lower
-    triangle is densified, which is all that LAPACK reads (``uplo='L'``).
-    The dense array belongs to this call, so LAPACK works in it: one n x n
-    copy is held.
+    triangle is densified, which is all that LAPACK reads and writes
+    (``uplo='L'``), and ``_eigvalsh`` works in the dense array itself, with
+    scipy's bits. The array lies on anonymous pages that the kernel maps
+    zeroed on first touch, advised against huge pages: the upper triangle
+    is never touched, so about 4n^2 bytes are resident, not 8n^2. numpy
+    advises its own large arrays to take huge pages, so its zeros became
+    resident whole, at one scattered write per 2 MiB.
+
+    Raises
+    ------
+    ValueError
+        Above the cap; or, with scipy's message, if an entry is not finite.
+    MemoryError
+        If the 8n^2 bytes of address space cannot be mapped.
     """
     if g.n > DENSE_SPECTRUM_CAP:
         raise ValueError(f"dense spectrum refused: n={g.n} exceeds cap {DENSE_SPECTRUM_CAP}")
-    # imported on first use: no estimator path needs it, and importing it
-    # cost every CLI start about 70 ms and 8 MB of RSS on a 2-core Xeon
-    import scipy.linalg
-
     lo, hi, diag, (w, d), _ = _pairs(g, kind)
     lower, diagonal, _ = _values(kind, lo, hi, diag, w, d, np.float64)
-    dense = np.zeros((g.n, g.n), order="F")
+    # scipy's check_finite, on the array's only nonzero entries
+    if not (np.isfinite(lower).all() and np.isfinite(diagonal).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if g.n == 0:
+        return np.empty(0)  # as scipy's eigh returns, without calling LAPACK
+    try:
+        pages = mmap.mmap(-1, 8 * g.n * g.n)
+    except OSError as exc:
+        raise MemoryError(f"dense spectrum of n={g.n} cannot map "
+                          f"{8 * g.n * g.n} bytes: {exc}") from exc
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # a kernel without transparent huge pages refuses the advice, and
+        # has none to give
+        with contextlib.suppress(OSError):
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+    dense = np.frombuffer(pages, dtype=np.float64).reshape((g.n, g.n), order="F")
     # added to zeros, as a sparse matrix densifies: -0.0 lands as +0.0
     dense[hi, lo] += lower
     dense[diag, diag] += diagonal
-    return scipy.linalg.eigvalsh(dense, lower=True, overwrite_a=True)
+    return _eigvalsh(dense)
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:

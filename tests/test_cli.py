@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, byte determinism."""
 
+import errno
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spectrace
-from spectrace import bench
+from spectrace import bench, erdos_renyi, operators
 from spectrace.cli import build_parser, main
 
 
@@ -489,6 +490,19 @@ class TestExitCodes:
         assert code == 2
         assert "MemoryError" in err
 
+    def test_unmappable_dense_array_is_data_error(self, capsys, monkeypatch, p3_file):
+        def enomem(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(operators.mmap, "mmap", enomem)
+        with pytest.raises(MemoryError):
+            operators.dense_spectrum(erdos_renyi(30, 4, 0), operators.OperatorKind.LAPLACIAN)
+        code, out, err = run(capsys, "descriptor", "--input", p3_file, "--kind", "netlsd",
+                             "--method", "exact")
+        assert code == 2 and out == ""
+        assert err.strip() == (f"spectrace: error: dense spectrum of n=3 cannot map 72 bytes: "
+                               f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}")
+
 
 def test_estimator_never_imports_scipy_linalg():
     # only the exact and baseline routes need scipy.linalg; importing it
@@ -502,6 +516,29 @@ def test_estimator_never_imports_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_exact_descriptors_never_import_scipy_linalg(tmp_path):
+    # dense_spectrum loads LAPACK's extension by file: importing
+    # scipy.linalg added 22 MB to a bench-error child's peak
+    src = str(Path(spectrace.__file__).resolve().parents[1])
+    code = """
+import sys
+from spectrace.cli import main
+folder = sys.argv[1]
+assert main(['generate', 'er', '--n', '300', '--avg-degree', '4',
+             '--output', f'{folder}/g.tsv']) == 0
+for kind in ('netlsd', 'vnge'):
+    assert main(['descriptor', '--input', f'{folder}/g.tsv', '--kind', kind,
+                 '--method', 'exact', '--output', f'{folder}/{kind}.json']) == 0
+print(sorted(name for name in sys.modules if name.startswith('scipy')))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
+    for kind in ("netlsd", "vnge"):
+        assert json.loads((tmp_path / f"{kind}.json").read_text())["method"] == "exact"
 
 
 def test_descriptor_routes_never_import_scipy_sparse(tmp_path):

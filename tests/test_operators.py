@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from functools import cache
 from pathlib import Path
 
@@ -71,6 +72,49 @@ def _product_path(route):
             yield
         finally:
             coo_kernels.cache_clear()
+
+
+# dense_spectrum's LAPACK routes (see _lapack_path)
+LAPACK_ROUTES = ["file", "import"]
+
+
+@contextlib.contextmanager
+def _lapack_path(route):
+    """dense_spectrum's LAPACK on one route: "file", scipy.linalg._flapack
+    loaded from its file, as in a process that has not imported
+    scipy.linalg; "import", the same module imported with scipy.linalg, as
+    where the file cannot be loaded."""
+
+    def fail(*args, **kwargs):
+        raise ImportError("extension cannot be loaded")
+
+    lapack = operators._lapack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(sys.modules, operators._LAPACK_MODULE, raising=False)
+        # an import binds the package's attribute anew; restored on exit
+        mp.setattr(scipy.linalg, "_flapack", scipy.linalg._flapack)
+        if route == "import":
+            mp.setattr(importlib.util, "spec_from_file_location", fail)
+        lapack.cache_clear()
+        try:
+            module = lapack()
+            assert (sys.modules.get(operators._LAPACK_MODULE) is module) == (route == "import")
+            assert module.dsyevr is scipy.linalg._flapack.dsyevr
+            yield
+        finally:
+            lapack.cache_clear()
+
+
+class _FailingDsyevr:
+    """A dsyevr that computes nothing and returns info."""
+
+    typecode = "d"
+
+    def __init__(self, info):
+        self.info = info
+
+    def __call__(self, a, **kwargs):
+        return np.zeros(a.shape[0]), np.zeros((0, 0)), a.shape[0], np.zeros(0, np.int32), self.info
 
 
 def _run(code):
@@ -335,6 +379,51 @@ tools = sys.modules["scipy.sparse._sparsetools"]
 print(kernels == (tools.coo_matvec, getattr(tools, "coo_matmat_dense", None)))
 """
         assert _run(code) == ["True", "True"]
+
+    def test_lapack_loads_by_file(self):
+        # the extension leaves sys.modules as it found it, and a later
+        # scipy.linalg import works and exposes the dsyevr that was loaded
+        code = """
+import sys
+import numpy as np
+from spectrace import operators
+lapack = operators._lapack()
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+import scipy.linalg
+print(lapack.dsyevr is scipy.linalg.get_lapack_funcs("syevr", dtype=np.float64))
+print(scipy.linalg.eigvalsh([[2.0, 0.0], [0.0, 1.0]]).tolist())
+"""
+        assert _run(code) == ["[]", "True", "[1.0, 2.0]"]
+
+    def test_lapack_loads_by_import_where_the_file_does_not(self):
+        code = """
+import importlib.util, sys
+from spectrace import operators
+def fail(*args, **kwargs):
+    raise ImportError("extension cannot be loaded")
+importlib.util.spec_from_file_location = fail
+lapack = operators._lapack()
+print("scipy.linalg" in sys.modules)
+print(lapack is sys.modules["scipy.linalg._flapack"])
+"""
+        assert _run(code) == ["True", "True"]
+
+    @pytest.mark.parametrize("info", [1, 7, -1, -5])
+    def test_lapack_failure_raises_scipys_message(self, info, monkeypatch):
+        # for a standard problem: "Internal Error." or an illegal argument
+        g = erdos_renyi(30, 4, 0)
+        lapack = operators._lapack()
+        lwork = scipy.linalg.get_lapack_funcs("syevr_lwork", dtype=np.float64)
+        with monkeypatch.context() as mp:
+            mp.setattr(scipy.linalg._decomp, "get_lapack_funcs",
+                       lambda names, arrays: (_FailingDsyevr(info), lwork))
+            with pytest.raises(np.linalg.LinAlgError) as scipys:
+                scipy.linalg.eigvalsh(np.eye(g.n), lower=True, overwrite_a=True)
+        monkeypatch.setattr(operators, "_lapack", lambda: types.SimpleNamespace(
+            dsyevr=_FailingDsyevr(info), dsyevr_lwork=lapack.dsyevr_lwork))
+        with pytest.raises(np.linalg.LinAlgError) as mine:
+            dense_spectrum(g, OperatorKind.LAPLACIAN)
+        assert str(mine.value) == str(scipys.value)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -658,6 +747,11 @@ class TestStoredPairs:
                 exact = scipy.linalg.eigvalsh(_algebra_csr(g, kind).toarray(order="F"),
                                               overwrite_a=True)
                 assert dense_spectrum(g, kind).tobytes() == exact.tobytes(), (g.n, kind)
+
+    @pytest.mark.parametrize("route", LAPACK_ROUTES)
+    def test_dense_spectrum_keeps_its_bits_on_each_lapack_route(self, route):
+        with _lapack_path(route):
+            self.test_dense_spectrum_matches_eigvalsh_of_the_algebra()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_make_operator_peak(self, kind):
