@@ -355,7 +355,7 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     operators, is multiplied in float32 by the entries rounded to float32;
     any other input is made C-contiguous float64 and multiplied by the
     float64 entries. An input that is not an (n,) vector or an (n, W) block
-    raises ValueError. The float64 path is the only one that ``eigsh``, the
+    raises ValueError. The float64 path is the only one that ARPACK, the
     deflated baseline operators and every small graph use.
 
     The operator returned holds ids, no values: the pairs, the diagonal,

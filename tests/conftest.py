@@ -7,9 +7,15 @@ as oracles for the operator code paths.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spectrace
 from spectrace.graphs import Graph, parse_edge_list
 from spectrace.operators import LinearOperator, OperatorKind
 
@@ -19,6 +25,16 @@ from spectrace.operators import LinearOperator, OperatorKind
 # and a delete of one edge in the same bucket.
 CANCELLING_STREAM = ("0 add 0 1\n1 add 0 1\n2 del 2 3\n3 add 1 2\n3 del 1 2\n"
                      "4 del 0 1\n5 add 0 2\n")
+
+
+def run_fresh(code: str, *args: str) -> list[str]:
+    """The lines that code prints in a fresh interpreter that imports this
+    source tree, given args."""
+    src = str(Path(spectrace.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    return proc.stdout.splitlines()
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int, float]]) -> Graph:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spectrace
-from spectrace import bench, erdos_renyi, operators
+from spectrace import bench, erdos_renyi, lanczos, operators
 from spectrace.cli import build_parser, main
 
 
@@ -543,7 +543,8 @@ print(sorted(name for name in sys.modules if name.startswith('scipy')))
 
 def test_descriptor_routes_never_import_scipy_sparse(tmp_path):
     # the operators' products run in scipy's compiled COO kernel, loaded by
-    # file on every supported scipy; importing scipy.sparse costs about 0.2 s
+    # file on every supported scipy, and the baselines' ARPACK likewise;
+    # importing scipy.sparse costs about 0.2 s
     src = str(Path(spectrace.__file__).resolve().parents[1])
     for name, text in [("a0.tsv", "0 1\n1 2\n"), ("a1.tsv", "0 1\n1 2\n0 2\n"),
                        ("b0.tsv", "0 1\n1 2\n2 3\n"), ("b1.tsv", "0 1\n1 2\n2 3\n3 0\n")]:
@@ -554,8 +555,8 @@ def test_descriptor_routes_never_import_scipy_sparse(tmp_path):
 import sys
 from spectrace.cli import main
 folder = sys.argv[1]
-def loaded(*argv):
-    assert not argv or main([*argv, '--output', f'{folder}/{argv[0]}.out']) == 0
+def loaded(*argv, name=None):
+    assert not argv or main([*argv, '--output', f'{folder}/{name or argv[0]}.out']) == 0
     return 'scipy.sparse' in sys.modules
 print(loaded())
 print(loaded('generate', 'er', '--n', '300', '--avg-degree', '4'))
@@ -569,13 +570,24 @@ print(loaded('classify', '--manifest', f'{folder}/data.csv', '--kind', 'vnge',
              '--method', 'slq', '--repeats', '5'))
 print(loaded('snapshots', '--events', f'{folder}/events.txt', '--granularity', '1',
              '--kind', 'vnge', '--method', 'slq'))
+print(loaded('bench-error', '--inputs', graph, '--kind', 'netlsd', '--methods',
+             'slq,taylor,linear', '--k', '5'))
+print(loaded('bench-error', '--inputs', graph, '--kind', 'vnge', '--methods',
+             'finger-hat,finger-bar'))
+print(loaded('descriptor', '--input', graph, '--kind', 'vnge', '--method', 'finger-hat',
+             name='finger'))
 """
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.split() == ["False"] * 10
+    # the baselines reach ARPACK by file where its _arpacklib has the
+    # driver's routines, and through eigsh, with scipy.sparse, where not
+    baselines = str(lanczos._arpack() is None)
+    assert proc.stdout.split() == ["False"] * 10 + [baselines] * 3
     desc = json.loads((tmp_path / "descriptor.out").read_text())
     assert desc["method"] == "slq" and desc["value"] > 0
+    finger = json.loads((tmp_path / "finger.out").read_text())
+    assert finger["method"] == "finger" and finger["params"] == {"variant": "hat"}
     assert (tmp_path / "classify.out").read_text().splitlines()[2].startswith("data,vnge,slq,")
     assert (tmp_path / "snapshots.out").read_text().splitlines()[2] == "0,0.0,1,0"
 

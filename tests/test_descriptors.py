@@ -10,8 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.sparse.csgraph import connected_components
 
+from spectrace import descriptors
 from spectrace.descriptors import (
+    _components,
     EntropyValue,
     HeatTraceDescriptor,
     TimeGrid,
@@ -32,7 +38,9 @@ from spectrace.graphs import Graph, erdos_renyi, parse_edge_list, write_edge_lis
 from spectrace.operators import OperatorKind, dense_spectrum, trace
 from spectrace.slq import SlqConfig
 
-from conftest import disjoint_edges, empty_graph, graph_from_edges, random_graph
+from conftest import (
+    disjoint_edges, empty_graph, graph_from_edges, pad_vertices, random_graph,
+)
 
 # spectrum {0, 2} of a single edge's normalized Laplacian
 K2_H1 = 1.0 + np.exp(-2.0)
@@ -276,6 +284,73 @@ class TestNetlsdLinear:
         expected = np.exp(-np.outer(grid.values, eigs)).sum(axis=1)
         lin = netlsd_linear(g, grid, k=k)
         assert np.allclose(lin.values, expected, rtol=1e-9, atol=0)
+
+
+def _scipy_components(g):
+    """scipy's connected components of g: the count and the labels."""
+    adj = sp.csr_matrix((g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n))
+    return connected_components(adj, directed=False)
+
+
+def _bfs_partition(g):
+    """Each vertex's component as the frozenset of its vertices, by BFS
+    (oracle, independent of the hooking rounds)."""
+    neighbours = [g.col_indices[g.row_offsets[i]:g.row_offsets[i + 1]] for i in range(g.n)]
+    component = [None] * g.n
+    for start in range(g.n):
+        if component[start] is None:
+            seen, frontier = {start}, [start]
+            while frontier:
+                frontier = [int(j) for i in frontier for j in neighbours[i] if j not in seen]
+                seen.update(frontier)
+            for i in seen:
+                component[i] = frozenset(seen)
+    return component
+
+
+class TestComponents:
+    """descriptors._components: numpy hooking and pointer jumping."""
+
+    @pytest.mark.parametrize("g", [
+        empty_graph(5),
+        disjoint_edges(4),
+        pad_vertices(graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 10),
+        erdos_renyi(300, 1, 0),
+        erdos_renyi(300, 4, 1),
+    ], ids=["isolated", "4K2", "C6+4", "ER(300,1)", "ER(300,4)"])
+    def test_labels_equal_scipys(self, g):
+        # both number the components in the order of their smallest vertex
+        count, labels = _components(g)
+        expected_count, expected = _scipy_components(g)
+        assert count == expected_count
+        assert np.array_equal(labels, expected)
+
+    @given(edges=hst.lists(hst.tuples(hst.integers(0, 19), hst.integers(0, 19)), max_size=40),
+           n=hst.integers(1, 25))
+    @settings(max_examples=100, deadline=None)
+    def test_partition_matches_bfs(self, edges, n):
+        g = graph_from_edges(max(n, 20), [(u, v) for u, v in edges if u != v])
+        count, labels = _components(g)
+        partition = _bfs_partition(g)
+        assert count == len(set(partition))
+        for i in range(g.n):
+            assert set(np.flatnonzero(labels == labels[i])) == partition[i]
+
+    def test_long_path_with_shuffled_ids(self):
+        n = 100_000
+        ids = np.random.default_rng(0).permutation(n)
+        g = graph_from_edges(n, list(zip(ids[:-1].tolist(), ids[1:].tolist())))
+        count, labels = _components(g)
+        assert count == 1 and not labels.any()
+
+    @pytest.mark.parametrize("g", [erdos_renyi(300, 1, 0), erdos_renyi(1000, 2, 3)],
+                             ids=["ER(300,1)", "ER(1000,2)"])
+    def test_netlsd_linear_bytes_are_scipys(self, g, monkeypatch):
+        # the deflation reads the partition only, so scipy's labels give
+        # the same bytes
+        mine = netlsd_linear(g, k=20)
+        monkeypatch.setattr(descriptors, "_components", _scipy_components)
+        assert mine.values.tobytes() == netlsd_linear(g, k=20).values.tobytes()
 
 
 class TestVngeExact:

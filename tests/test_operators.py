@@ -3,15 +3,12 @@
 import contextlib
 import gc
 import importlib.util
-import os
 import re
-import subprocess
 import sys
 import threading
 import tracemalloc
 import types
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +33,7 @@ from conftest import (
     graph_from_edges,
     pad_vertices,
     random_graph,
+    run_fresh,
 )
 
 ALL_KINDS = list(OperatorKind)
@@ -115,15 +113,6 @@ class _FailingDsyevr:
 
     def __call__(self, a, **kwargs):
         return np.zeros(a.shape[0]), np.zeros((0, 0)), a.shape[0], np.zeros(0, np.int32), self.info
-
-
-def _run(code):
-    """The lines that code prints in a fresh interpreter that imports this
-    source tree."""
-    src = str(Path(operators.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
-    return proc.stdout.splitlines()
 
 
 def _algebra_csr(g, kind):
@@ -363,7 +352,7 @@ import scipy.sparse
 tools = scipy.sparse._sparsetools
 print(kernels == (tools.coo_matvec, getattr(tools, "coo_matmat_dense", None)))
 """
-        assert _run(code) == ["[]", "True"]
+        assert run_fresh(code) == ["[]", "True"]
 
     def test_kernel_loads_by_import_where_the_file_does_not(self):
         # a by-file load that fails imports the extension with scipy.sparse
@@ -378,7 +367,7 @@ print("scipy.sparse" in sys.modules)
 tools = sys.modules["scipy.sparse._sparsetools"]
 print(kernels == (tools.coo_matvec, getattr(tools, "coo_matmat_dense", None)))
 """
-        assert _run(code) == ["True", "True"]
+        assert run_fresh(code) == ["True", "True"]
 
     def test_lapack_loads_by_file(self):
         # the extension leaves sys.modules as it found it, and a later
@@ -393,7 +382,7 @@ import scipy.linalg
 print(lapack.dsyevr is scipy.linalg.get_lapack_funcs("syevr", dtype=np.float64))
 print(scipy.linalg.eigvalsh([[2.0, 0.0], [0.0, 1.0]]).tolist())
 """
-        assert _run(code) == ["[]", "True", "[1.0, 2.0]"]
+        assert run_fresh(code) == ["[]", "True", "[1.0, 2.0]"]
 
     def test_lapack_loads_by_import_where_the_file_does_not(self):
         code = """
@@ -406,7 +395,7 @@ lapack = operators._lapack()
 print("scipy.linalg" in sys.modules)
 print(lapack is sys.modules["scipy.linalg._flapack"])
 """
-        assert _run(code) == ["True", "True"]
+        assert run_fresh(code) == ["True", "True"]
 
     @pytest.mark.parametrize("info", [1, 7, -1, -5])
     def test_lapack_failure_raises_scipys_message(self, info, monkeypatch):
