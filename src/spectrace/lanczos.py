@@ -386,20 +386,13 @@ def _arpack():
     return None
 
 
-def _arpack_error(info: int, table: str) -> Exception:
-    """scipy's ``ArpackError`` for an ``info`` of dsaupd or dseupd, with its
-    message from scipy's table ``table``; scipy.sparse.linalg is imported
-    only on this path."""
-    from scipy.sparse.linalg._eigen.arpack import arpack
-
-    return arpack.ArpackError(info, infodict=getattr(arpack, table)["d"])
-
-
 def _arpack_eigenvalues(arpack, op: LinearOperator, k: int, which: str,
-                        v0: np.ndarray, restarts: np.random.Generator) -> np.ndarray:
+                        v0: np.ndarray, restarts: np.random.Generator
+                        ) -> np.ndarray | None:
     """k eigenvalues of op at one end (``which`` "LA" or "SA"), unsorted,
     from ARPACK's dsaupd and dseupd driven as ``eigsh(A, k, which=which,
-    v0=v0, return_eigenvectors=False)`` drives them in mode 1.
+    v0=v0, return_eigenvectors=False)`` drives them in mode 1, or None
+    where ARPACK fails.
 
     The state, arrays and sizes are eigsh's own: the state dict of scipy's
     ``_ArpackParams``, ``resid`` a copy of v0, ``v`` of (n, max(2k + 1,
@@ -408,15 +401,9 @@ def _arpack_eigenvalues(arpack, op: LinearOperator, k: int, which: str,
     y = op x in mode 1) goes through op.apply between the same slices of
     ``workd``. So the eigenvalues are eigsh's bit for bit. A random
     restart (``ido`` 4) draws ``uniform(-1, 1, n)`` from ``restarts``, as
-    eigsh draws it from its ``rng``.
-
-    Raises
-    ------
-    ConvergenceError
-        If dsaupd stops at maxiter (info 1); carries the values extracted
-        with eigenvectors, as eigsh's ``ArpackNoConvergence`` does.
-    ArpackError
-        scipy's own, with its message, for any other nonzero info.
+    eigsh draws it from its ``rng``. Any nonzero ``info`` of dsaupd or
+    dseupd, or an ``ido`` that mode 1 does not use, gives None: eigsh
+    reports that failure itself (``extremal_eigenvalues``).
     """
     n = op.dim
     columns = max(2 * k + 1, 20)  # eigsh's ncv, which sizes v unclamped
@@ -446,42 +433,22 @@ def _arpack_eigenvalues(arpack, op: LinearOperator, k: int, which: str,
             workd[ipntr[1]:ipntr[1] + n] = op.apply(workd[ipntr[0]:ipntr[0] + n])
         elif ido == 4:
             resid[:] = restarts.uniform(low=-1.0, high=1.0, size=[n])
-        elif ido == 99:
+        elif ido == 99 and not state["info"]:
             break
         else:
-            raise RuntimeError(f"ARPACK requested ido={ido}, which mode 1 does not use")
-
-    def extract(rvec: bool) -> np.ndarray:
-        """dseupd's values, as eigsh's extract calls it; sets state["info"]."""
-        state["info"] = 0
-        d = np.zeros(k)
-        z = np.zeros((n, ncv), order="F")
-        arpack.dseupd_wrap(state, rvec, 0, np.zeros(ncv, dtype=np.int32), d, z, 0,
-                           resid, v, ipntr, workd, workl)
-        return d[:state["nconv"]]
-
-    if state["info"] == 1:
-        iterations, k_ok = state["iter"], state["nconv"]
-        vals = extract(True)
-        if state["info"]:  # eigsh keeps nothing of a failed extraction
-            vals, k_ok = np.zeros(0), 0
-        raise ConvergenceError(
-            f"extremal eigenvalues did not converge: ARPACK error -1: No convergence "
-            f"({iterations} iterations, {k_ok}/{k} eigenvectors converged)",
-            best_estimates=np.sort(vals))
-    if state["info"]:
-        raise _arpack_error(state["info"], "_SAUPD_ERRORS")
-    vals = extract(False)
-    if state["info"]:
-        raise _arpack_error(state["info"], "_SEUPD_ERRORS")
-    return vals
+            return None
+    d = np.zeros(k)
+    arpack.dseupd_wrap(state, False, 0, np.zeros(ncv, dtype=np.int32), d,
+                       np.zeros((n, ncv), order="F"), 0, resid, v, ipntr, workd, workl)
+    return None if state["info"] else d[:state["nconv"]]
 
 
 def _eigsh_eigenvalues(op: LinearOperator, k: int, which: str, v0: np.ndarray,
                        restarts: np.random.Generator) -> np.ndarray:
     """The same k eigenvalues from ``scipy.sparse.linalg.eigsh``, for a scipy
-    without the driver's ARPACK (see ``_arpack``); a random restart draws
-    from ``restarts`` where eigsh takes an ``rng``."""
+    without the driver's ARPACK (see ``_arpack``) and for a problem on
+    which the driver failed, whose failure eigsh reports; a random restart
+    draws from ``restarts`` where eigsh takes an ``rng``."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     from scipy.sparse.linalg import LinearOperator as MatvecOperator
 
@@ -524,6 +491,11 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     RuntimeError
         scipy's ``ArpackError``, with eigsh's message, if ARPACK fails
         otherwise.
+
+    Either is raised by ``eigsh``: where the driver fails, ``eigsh``
+    replays the same iteration, from the same start vector and restart
+    sequence, and reports the failure, so a failure loads
+    ``scipy.sparse``.
     """
     if end not in ("smallest", "largest"):
         raise ValueError(f"end must be 'smallest' or 'largest', got {end!r}")
@@ -537,13 +509,17 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     v0 = rng.standard_normal(n)
     if not np.any(op.apply(v0)):
         return np.zeros(k)  # the zero operator (edgeless graph): ARPACK stops at once
-    restarts = np.random.default_rng(
-        np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k, 1)))
+    restart_seed = np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k, 1))
     which = "LA" if end == "largest" else "SA"
     arpack = _arpack()
-    if arpack is None:
-        return np.sort(_eigsh_eigenvalues(op, k, which, v0, restarts))
-    return np.sort(_arpack_eigenvalues(arpack, op, k, which, v0, restarts))
+    vals = None
+    if arpack is not None:
+        vals = _arpack_eigenvalues(arpack, op, k, which, v0, np.random.default_rng(restart_seed))
+    if vals is None:
+        # no driver, or it failed: eigsh runs the same iteration, from the
+        # same start vector and restarts, and raises its own error
+        vals = _eigsh_eigenvalues(op, k, which, v0, np.random.default_rng(restart_seed))
+    return np.sort(vals)
 
 
 def lanczos_error_bound(t: float, s: int) -> float:

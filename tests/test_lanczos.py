@@ -371,22 +371,25 @@ class TestExtremalEigenvalues:
                            rtol=0, atol=1e-10)
 
     def test_nonconvergence_carries_best_estimates(self, monkeypatch):
-        # dsaupd stopped at maxiter 1 (info 1): the values that eigsh's
-        # ArpackNoConvergence carries, extracted with eigenvectors as eigsh
-        # extracts them, sorted
+        # dsaupd stopped at maxiter 1 (info 1), in the driver's module and
+        # in the package's, which eigsh's replay calls: the values that
+        # eigsh's ArpackNoConvergence carries, sorted
         arpack = lanczos._arpack()
         if arpack is None:
             pytest.skip("this scipy's ARPACK is reached through eigsh only")
         rng = np.random.default_rng(10)
         g = random_graph(rng, n=60, p=0.2)
         op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
+        # the real routines, before patching: the two modules can be one
+        real_saupd, real = arpack.dsaupd_wrap, arpack.dseupd_wrap
+        modules = (arpack, sys.modules[lanczos._ARPACK_MODULE])
 
         def one_iteration(state, *arrays):
             state["maxiter"] = 1
-            arpack.dsaupd_wrap(state, *arrays)
+            real_saupd(state, *arrays)
 
-        monkeypatch.setattr(lanczos, "_arpack", lambda: types.SimpleNamespace(
-            dsaupd_wrap=one_iteration, dseupd_wrap=arpack.dseupd_wrap))
+        for module in modules:
+            monkeypatch.setattr(module, "dsaupd_wrap", one_iteration)
         sizes = []
         for k, end in [(5, "smallest"), (20, "smallest"), (20, "largest")]:
             with pytest.raises(ArpackNoConvergence) as eigshs:
@@ -400,15 +403,12 @@ class TestExtremalEigenvalues:
         assert sizes == [0, 4, 4]
 
         # an extraction that fails keeps no value, as in eigsh
-        real = arpack.dseupd_wrap
-
         def failing(state, *args):
             real(state, *args)
             state["info"] = -14
 
-        monkeypatch.setattr(lanczos, "_arpack", lambda: types.SimpleNamespace(
-            dsaupd_wrap=one_iteration, dseupd_wrap=failing))
-        monkeypatch.setattr(sys.modules[lanczos._ARPACK_MODULE], "dseupd_wrap", failing)
+        for module in modules:
+            monkeypatch.setattr(module, "dseupd_wrap", failing)
         with pytest.raises(ArpackNoConvergence) as eigshs:
             _eigsh_reference(op, 20, "largest", maxiter=1)
         with pytest.raises(ConvergenceError) as exc_info:
@@ -456,6 +456,69 @@ class TestExtremalEigenvalues:
         assert type(mine.value) is type(eigshs.value)
         assert str(mine.value) == str(eigshs.value)
         assert str(mine.value).startswith(f"ARPACK error {info}: ")
+
+    def test_driver_failure_is_replayed_by_eigsh(self, monkeypatch):
+        # a failure injected into the driver's ARPACK only: eigsh replays
+        # the problem on the package's intact ARPACK, with the same start
+        # vector and restart generator, and its eigenvalues come back
+        arpack = lanczos._arpack()
+        if arpack is None:
+            pytest.skip("this scipy's ARPACK is reached through eigsh only")
+        # the replay draws eigsh's restarts from the driver's generator
+        assert _EIGSH_TAKES_RNG
+        real = arpack.dsaupd_wrap
+        ends = []
+
+        def unknown_error(state, *arrays):
+            real(state, *arrays)
+            if state["ido"] == 99:
+                state["info"] = -9999
+                ends.append(state["info"])
+
+        def one_iteration(state, *arrays):
+            state["maxiter"] = 1
+            real(state, *arrays)
+            if state["ido"] == 99:
+                ends.append(state["info"])
+
+        rng = np.random.default_rng(10)
+        op = make_operator(random_graph(rng, n=60, p=0.2), OperatorKind.NORMALIZED_LAPLACIAN)
+        for failing, info in ((unknown_error, -9999), (one_iteration, 1)):
+            monkeypatch.setattr(lanczos, "_arpack", lambda: types.SimpleNamespace(
+                dsaupd_wrap=failing, dseupd_wrap=arpack.dseupd_wrap))
+            for k, end in [(5, "smallest"), (20, "largest")]:
+                ends.clear()
+                mine = extremal_eigenvalues(op, k, end)
+                assert ends == [info]
+                assert mine.tobytes() == np.sort(_eigsh_reference(op, k, end)).tobytes()
+
+    def test_driver_failure_loads_scipy_sparse(self):
+        # a successful call leaves scipy.sparse unloaded; a failure of the
+        # driver's ARPACK loads it for eigsh's replay
+        if lanczos._arpack() is None:
+            pytest.skip("this scipy's ARPACK is reached through eigsh only")
+        code = """
+import sys
+import types
+from spectrace import lanczos
+from spectrace.graphs import erdos_renyi
+from spectrace.operators import OperatorKind, make_operator
+op = make_operator(erdos_renyi(300, 4, 0), OperatorKind.LAPLACIAN)
+mine = lanczos.extremal_eigenvalues(op, 5, "largest")
+print("scipy.sparse" in sys.modules)
+arpack = lanczos._arpack()
+
+def failing(state, *arrays):
+    arpack.dsaupd_wrap(state, *arrays)
+    if state["ido"] == 99:
+        state["info"] = -9999
+
+lanczos._arpack = lambda: types.SimpleNamespace(dsaupd_wrap=failing,
+                                                dseupd_wrap=arpack.dseupd_wrap)
+replayed = lanczos.extremal_eigenvalues(op, 5, "largest")
+print("scipy.sparse" in sys.modules, replayed.tobytes() == mine.tobytes())
+"""
+        assert run_fresh(code) == ["False", "True True"]
 
     def test_driver_keeps_eigshs_bits(self):
         # the driver's eigenvalues equal eigsh's bit for bit
