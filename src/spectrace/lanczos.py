@@ -45,15 +45,14 @@ level: on C6 with isolated vertices every node stayed within 3e-16 of 0.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .errors import ConvergenceError, TridiagonalEigenError
-from .operators import LinearOperator, _eigvalsh, _scipy_extension
+from . import _scipy
+from .errors import TridiagonalEigenError
+from .operators import LinearOperator
 
 __all__ = [
     "Tridiagonal",
@@ -365,104 +364,6 @@ def block_quadrature_rules(tri: BlockTridiagonal) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
-_ARPACK_MODULE = "scipy.sparse.linalg._eigen.arpack._arpacklib"
-
-
-@cache
-def _arpack():
-    """scipy's compiled ARPACK, ``_arpacklib``, from ``_scipy_extension``,
-    or None where it cannot be had or lacks ``dsaupd_wrap`` and
-    ``dseupd_wrap``, as in a scipy whose ARPACK is the Fortran one: there
-    ``extremal_eigenvalues`` calls ``eigsh``. Importing
-    ``scipy.sparse.linalg`` for ``eigsh`` loads 163 scipy modules, which
-    cost 0.18-0.37 s and about 33 MB of RSS on a 2-core Xeon; the
-    extension alone loads none."""
-    try:
-        module = _scipy_extension(_ARPACK_MODULE)
-    except ImportError:
-        return None
-    if hasattr(module, "dsaupd_wrap") and hasattr(module, "dseupd_wrap"):
-        return module
-    return None
-
-
-def _arpack_eigenvalues(arpack, op: LinearOperator, k: int, which: str,
-                        v0: np.ndarray, restarts: np.random.Generator
-                        ) -> np.ndarray | None:
-    """k eigenvalues of op at one end (``which`` "LA" or "SA"), unsorted,
-    from ARPACK's dsaupd and dseupd driven as ``eigsh(A, k, which=which,
-    v0=v0, return_eigenvectors=False)`` drives them in mode 1, or None
-    where ARPACK fails.
-
-    The state, arrays and sizes are eigsh's own: the state dict of scipy's
-    ``_ArpackParams``, ``resid`` a copy of v0, ``v`` of (n, max(2k + 1,
-    20)) columns, whatever n is, with ncv clamped to n, ``maxiter`` 10n and
-    ``tol`` 0; each product that ARPACK requests (``ido`` 1 or 5, both
-    y = op x in mode 1) goes through op.apply between the same slices of
-    ``workd``. So the eigenvalues are eigsh's bit for bit. A random
-    restart (``ido`` 4) draws ``uniform(-1, 1, n)`` from ``restarts``, as
-    eigsh draws it from its ``rng``. Any nonzero ``info`` of dsaupd or
-    dseupd, or an ``ido`` that mode 1 does not use, gives None: eigsh
-    reports that failure itself (``extremal_eigenvalues``).
-    """
-    n = op.dim
-    columns = max(2 * k + 1, 20)  # eigsh's ncv, which sizes v unclamped
-    ncv = min(columns, n)
-    state = {
-        "tol": 0, "getv0_rnorm0": 0.0, "aitr_betaj": 0.0, "aitr_rnorm1": 0.0,
-        "aitr_wnorm": 0.0, "aup2_rnorm": 0.0, "ido": 0,
-        "which": {"LA": 6, "SA": 7}[which], "bmat": 0, "info": 1, "iter": 0,
-        "maxiter": 10 * n, "mode": 1, "n": n, "nconv": 0, "ncv": ncv,
-        "nev": k, "np": 0, "shift": 1, "getv0_first": 0, "getv0_iter": 0,
-        "getv0_itry": 0, "getv0_orth": 0, "aitr_iter": 0, "aitr_j": 0,
-        "aitr_orth1": 0, "aitr_orth2": 0, "aitr_restart": 0, "aitr_step3": 0,
-        "aitr_step4": 0, "aitr_ierr": 0, "aup2_initv": 0, "aup2_iter": 0,
-        "aup2_getv0": 0, "aup2_cnorm": 0, "aup2_kplusp": 0, "aup2_nev": 0,
-        "aup2_nev0": 0, "aup2_np0": 0, "aup2_numcnv": 0, "aup2_update": 0,
-        "aup2_ushift": 0,
-    }
-    resid = np.array(v0, dtype=np.float64)
-    v = np.zeros((n, columns))
-    ipntr = np.zeros(11, dtype=np.int32)
-    workd = np.zeros(3 * n)
-    workl = np.zeros(ncv * (ncv + 8))
-    while True:
-        arpack.dsaupd_wrap(state, resid, v, ipntr, workd, workl)
-        ido = state["ido"]
-        if ido in (1, 5):
-            workd[ipntr[1]:ipntr[1] + n] = op.apply(workd[ipntr[0]:ipntr[0] + n])
-        elif ido == 4:
-            resid[:] = restarts.uniform(low=-1.0, high=1.0, size=[n])
-        elif ido == 99 and not state["info"]:
-            break
-        else:
-            return None
-    d = np.zeros(k)
-    arpack.dseupd_wrap(state, False, 0, np.zeros(ncv, dtype=np.int32), d,
-                       np.zeros((n, ncv), order="F"), 0, resid, v, ipntr, workd, workl)
-    return None if state["info"] else d[:state["nconv"]]
-
-
-def _eigsh_eigenvalues(op: LinearOperator, k: int, which: str, v0: np.ndarray,
-                       restarts: np.random.Generator) -> np.ndarray:
-    """The same k eigenvalues from ``scipy.sparse.linalg.eigsh``, for a scipy
-    without the driver's ARPACK (see ``_arpack``) and for a problem on
-    which the driver failed, whose failure eigsh reports; a random restart
-    draws from ``restarts`` where eigsh takes an ``rng``."""
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    from scipy.sparse.linalg import LinearOperator as MatvecOperator
-
-    seeded = {"rng": restarts} if "rng" in inspect.signature(eigsh).parameters else {}
-    matrix = MatvecOperator((op.dim, op.dim), matvec=op.apply, dtype=np.float64)
-    try:
-        return eigsh(matrix, k, which=which, v0=v0, return_eigenvectors=False, **seeded)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"extremal eigenvalues did not converge: {exc}",
-            best_estimates=np.sort(exc.eigenvalues),
-        ) from exc
-
-
 def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     """k eigenvalues from one end of the spectrum, ascending.
 
@@ -470,9 +371,10 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
     ``scipy.sparse.linalg.eigsh`` does and with its bits, from a start
     vector drawn from a fixed seed sequence; a random restart draws from
     a second fixed sequence, so results are deterministic. ARPACK is
-    driven through its compiled module (``_arpack_eigenvalues``), or
-    through ``eigsh`` where scipy lacks that module. k = dim, which ARPACK
-    refuses, takes the dense route.
+    reached through ``_scipy.arpack_eigenvalues``: its compiled module
+    driven as ``eigsh`` drives it, or ``eigsh`` itself where scipy lacks
+    that module. k = dim, which ARPACK refuses, takes the dense route,
+    through ``_scipy.eigvalsh``.
 
     A Krylov method sees one copy of an eigenvalue per start vector, so a
     repeated eigenvalue at the requested end may come back fewer times than
@@ -504,22 +406,14 @@ def extremal_eigenvalues(op: LinearOperator, k: int, end: str) -> np.ndarray:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k == n:
         # scipy.linalg.eigvalsh's call, on the Fortran copy that it makes
-        return _eigvalsh(np.asfortranarray(np.asarray_chkfinite(op.apply(np.eye(n)))))
+        return _scipy.eigvalsh(np.asfortranarray(np.asarray_chkfinite(op.apply(np.eye(n)))))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k)))
     v0 = rng.standard_normal(n)
     if not np.any(op.apply(v0)):
         return np.zeros(k)  # the zero operator (edgeless graph): ARPACK stops at once
     restart_seed = np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k, 1))
     which = "LA" if end == "largest" else "SA"
-    arpack = _arpack()
-    vals = None
-    if arpack is not None:
-        vals = _arpack_eigenvalues(arpack, op, k, which, v0, np.random.default_rng(restart_seed))
-    if vals is None:
-        # no driver, or it failed: eigsh runs the same iteration, from the
-        # same start vector and restarts, and raises its own error
-        vals = _eigsh_eigenvalues(op, k, which, v0, np.random.default_rng(restart_seed))
-    return np.sort(vals)
+    return np.sort(_scipy.arpack_eigenvalues(op.apply, n, k, which, v0, restart_seed))
 
 
 def lanczos_error_bound(t: float, s: int) -> float:

@@ -9,10 +9,9 @@ stored once, as a pair of vertex ids in panels of the smaller id, next to
 the diagonal. Applying it to a vector or to an (n, W) block of vectors is
 three calls of scipy's compiled COO product kernel into one output, the
 pairs below the diagonal, the diagonal, the pairs above it, so each output
-entry sums its row in column order, as the sparse algebra does; a scipy
-without the block kernel runs a block column by column, to the same bits.
-The kernel is loaded by file so that ``scipy.sparse`` is not imported,
-and imported with its package only where that load fails. The build
+entry sums its row in column order, as the sparse algebra does. The
+kernel comes from ``_scipy.coo_kernels``, so that ``scipy.sparse`` is not
+imported (see ``_scipy`` for its route and fallbacks). The build
 keeps ids, no values; each dtype's values are built, in chunks, on the
 first product in that dtype: float32 for the Lanczos blocks of large
 graphs, float64 otherwise. With int32 ids, a float32 operator holds 6 bytes per
@@ -22,25 +21,22 @@ lengths, read without an array of ones. Traces and squared traces come
 from closed-form identities.
 ``dense_spectrum``, the exact reference, densifies the pairs below the
 diagonal and the diagonal, the triangle that LAPACK reads, on pages of its
-own, and calls LAPACK's ``dsyevr`` in it, loaded by file as the kernel is.
+own, and calls LAPACK in it through ``_scipy.eigvalsh``, with
+``scipy.linalg.eigvalsh``'s bits and without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import importlib.machinery
-import importlib.util
 import mmap
-import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import _scipy
 from .errors import UndefinedDensityError
 from .graphs import Graph, _row_blocks
 
@@ -252,92 +248,6 @@ def _check_density(tr_l: float) -> None:
                                     f"{'small' if tr_l < 1 else 'large'} to normalize")
 
 
-_KERNEL_MODULE = "scipy.sparse._sparsetools"
-_LAPACK_MODULE = "scipy.linalg._flapack"
-
-
-def _extension_by_file(name: str):
-    """The compiled scipy module ``name``, such as ``"scipy.sparse._sparsetools"``,
-    loaded from its file, or None if the file cannot be found or loaded."""
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        return None
-    *package, stem = name.split(".")[1:]
-    folder = Path(scipy_spec.submodule_search_locations[0], *package)
-    paths = (folder / f"{stem}{s}" for s in importlib.machinery.EXTENSION_SUFFIXES)
-    path = next((p for p in paths if p.is_file()), None)
-    if path is None:
-        return None
-    try:
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except (ImportError, OSError):
-        return None
-    finally:
-        # the extension registers itself in sys.modules; left there
-        # without its package, the package would later import it without
-        # setting its own attribute for it
-        sys.modules.pop(name, None)
-    return module
-
-
-def _scipy_extension(name: str):
-    """The compiled scipy module ``name``: the package's own if the package
-    has loaded it, else loaded from its file (``_extension_by_file``), so
-    that the package's init does not run. Where the file cannot be found or
-    loaded, for example in an editable install of scipy, it is imported
-    with its package."""
-    return sys.modules.get(name) or _extension_by_file(name) or importlib.import_module(name)
-
-
-@cache
-def _coo_kernels() -> tuple[Callable, Callable | None]:
-    """scipy's compiled ``coo_matvec`` and ``coo_matmat_dense``; the second
-    is None in a scipy that lacks it, where ``make_operator`` runs an
-    (n, W) block column by column through the first.
-
-    The extension module comes from ``_scipy_extension``, so
-    ``scipy.sparse``'s package init, which costs about 0.2 s on a 2-core
-    Xeon, does not run.
-    """
-    module = _scipy_extension(_KERNEL_MODULE)
-    return module.coo_matvec, getattr(module, "coo_matmat_dense", None)
-
-
-@cache
-def _lapack():
-    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, from
-    ``_scipy_extension``: ``import scipy.linalg`` added 22 MB of RSS to a
-    ``bench-error`` child on ER(3000, 10), the extension alone 2.5 MB."""
-    return _scipy_extension(_LAPACK_MODULE)
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, of the symmetric matrix whose lower
-    triangle is the (n, n) float64 Fortran-ordered array a, which LAPACK
-    overwrites.
-
-    This is the call that ``scipy.linalg.eigvalsh(a, lower=True,
-    overwrite_a=True)`` makes, so the bits are the same: ``dsyevr`` with
-    the workspace sizes of ``dsyevr_lwork``, converted to int as scipy
-    does (``dsytrd``'s block size depends on them), and scipy's errors for
-    a standard problem. Unlike scipy, it does not check that a is finite or
-    that n > 0: its callers do.
-    """
-    n = a.shape[0]
-    lapack = _lapack()
-    lwork, liwork, info = lapack.dsyevr_lwork(n, lower=1)
-    if info:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(lwork),
-                                     liwork=int(liwork), overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError(f"Illegal value in argument {-info} of internal dsyevr"
-                                    if info < -1 else "Internal Error.")
-    return w
-
-
 def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     """Build the operator of the requested kind for g from its stored pairs
     and diagonal (``_pairs``).
@@ -347,16 +257,15 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     (hi, lo), the terms below the diagonal; the diagonal; the pairs as
     (lo, hi), the terms above it. Each output entry thus sums its row's
     terms in column order, as a CSR product does, so every product has the
-    sparse algebra's bits. In a scipy without ``coo_matmat_dense`` (see
-    ``_coo_kernels``), an (n, W) block runs column by column through
-    ``coo_matvec``, which adds the same terms in the same order, so the
-    bits are the same. Either way the input is checked and cast first, in
-    one place: float32 input, such as the Lanczos blocks of large
-    operators, is multiplied in float32 by the entries rounded to float32;
-    any other input is made C-contiguous float64 and multiplied by the
-    float64 entries. An input that is not an (n,) vector or an (n, W) block
-    raises ValueError. The float64 path is the only one that ARPACK, the
-    deflated baseline operators and every small graph use.
+    sparse algebra's bits. The kernels come from ``_scipy.coo_kernels``,
+    which also says how a scipy without the block kernel runs a block, to
+    the same bits. The input is checked and cast first, in one place:
+    float32 input, such as the Lanczos blocks of large operators, is
+    multiplied in float32 by the entries rounded to float32; any other
+    input is made C-contiguous float64 and multiplied by the float64
+    entries. An input that is not an (n,) vector or an (n, W) block raises
+    ValueError. The float64 path is the only one that ARPACK, the deflated
+    baseline operators and every small graph use.
 
     The operator returned holds ids, no values: the pairs, the diagonal,
     the degrees and, for a graph with stored weights, the pairs' weights,
@@ -382,7 +291,7 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
     """
     lo, hi, diag, pending, interval = _pairs(g, kind)
     n = g.n
-    matvec, matmat = _coo_kernels()
+    matvec, matmat = _scipy.coo_kernels()
     calls = ((hi, lo), (diag, diag), (lo, hi))  # the rows and columns of each call
     lock = threading.Lock()
     built = {}  # dtype -> the three calls' values in dtype
@@ -419,18 +328,7 @@ def make_operator(g: Graph, kind: OperatorKind) -> LinearOperator:
             raise ValueError(f"operator of dimension {n} cannot apply to shape {x.shape}")
         # built before the output is allocated: a first product's peak
         # holds one or the other
-        parts = values(x.dtype)
-        if x.ndim == 2 and matmat is None:
-            # column by column, the same terms in the same order; filled in
-            # place, so that an (n, 0) block gives an (n, 0) product. Not
-            # through apply itself: a closure that calls itself is a
-            # reference cycle, which would hold the operator's arrays until
-            # the garbage collector runs
-            out = np.empty(x.shape, x.dtype)
-            for j in range(x.shape[1]):
-                out[:, j] = product(np.ascontiguousarray(x[:, j]), parts)
-            return out
-        return product(x, parts)
+        return product(x, values(x.dtype))
 
     return LinearOperator(dim=n, apply=apply, interval=interval)
 
@@ -441,12 +339,13 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     This is the exact reference for every approximation in the package; it
     refuses graphs above ``DENSE_SPECTRUM_CAP`` vertices. Only the lower
     triangle is densified, which is all that LAPACK reads and writes
-    (``uplo='L'``), and ``_eigvalsh`` works in the dense array itself, with
-    scipy's bits. The array lies on anonymous pages that the kernel maps
-    zeroed on first touch, advised against huge pages: the upper triangle
-    is never touched, so about 4n^2 bytes are resident, not 8n^2. numpy
-    advises its own large arrays to take huge pages, so its zeros became
-    resident whole, at one scattered write per 2 MiB.
+    (``uplo='L'``), and ``_scipy.eigvalsh`` works in the dense array
+    itself, with ``scipy.linalg.eigvalsh``'s bits. The array lies on
+    anonymous pages that the kernel maps zeroed on first touch, advised
+    against huge pages: the upper triangle is never touched, so about 4n^2
+    bytes are resident, not 8n^2. numpy advises its own large arrays to
+    take huge pages, so its zeros became resident whole, at one scattered
+    write per 2 MiB.
 
     Raises
     ------
@@ -478,7 +377,7 @@ def dense_spectrum(g: Graph, kind: OperatorKind) -> np.ndarray:
     # added to zeros, as a sparse matrix densifies: -0.0 lands as +0.0
     dense[hi, lo] += lower
     dense[diag, diag] += diagonal
-    return _eigvalsh(dense)
+    return _scipy.eigvalsh(dense)
 
 
 def trace(g: Graph, kind: OperatorKind) -> float:

@@ -7,6 +7,7 @@ as oracles for the operator code paths.
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 import spectrace
+from spectrace import _scipy
 from spectrace.graphs import Graph, parse_edge_list
-from spectrace.operators import LinearOperator, OperatorKind
+from spectrace.operators import LinearOperator, OperatorKind, trace
 
 
 # An event stream of six one-wide buckets, three of which leave the edge set
@@ -149,3 +151,87 @@ def disjoint_edges(c: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return graph_from_edges(n, [])
+
+
+def algebra_csr(g: Graph, kind: OperatorKind):
+    """The operator in scipy's sparse algebra, D - A, diags(d > 0) - S A S
+    with S = diags(d^{-1/2}) and (D - A) * (1 / tr L), as CSR."""
+    import scipy.sparse as sp
+
+    adj = sp.csr_matrix((g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n))
+    d = adj @ np.ones(g.n)
+    if kind is OperatorKind.LAPLACIAN:
+        return sp.csr_matrix(sp.diags(d) - adj)
+    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
+        pos = d > 0
+        s = np.zeros(g.n)
+        s[pos] = 1.0 / np.sqrt(d[pos])
+        src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
+        scaled = sp.csr_matrix((s[src] * g.weights * s[g.col_indices], g.col_indices,
+                                g.row_offsets), shape=(g.n, g.n))
+        return sp.csr_matrix(sp.diags(pos.astype(np.float64)) - scaled)
+    return sp.csr_matrix((sp.diags(d) - adj) * (1.0 / float(d.sum())))
+
+
+def asymmetric_normalized_graph() -> Graph:
+    """A weighted graph whose normalized Laplacian in the sparse algebra has
+    entries (w s_i) s_j and (w s_j) s_i that round apart."""
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, n=40, p=0.3, weighted=True)
+    ref = algebra_csr(g, OperatorKind.NORMALIZED_LAPLACIAN)
+    assert (ref != ref.T).nnz > 0
+    return g
+
+
+def density_defined(g: Graph) -> bool:
+    tr_l = trace(g, OperatorKind.LAPLACIAN)
+    return 0 < tr_l * tr_l < np.inf
+
+
+def stored_pair_graphs():
+    """Graphs whose stored pairs and values are checked against the sparse
+    algebra: stored and unit weights, isolated vertices, no edges, and
+    entries that underflow or leave the density matrix undefined."""
+    rng = np.random.default_rng(41)
+    yield random_graph(rng, n=40, p=0.2, weighted=True)
+    yield pad_vertices(random_graph(rng, n=30, p=0.1), 45)  # stored ones
+    yield spectrace.erdos_renyi(300, 4, 2)  # the unit view
+    yield empty_graph(5)
+    yield disjoint_edges(4)
+    yield asymmetric_normalized_graph()
+    # normalized and density entries underflow, and are denormal
+    yield graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e150), (1, 3, 1e150),
+                               (4, 5, 1.0), (6, 7, 5e-324)])
+    # normalized entries underflow; the density matrix is undefined
+    yield graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
+                               (4, 5, 1.0), (6, 7, 5e-324)])
+    yield graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)])
+
+
+def patch_private(monkeypatch: pytest.MonkeyPatch, **functions) -> None:
+    """Let ``_scipy`` find each named private function of scipy as given, and
+    one given as None not at all, so that its route takes its fallback."""
+    real = _scipy._private
+
+    def private(module, *names):
+        found = real(module, *names)
+        found = found and tuple(functions.get(name, f) for name, f in zip(names, found))
+        return None if found is None or None in found else found
+
+    monkeypatch.setattr(_scipy, "_private", private)
+
+
+def eigsh_reference(op: LinearOperator, k: int, end: str, **kwargs) -> np.ndarray:
+    """eigsh's eigenvalues of op, unsorted, from the start vector and the
+    restart generator of extremal_eigenvalues."""
+    from scipy.sparse.linalg import LinearOperator as MatvecOperator, eigsh
+
+    n = op.dim
+    v0 = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k)))
+    restarts = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7,
+                                                            spawn_key=(n, k, 1)))
+    if "rng" in inspect.signature(eigsh).parameters:
+        kwargs["rng"] = restarts
+    matrix = MatvecOperator((n, n), matvec=op.apply, dtype=np.float64)
+    return eigsh(matrix, k, which="LA" if end == "largest" else "SA", v0=v0.standard_normal(n),
+                 return_eigenvectors=False, **kwargs)

@@ -1,23 +1,17 @@
 """Lanczos recurrence, quadrature rules, extremal eigenvalues, oracles."""
 
-import functools
-import inspect
-import itertools
 import math
 import mmap
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from spectrace import lanczos, operators
-from spectrace.descriptors import _kernel_deflated
+from spectrace import _scipy, operators
 from spectrace.errors import ConvergenceError, TridiagonalEigenError
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
@@ -46,6 +40,7 @@ from spectrace.operators import (
 from conftest import (
     dense_operator_matrix,
     disjoint_edges,
+    eigsh_reference,
     empty_graph,
     explicit_operator,
     graph_from_edges,
@@ -53,25 +48,6 @@ from conftest import (
     random_graph,
     run_fresh,
 )
-
-
-# whether this scipy's eigsh draws its random restarts from an rng argument
-_EIGSH_TAKES_RNG = "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters
-
-
-def _eigsh_reference(op, k, end, **kwargs):
-    """eigsh's eigenvalues of op, unsorted, from the start vector and the
-    restart generator of extremal_eigenvalues."""
-    n = op.dim
-    v0 = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(n, k)))
-    restarts = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7,
-                                                            spawn_key=(n, k, 1)))
-    if _EIGSH_TAKES_RNG:
-        kwargs["rng"] = restarts
-    matrix = scipy.sparse.linalg.LinearOperator((n, n), matvec=op.apply, dtype=np.float64)
-    return scipy.sparse.linalg.eigsh(
-        matrix, k, which="LA" if end == "largest" else "SA", v0=v0.standard_normal(n),
-        return_eigenvectors=False, **kwargs)
 
 
 def _unit(rng, n):
@@ -374,15 +350,15 @@ class TestExtremalEigenvalues:
         # dsaupd stopped at maxiter 1 (info 1), in the driver's module and
         # in the package's, which eigsh's replay calls: the values that
         # eigsh's ArpackNoConvergence carries, sorted
-        arpack = lanczos._arpack()
-        if arpack is None:
+        if _scipy._private(_scipy._ARPACKLIB, "dsaupd_wrap", "dseupd_wrap") is None:
             pytest.skip("this scipy's ARPACK is reached through eigsh only")
+        arpack = _scipy._extension(_scipy._ARPACKLIB)
         rng = np.random.default_rng(10)
         g = random_graph(rng, n=60, p=0.2)
         op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
         # the real routines, before patching: the two modules can be one
         real_saupd, real = arpack.dsaupd_wrap, arpack.dseupd_wrap
-        modules = (arpack, sys.modules[lanczos._ARPACK_MODULE])
+        modules = (arpack, sys.modules[_scipy._ARPACKLIB])
 
         def one_iteration(state, *arrays):
             state["maxiter"] = 1
@@ -393,7 +369,7 @@ class TestExtremalEigenvalues:
         sizes = []
         for k, end in [(5, "smallest"), (20, "smallest"), (20, "largest")]:
             with pytest.raises(ArpackNoConvergence) as eigshs:
-                _eigsh_reference(op, k, end, maxiter=1)
+                eigsh_reference(op, k, end, maxiter=1)
             with pytest.raises(ConvergenceError) as exc_info:
                 extremal_eigenvalues(op, k, end)
             best = exc_info.value.best_estimates
@@ -410,137 +386,11 @@ class TestExtremalEigenvalues:
         for module in modules:
             monkeypatch.setattr(module, "dseupd_wrap", failing)
         with pytest.raises(ArpackNoConvergence) as eigshs:
-            _eigsh_reference(op, 20, "largest", maxiter=1)
+            eigsh_reference(op, 20, "largest", maxiter=1)
         with pytest.raises(ConvergenceError) as exc_info:
             extremal_eigenvalues(op, 20, "largest")
         assert exc_info.value.best_estimates.size == eigshs.value.eigenvalues.size == 0
         assert str(exc_info.value) == f"extremal eigenvalues did not converge: {eigshs.value}"
-
-    def test_nonconvergence_carries_best_estimates_through_eigsh(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.array([0.7, 0.2]), None)
-
-        monkeypatch.setattr(lanczos, "_arpack", lambda: None)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        rng = np.random.default_rng(10)
-        g = random_graph(rng, n=60, p=0.2)
-        op = make_operator(g, OperatorKind.NORMALIZED_LAPLACIAN)
-        with pytest.raises(ConvergenceError) as exc_info:
-            extremal_eigenvalues(op, 5, "smallest")
-        assert np.array_equal(exc_info.value.best_estimates, [0.2, 0.7])
-
-    @pytest.mark.parametrize("routine,info", [("dsaupd_wrap", -9), ("dsaupd_wrap", -9999),
-                                              ("dsaupd_wrap", 3), ("dseupd_wrap", -14)])
-    def test_arpack_failure_raises_scipys_message(self, routine, info, monkeypatch):
-        # a nonzero info (other than dsaupd's 1) raises eigsh's ArpackError,
-        # with its message for that routine
-        arpack = lanczos._arpack()
-        if arpack is None:
-            pytest.skip("this scipy's ARPACK is reached through eigsh only")
-        real = getattr(arpack, routine)
-
-        def failing(state, *args):
-            real(state, *args)
-            if routine == "dseupd_wrap" or state["ido"] == 99:
-                state["info"] = info
-
-        g = erdos_renyi(100, 4, 0)
-        op = make_operator(g, OperatorKind.LAPLACIAN)
-        package = sys.modules[lanczos._ARPACK_MODULE]
-        for module in (arpack, package):
-            monkeypatch.setattr(module, routine, failing)
-        with pytest.raises(RuntimeError) as eigshs:
-            _eigsh_reference(op, 3, "largest")
-        with pytest.raises(RuntimeError) as mine:
-            extremal_eigenvalues(op, 3, "largest")
-        assert type(mine.value) is type(eigshs.value)
-        assert str(mine.value) == str(eigshs.value)
-        assert str(mine.value).startswith(f"ARPACK error {info}: ")
-
-    def test_driver_failure_is_replayed_by_eigsh(self, monkeypatch):
-        # a failure injected into the driver's ARPACK only: eigsh replays
-        # the problem on the package's intact ARPACK, with the same start
-        # vector and restart generator, and its eigenvalues come back
-        arpack = lanczos._arpack()
-        if arpack is None:
-            pytest.skip("this scipy's ARPACK is reached through eigsh only")
-        # the replay draws eigsh's restarts from the driver's generator
-        assert _EIGSH_TAKES_RNG
-        real = arpack.dsaupd_wrap
-        ends = []
-
-        def unknown_error(state, *arrays):
-            real(state, *arrays)
-            if state["ido"] == 99:
-                state["info"] = -9999
-                ends.append(state["info"])
-
-        def one_iteration(state, *arrays):
-            state["maxiter"] = 1
-            real(state, *arrays)
-            if state["ido"] == 99:
-                ends.append(state["info"])
-
-        rng = np.random.default_rng(10)
-        op = make_operator(random_graph(rng, n=60, p=0.2), OperatorKind.NORMALIZED_LAPLACIAN)
-        for failing, info in ((unknown_error, -9999), (one_iteration, 1)):
-            monkeypatch.setattr(lanczos, "_arpack", lambda: types.SimpleNamespace(
-                dsaupd_wrap=failing, dseupd_wrap=arpack.dseupd_wrap))
-            for k, end in [(5, "smallest"), (20, "largest")]:
-                ends.clear()
-                mine = extremal_eigenvalues(op, k, end)
-                assert ends == [info]
-                assert mine.tobytes() == np.sort(_eigsh_reference(op, k, end)).tobytes()
-
-    def test_driver_failure_loads_scipy_sparse(self):
-        # a successful call leaves scipy.sparse unloaded; a failure of the
-        # driver's ARPACK loads it for eigsh's replay
-        if lanczos._arpack() is None:
-            pytest.skip("this scipy's ARPACK is reached through eigsh only")
-        code = """
-import sys
-import types
-from spectrace import lanczos
-from spectrace.graphs import erdos_renyi
-from spectrace.operators import OperatorKind, make_operator
-op = make_operator(erdos_renyi(300, 4, 0), OperatorKind.LAPLACIAN)
-mine = lanczos.extremal_eigenvalues(op, 5, "largest")
-print("scipy.sparse" in sys.modules)
-arpack = lanczos._arpack()
-
-def failing(state, *arrays):
-    arpack.dsaupd_wrap(state, *arrays)
-    if state["ido"] == 99:
-        state["info"] = -9999
-
-lanczos._arpack = lambda: types.SimpleNamespace(dsaupd_wrap=failing,
-                                                dseupd_wrap=arpack.dseupd_wrap)
-replayed = lanczos.extremal_eigenvalues(op, 5, "largest")
-print("scipy.sparse" in sys.modules, replayed.tobytes() == mine.tobytes())
-"""
-        assert run_fresh(code) == ["False", "True True"]
-
-    def test_driver_keeps_eigshs_bits(self):
-        # the driver's eigenvalues equal eigsh's bit for bit
-        rng = np.random.default_rng(3)
-        weighted = random_graph(rng, n=80, p=0.1, weighted=True)
-        er300 = erdos_renyi(300, 4, 1)
-        deflated, _ = _kernel_deflated(
-            er300, make_operator(er300, OperatorKind.NORMALIZED_LAPLACIAN))
-        table = [(make_operator(g, kind), k, end)
-                 for g in (erdos_renyi(300, 4, 0), erdos_renyi(2047, 10, 0))
-                 for kind in (OperatorKind.LAPLACIAN, OperatorKind.NORMALIZED_LAPLACIAN)
-                 for k in (1, 5) for end in ("smallest", "largest")]
-        er3000 = make_operator(erdos_renyi(3000, 10, 0), OperatorKind.NORMALIZED_LAPLACIAN)
-        table += [(er3000, 50, "smallest"), (er3000, 50, "largest")]
-        table.append((make_operator(er300, OperatorKind.DENSITY), 1, "largest"))
-        table += [(make_operator(weighted, OperatorKind.NORMALIZED_LAPLACIAN), 4, end)
-                  for end in ("smallest", "largest")]
-        table += [(deflated, 5, "smallest"), (deflated, 1, "smallest")]
-        for op, k, end in table:
-            mine = extremal_eigenvalues(op, k, end)
-            assert mine.tobytes() == np.sort(_eigsh_reference(op, k, end)).tobytes(), (
-                op.dim, k, end)
 
     def test_restart_is_deterministic(self):
         # disjoint K2 ask ARPACK for random restarts: they draw from a
@@ -559,85 +409,12 @@ for c, k in ((30, 1), (10, 3)):
         outputs = {tuple(run_fresh(code, str(Path(__file__).parent))) for _ in range(4)}
         assert len(outputs) == 1
 
-    def test_restart_keeps_eigshs_bits(self, monkeypatch):
-        # on restart cases the driver equals eigsh with the same generator;
-        # at 10 disjoint K2 the smallest end is rounding noise about 0, and
-        # each of six restart seeds gave eigsh other bits
-        arpack = lanczos._arpack()
-        if arpack is None:
-            pytest.skip("this scipy's ARPACK is reached through eigsh only")
-        restarts = []
-
-        def counting(state, *arrays):
-            arpack.dsaupd_wrap(state, *arrays)
-            restarts.append(state["ido"] == 4)
-
-        monkeypatch.setattr(lanczos, "_arpack", lambda: types.SimpleNamespace(
-            dsaupd_wrap=counting, dseupd_wrap=arpack.dseupd_wrap))
-        table = [(30, 1, OperatorKind.LAPLACIAN), (30, 1, OperatorKind.NORMALIZED_LAPLACIAN)]
-        table += itertools.product([10], (1, 3), OperatorKind)
-        for c, k, kind in table:
-            op = make_operator(disjoint_edges(c), kind)
-            restarts.clear()
-            mine = extremal_eigenvalues(op, k, "smallest")
-            assert any(restarts)
-            assert mine.tobytes() == np.sort(_eigsh_reference(op, k, "smallest")).tobytes()
-
     def test_whole_end_can_be_missed(self):
         # the limitation the docstring records: the Krylov space of 30
         # disjoint K2 is invariant after two steps, and the smallest
         # eigenvalue comes back as 2, where the spectrum's minimum is 0
         op = make_operator(disjoint_edges(30), OperatorKind.NORMALIZED_LAPLACIAN)
         assert extremal_eigenvalues(op, 1, "smallest")[0] == pytest.approx(2.0)
-
-    def test_arpack_loads_by_file(self):
-        # the extension and the driver leave no scipy module loaded, and a
-        # later scipy.sparse.linalg import works and gives eigsh's bits
-        if lanczos._arpack() is None:
-            pytest.skip("this scipy's ARPACK is reached through eigsh only")
-        code = """
-import sys
-import numpy as np
-from spectrace import lanczos
-from spectrace.graphs import erdos_renyi
-from spectrace.operators import OperatorKind, make_operator
-op = make_operator(erdos_renyi(300, 4, 0), OperatorKind.LAPLACIAN)
-mine = lanczos.extremal_eigenvalues(op, 5, "largest")
-print(sorted(name for name in sys.modules if name.startswith("scipy")))
-from scipy.sparse.linalg import LinearOperator, eigsh
-v0 = np.random.default_rng(np.random.SeedSequence(entropy=0x5EC7, spawn_key=(300, 5)))
-vals = eigsh(LinearOperator((300, 300), matvec=op.apply, dtype=np.float64), 5, which="LA",
-             v0=v0.standard_normal(300), return_eigenvectors=False)
-print(np.sort(vals).tobytes() == mine.tobytes())
-"""
-        assert run_fresh(code) == ["[]", "True"]
-
-    def test_arpack_without_the_driver_routines_is_eigsh(self, monkeypatch):
-        # no _arpacklib (the Fortran ARPACK of older scipy), or one without
-        # dsaupd_wrap and dseupd_wrap: _arpack gives None, and eigsh runs
-        calls = []
-        real = scipy.sparse.linalg.eigsh
-
-        @functools.wraps(real)
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-        op = make_operator(erdos_renyi(300, 4, 0), OperatorKind.LAPLACIAN)
-        expected = np.sort(_eigsh_reference(op, 5, "largest"))
-        for name, module in [("scipy.sparse.linalg._eigen.arpack._no_such_module", None),
-                             ("scipy.sparse.linalg._eigen.arpack.arpack", None)]:
-            with monkeypatch.context() as mp:
-                mp.setattr(lanczos, "_ARPACK_MODULE", name)
-                lanczos._arpack.cache_clear()
-                try:
-                    assert lanczos._arpack() is module
-                    calls.clear()
-                    assert extremal_eigenvalues(op, 5, "largest").tobytes() == expected.tobytes()
-                    assert len(calls) == 1 and ("rng" in calls[0]) == _EIGSH_TAKES_RNG
-                finally:
-                    lanczos._arpack.cache_clear()
 
     def test_full_spectrum_loads_no_scipy_sparse_or_linalg(self):
         code = """

@@ -7,7 +7,6 @@ import re
 import sys
 import threading
 import tracemalloc
-import types
 from functools import cache
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from spectrace import erdos_renyi, operators
+from spectrace import _scipy, erdos_renyi, operators
 from spectrace.graphs import Graph
 from spectrace.operators import (
     OperatorKind,
@@ -27,13 +26,17 @@ from spectrace.operators import (
 )
 
 from conftest import (
+    algebra_csr,
+    asymmetric_normalized_graph,
     dense_operator_matrix,
+    density_defined,
     disjoint_edges,
     empty_graph,
     graph_from_edges,
     pad_vertices,
+    patch_private,
     random_graph,
-    run_fresh,
+    stored_pair_graphs,
 )
 
 ALL_KINDS = list(OperatorKind)
@@ -53,84 +56,21 @@ def _product_path(route):
     def fail(*args, **kwargs):
         raise ImportError("extension cannot be loaded")
 
-    coo_kernels = operators._coo_kernels
     with pytest.MonkeyPatch.context() as mp:
-        mp.delitem(sys.modules, operators._KERNEL_MODULE, raising=False)
+        mp.delitem(sys.modules, _scipy._SPARSETOOLS, raising=False)
         if route == "fallback":
             mp.setattr(importlib.util, "spec_from_file_location", fail)
-        coo_kernels.cache_clear()
+        _scipy._extension.cache_clear()
         try:
-            kernels = coo_kernels()
+            module = _scipy._extension(_scipy._SPARSETOOLS)
             if route == "fallback":
                 assert "scipy.sparse" in sys.modules
-                assert kernels == (sp._sparsetools.coo_matvec,
-                                   getattr(sp._sparsetools, "coo_matmat_dense", None))
+                assert module is sp._sparsetools
             elif route == "columns":
-                mp.setattr(operators, "_coo_kernels", lambda: (kernels[0], None))
+                patch_private(mp, coo_matmat_dense=None)
             yield
         finally:
-            coo_kernels.cache_clear()
-
-
-# dense_spectrum's LAPACK routes (see _lapack_path)
-LAPACK_ROUTES = ["file", "import"]
-
-
-@contextlib.contextmanager
-def _lapack_path(route):
-    """dense_spectrum's LAPACK on one route: "file", scipy.linalg._flapack
-    loaded from its file, as in a process that has not imported
-    scipy.linalg; "import", the same module imported with scipy.linalg, as
-    where the file cannot be loaded."""
-
-    def fail(*args, **kwargs):
-        raise ImportError("extension cannot be loaded")
-
-    lapack = operators._lapack
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delitem(sys.modules, operators._LAPACK_MODULE, raising=False)
-        # an import binds the package's attribute anew; restored on exit
-        mp.setattr(scipy.linalg, "_flapack", scipy.linalg._flapack)
-        if route == "import":
-            mp.setattr(importlib.util, "spec_from_file_location", fail)
-        lapack.cache_clear()
-        try:
-            module = lapack()
-            assert (sys.modules.get(operators._LAPACK_MODULE) is module) == (route == "import")
-            assert module.dsyevr is scipy.linalg._flapack.dsyevr
-            yield
-        finally:
-            lapack.cache_clear()
-
-
-class _FailingDsyevr:
-    """A dsyevr that computes nothing and returns info."""
-
-    typecode = "d"
-
-    def __init__(self, info):
-        self.info = info
-
-    def __call__(self, a, **kwargs):
-        return np.zeros(a.shape[0]), np.zeros((0, 0)), a.shape[0], np.zeros(0, np.int32), self.info
-
-
-def _algebra_csr(g, kind):
-    """The operator in scipy's sparse algebra, D - A, diags(d > 0) - S A S
-    with S = diags(d^{-1/2}) and (D - A) * (1 / tr L), as CSR."""
-    adj = sp.csr_matrix((g.weights, g.col_indices, g.row_offsets), shape=(g.n, g.n))
-    d = adj @ np.ones(g.n)
-    if kind is OperatorKind.LAPLACIAN:
-        return sp.csr_matrix(sp.diags(d) - adj)
-    if kind is OperatorKind.NORMALIZED_LAPLACIAN:
-        pos = d > 0
-        s = np.zeros(g.n)
-        s[pos] = 1.0 / np.sqrt(d[pos])
-        src = np.repeat(np.arange(g.n), np.diff(g.row_offsets))
-        scaled = sp.csr_matrix((s[src] * g.weights * s[g.col_indices], g.col_indices,
-                                g.row_offsets), shape=(g.n, g.n))
-        return sp.csr_matrix(sp.diags(pos.astype(np.float64)) - scaled)
-    return sp.csr_matrix((sp.diags(d) - adj) * (1.0 / float(d.sum())))
+            _scipy._extension.cache_clear()
 
 
 class TestDegrees:
@@ -231,7 +171,7 @@ class TestMakeOperator:
                     with pytest.raises(ValueError, match=message):
                         trace_squared(g, kind)
                     continue
-                ref = _algebra_csr(g, kind)
+                ref = algebra_csr(g, kind)
                 lo, hi, diag, (w, d), _ = operators._pairs(g, kind)
                 lower, diagonal, upper = operators._values(kind, lo, hi, diag, w, d, np.float64)
                 assert lo.dtype == hi.dtype == diag.dtype == np.int32
@@ -286,7 +226,7 @@ class TestMakeOperator:
             for kind in ALL_KINDS:
                 if kind is OperatorKind.DENSITY and g.m == 0:
                     continue
-                ref = _algebra_csr(g, kind).astype(np.float32)
+                ref = algebra_csr(g, kind).astype(np.float32)
                 for route in ROUTES:
                     with _product_path(route):
                         op = make_operator(g, kind)
@@ -304,7 +244,7 @@ class TestMakeOperator:
         block = rng.standard_normal((g.n, 8))
         inputs = [block, block[:, ::3], block[:, 0], np.arange(g.n), block.astype(np.float16)]
         for kind in ALL_KINDS:
-            ref = _algebra_csr(g, kind)
+            ref = algebra_csr(g, kind)
             for route in ROUTES:
                 with _product_path(route):
                     op = make_operator(g, kind)
@@ -338,81 +278,6 @@ class TestMakeOperator:
                         message = f"operator of dimension 50 cannot apply to shape {x.shape}"
                         with pytest.raises(ValueError, match=re.escape(message)):
                             op.apply(x.astype(dtype))
-
-    def test_kernel_loads_by_file(self):
-        # on every scipy: the extension leaves sys.modules as it found it,
-        # and a later scipy.sparse import still sets its _sparsetools
-        # attribute, to the module whose functions were loaded
-        code = """
-import sys
-from spectrace import operators
-kernels = operators._coo_kernels()
-print(sorted(name for name in sys.modules if name.startswith("scipy")))
-import scipy.sparse
-tools = scipy.sparse._sparsetools
-print(kernels == (tools.coo_matvec, getattr(tools, "coo_matmat_dense", None)))
-"""
-        assert run_fresh(code) == ["[]", "True"]
-
-    def test_kernel_loads_by_import_where_the_file_does_not(self):
-        # a by-file load that fails imports the extension with scipy.sparse
-        code = """
-import importlib.util, sys
-from spectrace import operators
-def fail(*args, **kwargs):
-    raise ImportError("extension cannot be loaded")
-importlib.util.spec_from_file_location = fail
-kernels = operators._coo_kernels()
-print("scipy.sparse" in sys.modules)
-tools = sys.modules["scipy.sparse._sparsetools"]
-print(kernels == (tools.coo_matvec, getattr(tools, "coo_matmat_dense", None)))
-"""
-        assert run_fresh(code) == ["True", "True"]
-
-    def test_lapack_loads_by_file(self):
-        # the extension leaves sys.modules as it found it, and a later
-        # scipy.linalg import works and exposes the dsyevr that was loaded
-        code = """
-import sys
-import numpy as np
-from spectrace import operators
-lapack = operators._lapack()
-print(sorted(name for name in sys.modules if name.startswith("scipy")))
-import scipy.linalg
-print(lapack.dsyevr is scipy.linalg.get_lapack_funcs("syevr", dtype=np.float64))
-print(scipy.linalg.eigvalsh([[2.0, 0.0], [0.0, 1.0]]).tolist())
-"""
-        assert run_fresh(code) == ["[]", "True", "[1.0, 2.0]"]
-
-    def test_lapack_loads_by_import_where_the_file_does_not(self):
-        code = """
-import importlib.util, sys
-from spectrace import operators
-def fail(*args, **kwargs):
-    raise ImportError("extension cannot be loaded")
-importlib.util.spec_from_file_location = fail
-lapack = operators._lapack()
-print("scipy.linalg" in sys.modules)
-print(lapack is sys.modules["scipy.linalg._flapack"])
-"""
-        assert run_fresh(code) == ["True", "True"]
-
-    @pytest.mark.parametrize("info", [1, 7, -1, -5])
-    def test_lapack_failure_raises_scipys_message(self, info, monkeypatch):
-        # for a standard problem: "Internal Error." or an illegal argument
-        g = erdos_renyi(30, 4, 0)
-        lapack = operators._lapack()
-        lwork = scipy.linalg.get_lapack_funcs("syevr_lwork", dtype=np.float64)
-        with monkeypatch.context() as mp:
-            mp.setattr(scipy.linalg._decomp, "get_lapack_funcs",
-                       lambda names, arrays: (_FailingDsyevr(info), lwork))
-            with pytest.raises(np.linalg.LinAlgError) as scipys:
-                scipy.linalg.eigvalsh(np.eye(g.n), lower=True, overwrite_a=True)
-        monkeypatch.setattr(operators, "_lapack", lambda: types.SimpleNamespace(
-            dsyevr=_FailingDsyevr(info), dsyevr_lwork=lapack.dsyevr_lwork))
-        with pytest.raises(np.linalg.LinAlgError) as mine:
-            dense_spectrum(g, OperatorKind.LAPLACIAN)
-        assert str(mine.value) == str(scipys.value)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
@@ -542,7 +407,8 @@ class TestValuesPerDtype:
         block = np.random.default_rng(14).standard_normal((g.n, 8)).astype(np.float32)
         expected = {kind: make_operator(g, kind).apply(block).tobytes() for kind in ALL_KINDS}
         built = []
-        matvec, matmat = operators._coo_kernels()
+        (matvec,) = _scipy._private(_scipy._SPARSETOOLS, "coo_matvec")
+        matmat = _scipy._private(_scipy._SPARSETOOLS, "coo_matmat_dense")
         # every kernel call's values: a block's three calls, or on the
         # per-column route, each column's three
         calls = 3 if matmat is not None else 3 * block.shape[1]
@@ -554,9 +420,8 @@ class TestValuesPerDtype:
                 return kernel(*args)
             return record
 
-        kernels = ((matvec, recorded(matmat, 4)) if matmat is not None
-                   else (recorded(matvec, 3), None))
-        monkeypatch.setattr(operators, "_coo_kernels", lambda: kernels)
+        patch_private(monkeypatch, coo_matvec=recorded(matvec, 3),
+                      coo_matmat_dense=matmat and recorded(matmat[0], 4))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -649,43 +514,11 @@ class TestValueBuildMemory:
         assert peak <= peak_bound * entries, peak / entries
 
 
-def _asymmetric_normalized_graph():
-    """A weighted graph whose normalized Laplacian in the sparse algebra has
-    entries (w s_i) s_j and (w s_j) s_i that round apart."""
-    rng = np.random.default_rng(31)
-    g = random_graph(rng, n=40, p=0.3, weighted=True)
-    ref = _algebra_csr(g, OperatorKind.NORMALIZED_LAPLACIAN)
-    assert (ref != ref.T).nnz > 0
-    return g
-
-
-def _density_defined(g):
-    tr_l = trace(g, OperatorKind.LAPLACIAN)
-    return 0 < tr_l * tr_l < np.inf
-
-
 class TestStoredPairs:
     """Each undirected edge is stored once. A product is three kernel calls
     into one zeroed output: the pairs below the diagonal, the diagonal, the
     pairs above it. Every output entry thus sums its row's terms in column
     order, so products equal the sparse algebra's bit for bit."""
-
-    @staticmethod
-    def _graphs():
-        rng = np.random.default_rng(41)
-        yield random_graph(rng, n=40, p=0.2, weighted=True)
-        yield pad_vertices(random_graph(rng, n=30, p=0.1), 45)  # stored ones
-        yield erdos_renyi(300, 4, 2)  # the unit view
-        yield empty_graph(5)
-        yield disjoint_edges(4)
-        yield _asymmetric_normalized_graph()
-        # normalized and density entries underflow, and are denormal
-        yield graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e150), (1, 3, 1e150),
-                                   (4, 5, 1.0), (6, 7, 5e-324)])
-        # normalized entries underflow; the density matrix is undefined
-        yield graph_from_edges(8, [(0, 1, 5e-324), (0, 2, 1e300), (1, 3, 1e300),
-                                   (4, 5, 1.0), (6, 7, 5e-324)])
-        yield graph_from_edges(6, [(0, 1, 1e-300), (1, 2, 1e-300), (3, 4, 1e-300)])
 
     @pytest.mark.parametrize("panel_rows", [operators.PANEL_ROWS, 7, 1])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -693,15 +526,15 @@ class TestStoredPairs:
     def test_products_match_the_algebra(self, panel_rows, dtype, route, monkeypatch):
         monkeypatch.setattr(operators, "PANEL_ROWS", panel_rows)
         rng = np.random.default_rng(42)
-        for g in self._graphs():
+        for g in stored_pair_graphs():
             block = rng.standard_normal((g.n, 8)).astype(dtype)
             inputs = [block, block[:, ::3], block[:, :1], block[:, :0], block[:, 0]]
             for kind in ALL_KINDS:
-                if kind is OperatorKind.DENSITY and not _density_defined(g):
+                if kind is OperatorKind.DENSITY and not density_defined(g):
                     continue
                 # weights of 1e300 round to inf in float32, on both sides
                 with np.errstate(over="ignore"):
-                    ref = _algebra_csr(g, kind).astype(dtype)
+                    ref = algebra_csr(g, kind).astype(dtype)
                     with _product_path(route):
                         op = make_operator(g, kind)
                         for v in inputs:
@@ -714,7 +547,7 @@ class TestStoredPairs:
         # (w s_hi) s_lo and (w s_lo) s_hi round apart on this graph, so a
         # product that reused the values above the diagonal below it would
         # differ from the algebra's
-        g = _asymmetric_normalized_graph()
+        g = asymmetric_normalized_graph()
         kind = OperatorKind.NORMALIZED_LAPLACIAN
         lo, hi, diag, (w, d), _ = operators._pairs(g, kind)
         lower, _, upper = operators._values(kind, lo, hi, diag, w, d, np.float64)
@@ -725,22 +558,17 @@ class TestStoredPairs:
             with _product_path(route):
                 op = make_operator(g, kind)
                 for x in inputs:
-                    ref = _algebra_csr(g, kind).astype(x.dtype)
+                    ref = algebra_csr(g, kind).astype(x.dtype)
                     assert op.apply(x).tobytes() == (ref @ x).tobytes()
 
     def test_dense_spectrum_matches_eigvalsh_of_the_algebra(self):
-        for g in self._graphs():
+        for g in stored_pair_graphs():
             for kind in ALL_KINDS:
-                if kind is OperatorKind.DENSITY and not _density_defined(g):
+                if kind is OperatorKind.DENSITY and not density_defined(g):
                     continue
-                exact = scipy.linalg.eigvalsh(_algebra_csr(g, kind).toarray(order="F"),
+                exact = scipy.linalg.eigvalsh(algebra_csr(g, kind).toarray(order="F"),
                                               overwrite_a=True)
                 assert dense_spectrum(g, kind).tobytes() == exact.tobytes(), (g.n, kind)
-
-    @pytest.mark.parametrize("route", LAPACK_ROUTES)
-    def test_dense_spectrum_keeps_its_bits_on_each_lapack_route(self, route):
-        with _lapack_path(route):
-            self.test_dense_spectrum_matches_eigvalsh_of_the_algebra()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_make_operator_peak(self, kind):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import spectrace
-from spectrace import operators, slq
+from spectrace import slq
 from spectrace.descriptors import TimeGrid, descriptor_to_json, netlsd_slq, vnge_slq
 from spectrace.graphs import erdos_renyi
 from spectrace.lanczos import (
@@ -44,6 +44,7 @@ from conftest import (
     explicit_operator,
     graph_from_edges,
     pad_vertices,
+    patch_private,
 )
 
 
@@ -704,8 +705,7 @@ def test_per_column_products_keep_descriptor_bytes(args, monkeypatch):
                 for describe in (netlsd_slq, vnge_slq) for threads in (1, 2)]
 
     block = descriptors()
-    matvec, _ = operators._coo_kernels()
-    monkeypatch.setattr(operators, "_coo_kernels", lambda: (matvec, None))
+    patch_private(monkeypatch, coo_matmat_dense=None)
     assert descriptors() == block
 
 
