@@ -4,13 +4,21 @@ Results are plain dataclass rows with CSV emitters:
 error rows      graph,method,kind,rel_error,seconds
 classification  dataset,kind,method,mean_acc,std,repeats
 snapshots       index,distance,added,removed
+
+The emitters write through ``csv.writer`` with the csv module's minimal
+quoting: a field that holds a comma, a quote or a newline is quoted, so a
+graph or dataset name with a comma keeps its column; every other field is
+left bare, and a number reads as ``repr`` writes it. The ``classify``
+manifest is not read that way: each of its lines splits at every comma, so
+it cannot list a path that holds one.
 """
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -246,24 +254,25 @@ def snapshot_distance_series(
     ]
 
 
+def _write_csv(stream: IO[str], header: str, rows: Iterable[tuple]) -> None:
+    """A header and rows through one csv writer: lines end in "\\n", not the
+    module's default "\\r\\n", and a field is quoted only where it holds a
+    comma, a quote or a newline."""
+    csv.writer(stream, lineterminator="\n").writerows([header.split(","), *rows])
+
+
 def write_error_csv(rows: Sequence[ErrorRow], stream: IO[str]) -> None:
-    stream.write("graph,method,kind,rel_error,seconds\n")
-    for row in rows:
-        stream.write(
-            f"{row.graph_id},{row.method},{row.kind},{row.rel_error!r},{row.seconds!r}\n"
-        )
+    _write_csv(stream, "graph,method,kind,rel_error,seconds",
+               ((r.graph_id, r.method, r.kind, r.rel_error, r.seconds) for r in rows))
 
 
 def write_classification_csv(
     dataset: str, kind: str, method: str, result: ClassificationResult, stream: IO[str]
 ) -> None:
-    stream.write("dataset,kind,method,mean_acc,std,repeats\n")
-    stream.write(
-        f"{dataset},{kind},{method},{result.mean_accuracy!r},{result.std!r},{result.repeats}\n"
-    )
+    _write_csv(stream, "dataset,kind,method,mean_acc,std,repeats",
+               [(dataset, kind, method, result.mean_accuracy, result.std, result.repeats)])
 
 
 def write_snapshot_csv(rows: Sequence[SnapshotRow], stream: IO[str]) -> None:
-    stream.write("index,distance,added,removed\n")
-    for row in rows:
-        stream.write(f"{row.index},{row.distance!r},{row.added},{row.removed}\n")
+    _write_csv(stream, "index,distance,added,removed",
+               ((r.index, r.distance, r.added, r.removed) for r in rows))

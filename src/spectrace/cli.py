@@ -105,7 +105,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _open(path: str, mode: str):
     """The file at path, or stdin or stdout for '-', which stays open on exit.
-    A file read may start with a UTF-8 byte-order mark, which is skipped."""
+    A file read skips a leading UTF-8 byte-order mark; stdin's is skipped
+    by its reader."""
     if path == "-":
         return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
     return open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8")
@@ -164,15 +165,16 @@ def _cmd_bench_error(args) -> int:
 def _cmd_classify(args) -> int:
     paths, labels = [], []
     with _open(args.manifest, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise EdgeListError(f"manifest expects 'path,label': {line!r}", lineno)
-            paths.append(fields[0].strip())
-            labels.append(fields[1].strip())
+        text = fh.read().removeprefix("\ufeff")  # stdin keeps the mark a file skips
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise EdgeListError(f"manifest expects 'path,label': {line!r}", lineno)
+        paths.append(fields[0].strip())
+        labels.append(fields[1].strip())
     base = Path(args.manifest).parent  # '.' for stdin: the working directory
     features = []
     for p in paths:

@@ -246,12 +246,15 @@ def _read_lines(stream, comment_prefix: str) -> tuple[str, bool]:
     iterable's lines are joined with ``"\\n"``, each without its trailing
     ``"\\n"``. The text splits at ``"\\n"`` only, as iterating over a file
     does, so the same text reads the same way in every form; a ``"\\r"``
-    left at a line's end is stripped with its whitespace.
+    left at a line's end is stripped with its whitespace. A leading UTF-8
+    byte-order mark is skipped, as a file opened as ``utf-8-sig`` skips it,
+    so stdin and a string read like the same bytes from a file.
     """
     if hasattr(stream, "read"):
         stream = stream.read()
     elif not isinstance(stream, str):
         stream = "\n".join(line.rstrip("\n") for line in stream)
+    stream = stream.removeprefix("\ufeff")
     return stream, comment_prefix in stream
 
 

@@ -7,7 +7,9 @@ as oracles for the operator code paths.
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -27,6 +29,16 @@ from spectrace.operators import LinearOperator, OperatorKind, trace
 # and a delete of one edge in the same bucket.
 CANCELLING_STREAM = ("0 add 0 1\n1 add 0 1\n2 del 2 3\n3 add 1 2\n3 del 1 2\n"
                      "4 del 0 1\n5 add 0 2\n")
+
+
+def read_table(text: str) -> list[dict[str, str]]:
+    """A CSV table's rows as the benchmark reads them: without its '#'
+    lines, through csv.DictReader; each row is checked to hold exactly the
+    header's columns."""
+    body = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+    rows = list(csv.DictReader(io.StringIO(body)))
+    assert rows and all(None not in row and None not in row.values() for row in rows)
+    return rows
 
 
 def run_fresh(code: str, *args: str) -> list[str]:

@@ -10,9 +10,13 @@ import pytest
 
 from spectrace import bench
 from spectrace.bench import (
+    ClassificationResult,
+    ErrorRow,
+    SnapshotRow,
     error_benchmark,
     knn_accuracy,
     snapshot_distance_series,
+    write_classification_csv,
     write_error_csv,
     write_snapshot_csv,
 )
@@ -20,7 +24,14 @@ from spectrace.descriptors import TimeGrid, descriptor_distance, netlsd_exact, v
 from spectrace.graphs import erdos_renyi, load_snapshots
 from spectrace.slq import SlqConfig
 
-from conftest import CANCELLING_STREAM, empty_graph, graph_from_edges
+from conftest import CANCELLING_STREAM, empty_graph, graph_from_edges, read_table
+
+# A table name holding a comma and a quote, which the csv writer quotes.
+ODD_NAME = 'a,"b".tsv'
+# Numbers a table must write as f"{x!r}" does: the csv writer writes a
+# Python float or int with str, whose text is repr's.
+FLOATS = [float("nan"), -0.0, 5e-324, 1e308]
+BIG = 2**70
 
 
 class TestErrorBenchmark:
@@ -57,12 +68,18 @@ class TestErrorBenchmark:
         assert a[0].rel_error == b[0].rel_error
 
     def test_csv_format(self, star3):
-        rows = error_benchmark([("star", star3)], "vnge", ["exact", "taylor"])
+        rows = error_benchmark([("star", star3), (ODD_NAME, star3)], "vnge",
+                               ["exact", "taylor"])
+        rows += [ErrorRow("x", "slq", "vnge", x, 1e308) for x in FLOATS]
         buf = io.StringIO()
         write_error_csv(rows, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "graph,method,kind,rel_error,seconds"
         assert lines[1].startswith("star,exact,vnge,0.0,")
+        assert lines[3].startswith('"a,""b"".tsv",exact,vnge,0.0,')
+        assert lines[5:] == [f"x,slq,vnge,{x!r},{1e308!r}" for x in FLOATS]
+        assert [row["graph"] for row in read_table(buf.getvalue())[:4]] == [
+            "star", "star", ODD_NAME, ODD_NAME]
 
 
 class TestKnnAccuracy:
@@ -141,6 +158,16 @@ class TestKnnAccuracy:
         result = knn_accuracy(features, labels, train_frac=0.5, repeats=20, seed=7)
         assert 0.0 <= result.mean_accuracy <= 1.0
 
+    def test_csv_format(self):
+        for x in FLOATS:
+            buf = io.StringIO()
+            write_classification_csv(ODD_NAME, "vnge", "slq", ClassificationResult(x, x, BIG),
+                                     buf)
+            assert buf.getvalue() == ("dataset,kind,method,mean_acc,std,repeats\n"
+                                      f'"a,""b"".tsv",vnge,slq,{x!r},{x!r},{BIG}\n')
+            [row] = read_table(buf.getvalue())
+            assert row["dataset"] == ODD_NAME
+
 
 class TestSnapshotSeries:
     def test_constant_series_all_zero(self):
@@ -212,11 +239,14 @@ class TestSnapshotSeries:
     def test_csv_format(self):
         series = load_snapshots("0 add 0 1\n1 add 2 3", granularity=1.0)
         rows = snapshot_distance_series(series, "vnge", "exact")
+        rows += [SnapshotRow(BIG, x, BIG, BIG) for x in FLOATS]
         buf = io.StringIO()
         write_snapshot_csv(rows, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "index,distance,added,removed"
         assert lines[1] == "0,0.0,1,0"
+        assert lines[-len(FLOATS):] == [f"{BIG},{x!r},{BIG},{BIG}" for x in FLOATS]
+        assert len(read_table(buf.getvalue())) == len(rows)
 
 
 def _drift_stream(events=20_000, vertices=2_000, seed=0):

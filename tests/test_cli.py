@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, byte determinism."""
 
 import errno
+import io
 import json
 import math
 import os
@@ -13,6 +14,8 @@ import pytest
 import spectrace
 from spectrace import _scipy, bench, erdos_renyi, operators
 from spectrace.cli import build_parser, main
+
+from conftest import read_table
 
 
 @pytest.fixture
@@ -243,8 +246,8 @@ class TestSnapshots:
 
 
 class TestByteOrderMark:
-    """A file that starts with a UTF-8 byte-order mark gives the output of
-    its copy without one."""
+    """An input that starts with a UTF-8 byte-order mark, read from a file or
+    from stdin, gives the output of its copy without one."""
 
     CASES = {
         "edge-list": ({"g.tsv": "0 1\n1 2\n"},
@@ -265,20 +268,55 @@ class TestByteOrderMark:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_same_output_as_without_mark(self, capsys, tmp_path, case):
+    def test_same_output_as_without_mark(self, capsys, monkeypatch, tmp_path, case):
         files, argv = self.CASES[case]
-        outputs = []
-        for mark in ("", "\ufeff"):
-            folder = tmp_path / ("marked" if mark else "plain")
-            folder.mkdir()
-            for name, text in files.items():
-                (folder / name).write_text(mark + text, encoding="utf-8")
-            code, out, err = run(capsys, *[str(folder / a) if a in files else a
-                                           for a in argv + ["--method", "exact"]])
-            assert code == 0 and err == ""
-            outputs.append(out)
-        assert outputs[0] == outputs[1] != ""
-        assert (tmp_path / "marked" / next(iter(files))).read_bytes()[:3] == b"\xef\xbb\xbf"
+        first = next(iter(files))  # the input the subcommand's flag names
+        for source in ("file", "stdin"):
+            outputs = []
+            for mark in ("", "\ufeff"):
+                folder = tmp_path / source / ("marked" if mark else "plain")
+                folder.mkdir(parents=True)
+                for name, text in files.items():
+                    (folder / name).write_text(mark + text, encoding="utf-8")
+                paths = {name: str(folder / name) for name in files}
+                if source == "stdin":
+                    # a manifest on stdin resolves its graph paths against
+                    # the working directory
+                    monkeypatch.chdir(folder)
+                    monkeypatch.setattr("sys.stdin", io.StringIO(mark + files[first]))
+                    paths[first] = "-"
+                code, out, err = run(capsys, *[paths.get(a, a)
+                                               for a in argv + ["--method", "exact"]])
+                assert code == 0 and err == "", source
+                outputs.append(out)
+            assert outputs[0] == outputs[1] != "", source
+        assert (tmp_path / "file" / "marked" / first).read_bytes()[:3] == b"\xef\xbb\xbf"
+
+
+class TestCsvNames:
+    """A graph or manifest name that holds a comma or a quote comes back
+    unchanged, in its own column, when a table is read as the benchmark
+    reads it."""
+
+    def test_bench_error_graph_name(self, capsys, tmp_path):
+        graph, out = tmp_path / 'a,"b".tsv', tmp_path / "error.csv"
+        graph.write_text("0 1\n1 2\n")
+        code, _, err = run(capsys, "bench-error", "--inputs", str(graph), "--kind", "vnge",
+                           "--methods", "exact,taylor", "--output", str(out))
+        assert code == 0 and err == ""
+        assert [row["graph"] for row in read_table(out.read_text())] == [graph.name] * 2
+
+    def test_classify_manifest_name(self, capsys, tmp_path):
+        for name, text in [("a0.tsv", "0 1\n"), ("a1.tsv", "0 1\n1 2\n0 2\n"),
+                           ("b0.tsv", "0 1\n1 2\n"), ("b1.tsv", "0 1\n1 2\n2 3\n")]:
+            (tmp_path / name).write_text(text)
+        manifest, out = tmp_path / "m,1.csv", tmp_path / "acc.csv"
+        manifest.write_text("a0.tsv,a\na1.tsv,a\nb0.tsv,b\nb1.tsv,b\n")
+        code, _, err = run(capsys, "classify", "--manifest", str(manifest), "--kind", "vnge",
+                           "--method", "exact", "--repeats", "5", "--output", str(out))
+        assert code == 0 and err == ""
+        [row] = read_table(out.read_text())
+        assert row["dataset"] == "m,1"
 
 
 class TestClassify:
