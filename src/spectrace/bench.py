@@ -8,9 +8,7 @@ snapshots       index,distance,added,removed
 The emitters write through ``csv.writer`` with the csv module's minimal
 quoting: a field that holds a comma, a quote or a newline is quoted, so a
 graph or dataset name with a comma keeps its column; every other field is
-left bare, and a number reads as ``repr`` writes it. The ``classify``
-manifest is not read that way: each of its lines splits at every comma, so
-it cannot list a path that holds one.
+left bare, and a number reads as ``repr`` writes it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import os
 import sys
 from pathlib import Path
@@ -61,7 +62,7 @@ def _add_descriptor_options(p: argparse.ArgumentParser, method: bool = True) -> 
             f"{kind}: {', '.join(methods)}" for kind, methods in bench.METHODS.items()))
     p.add_argument("--nv", type=int, default=100, help="probe vectors")
     p.add_argument("--steps", type=int, default=10, help="Lanczos steps per probe")
-    p.add_argument("--distribution", choices=("rademacher", "gaussian"),
+    p.add_argument("--distribution", choices=("rademacher",),
                    default="rademacher", help="probe distribution")
     p.add_argument("--seed", type=int, default=0, help="estimator master seed")
     p.add_argument("--t-min", type=float, default=1e-2, help="first heat time")
@@ -170,7 +171,8 @@ def _cmd_classify(args) -> int:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(",")
+        # a quoted path keeps its commas, as the output tables quote a name
+        fields = next(csv.reader([line]))
         if len(fields) != 2:
             raise EdgeListError(f"manifest expects 'path,label': {line!r}", lineno)
         paths.append(fields[0].strip())

@@ -40,20 +40,24 @@ vertices by at most 0.01 standard errors, and by 0.19 at large t for the
 heat trace of 1024 disjoint edges (the eigenvalue-0 node moves by about
 6e-6).
 
-Up to MAX_BLOCK_WIDTH Rademacher probes come from a sign bank, one per
-process (``_sign_bank``): a normalized sign probe is exactly +-1/sqrt(n),
-so the bank keeps only each probe's packed signs, drawn at
-max(n, MIN_PARALLEL_DIM - 1) entries, and only the latest (seed, n_v,
-length). An n-vertex graph reads the first n signs of each row: the first
-n values of a longer ``integers(0, 2)`` draw equal an n-long draw. So every
-graph below MIN_PARALLEL_DIM shares one bank of n_v x 256 bytes (25.6 KB at
-n_v=100), and a corpus of small graphs draws its probes once instead of
-once per graph; from MIN_PARALLEL_DIM on the bank takes n_v x ceil(n / 8)
-bytes (250 KB at n_v=100 and n=20k, 12.5 MB at n=1M). Each block draws its
-own probes the first time it runs, so a series of graphs of one size, as
+Every probe is a Rademacher probe: its entries are independent random
+signs, which give the trace estimate the least variance (Hutchinson 1989;
+Avron & Toledo, JACM 2011). A normalized sign probe is exactly
++-1/sqrt(n), so a probe is kept as its packed signs, one bit per entry,
+and a block's columns are unpacked and scaled from them. Up to
+MAX_BLOCK_WIDTH probes come from a sign bank, one per process
+(``_sign_bank``), which keeps only the latest (seed, n_v, length), with
+each probe's signs drawn at max(n, MIN_PARALLEL_DIM - 1) entries. An
+n-vertex graph reads the first n signs of each row: the first n values of
+a longer ``integers(0, 2)`` draw equal an n-long draw. So every graph below
+MIN_PARALLEL_DIM shares one bank of n_v x 256 bytes (25.6 KB at n_v=100),
+and a corpus of small graphs draws its probes once instead of once per
+graph; from MIN_PARALLEL_DIM on the bank takes n_v x ceil(n / 8) bytes
+(250 KB at n_v=100 and n=20k, 12.5 MB at n=1M). Each block draws its own
+probes the first time it runs, so a series of graphs of one size, as
 ``snapshots`` walks, draws every probe once, and the first graph's draws
-still spread over the threads. Gaussian probes and more than
-MAX_BLOCK_WIDTH probes are drawn probe by probe for every block.
+still spread over the threads. With more than MAX_BLOCK_WIDTH probes each
+block draws and packs its own probes every time it runs.
 """
 
 from __future__ import annotations
@@ -70,8 +74,6 @@ from .lanczos import BlockTridiagonal, block_quadrature_rules, lanczos_block
 from .operators import LinearOperator
 
 __all__ = ["SlqConfig", "SlqEstimate", "slq_trace", "slq_trace_grid"]
-
-_DISTRIBUTIONS = ("rademacher", "gaussian")
 
 # Probes per Lanczos block on operators of at least MIN_PARALLEL_DIM rows,
 # and the unit blocks below it are padded to. Wider blocks gave no gain
@@ -112,7 +114,9 @@ class SlqConfig:
     """Estimator parameters: probe count, Lanczos steps, probe law, seed.
 
     The integer fields are stored as Python ints, so a configuration built
-    from numpy integers serializes as one built from ints does."""
+    from numpy integers serializes as one built from ints does. The probe
+    law has one value, "rademacher", which descriptors record in their
+    params."""
 
     n_v: int = 100
     s: int = 10
@@ -128,10 +132,8 @@ class SlqConfig:
             raise ValueError(f"s must be >= 1, got {self.s}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.distribution not in _DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {_DISTRIBUTIONS}, got {self.distribution!r}"
-            )
+        if self.distribution != "rademacher":
+            raise ValueError(f"distribution must be 'rademacher', got {self.distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,12 @@ class SlqEstimate:
     std_error: float
 
 
-def _draw_probe(seed: int, index: int, n: int, distribution: str) -> np.ndarray:
-    """Probe index's n raw entries, drawn from its own seed sequence: for a
-    Rademacher probe the int64 bits of ``integers(0, 2)``, whose signs
-    2 * bit - 1 the sign bank packs without a float copy, and standard
-    normal floats for a Gaussian one."""
+def _draw_probe(seed: int, index: int, n: int) -> np.ndarray:
+    """Probe index's n sign bits, drawn from its own seed sequence: the int64
+    bits of ``integers(0, 2)``, whose signs 2 * bit - 1 are packed without a
+    float copy."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    if distribution == "rademacher":
-        return rng.integers(0, 2, size=n)
-    return rng.standard_normal(n)
+    return rng.integers(0, 2, size=n)
 
 
 @functools.lru_cache(maxsize=1)
@@ -184,44 +183,37 @@ def _probe_block(
 
     From MIN_PARALLEL_DIM rows on, the block is float32, and lanczos_block
     runs in float32 with float64 reductions; below it the block is float64.
-    With at most MAX_BLOCK_WIDTH Rademacher probes, each probe's signs are
-    drawn once per process into the sign bank (``_sign_bank``), and its
-    column is +-1/sqrt(n) rounded to the block's dtype: the bits of the
-    per-probe draw, normalization in float64 and rounding, since the
-    draw's v.v is exactly n. Other probes are drawn probe by probe, a
-    Rademacher draw mapped to +-1, and normalized in float64, then rounded.
+    Each probe's packed signs come from the sign bank (``_sign_bank``) when
+    there are at most MAX_BLOCK_WIDTH probes, and are drawn for this block
+    otherwise. Its column is +-1/sqrt(n) rounded to the block's dtype: the
+    bits of the per-probe draw mapped to +-1, normalized in float64 and
+    rounded, since the draw's v.v is exactly n.
     """
     dtype = np.float64 if op.dim < MIN_PARALLEL_DIM else np.float32
     block = np.zeros((op.dim, width), dtype)
     last = min(first + width, cfg.n_v)
-    if cfg.distribution == "rademacher" and cfg.n_v <= MAX_BLOCK_WIDTH:
+    if cfg.n_v <= MAX_BLOCK_WIDTH:
         length = max(op.dim, MIN_PARALLEL_DIM - 1)
         with _SIGN_BANK_LOCK:
             signs, drawn = _sign_bank(cfg.seed, cfg.n_v, length)
         for index in range(first, last):
             if not drawn[index]:
                 # packed straight from the draw, which is freed at once
-                signs[index] = np.packbits(
-                    _draw_probe(cfg.seed, index, length, cfg.distribution))
+                signs[index] = np.packbits(_draw_probe(cfg.seed, index, length))
                 drawn[index] = True
-        # v.v is exactly n, so every normalized entry is +-1/sqrt(n) rounded,
-        # r or -r; 2r * bit - r is that, exactly, and ran 5x faster than
-        # np.where(bits, r, -r) on an (n, 8) block
-        r = dtype(1.0 / np.sqrt(op.dim))
-        probes = block[:, : last - first]
-        bits = np.unpackbits(signs[first:last], axis=1, count=op.dim)
-        np.multiply(bits.T, 2 * r, out=probes, dtype=dtype)
-        probes -= r
-        del probes, bits
+        packed = signs[first:last]
     else:
-        # not np.linalg.norm: its BLAS dot starts OpenBLAS threads above 10k
-        # entries, which then spin on the cores the workers need
-        for j, index in enumerate(range(first, last)):
-            v = _draw_probe(cfg.seed, index, op.dim, cfg.distribution)
-            if cfg.distribution == "rademacher":
-                v = v * 2.0 - 1.0
-            block[:, j] = v / np.sqrt(np.einsum("i,i->", v, v))
-        del v
+        packed = np.array([np.packbits(_draw_probe(cfg.seed, index, op.dim))
+                           for index in range(first, last)])
+    # v.v is exactly n, so every normalized entry is +-1/sqrt(n) rounded,
+    # r or -r; 2r * bit - r is that, exactly, and ran 5x faster than
+    # np.where(bits, r, -r) on an (n, 8) block
+    r = dtype(1.0 / np.sqrt(op.dim))
+    probes = block[:, : last - first]
+    bits = np.unpackbits(packed, axis=1, count=op.dim)
+    np.multiply(bits.T, 2 * r, out=probes, dtype=dtype)
+    probes -= r
+    del probes, bits, packed
     # handed over: lanczos_block frees the block once its recurrence is done with it
     start = [block]
     del block

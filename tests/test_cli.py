@@ -318,6 +318,30 @@ class TestCsvNames:
         [row] = read_table(out.read_text())
         assert row["dataset"] == "m,1"
 
+    def test_classify_quoted_graph_paths(self, capsys, tmp_path):
+        # each manifest line is read as a CSV row: a quoted path keeps its comma
+        for name, text in [("x,a0.tsv", "0 1\n"), ("x,a1.tsv", "0 1\n1 2\n0 2\n"),
+                           ("x,b0.tsv", "0 1\n1 2\n"), ("x,b1.tsv", "0 1\n1 2\n2 3\n")]:
+            (tmp_path / name).write_text(text)
+        manifest, out = tmp_path / "data.csv", tmp_path / "acc.csv"
+        manifest.write_text('"x,a0.tsv",a\n"x,a1.tsv",a\n"x,b0.tsv", b\n"x,b1.tsv",b\n')
+        code, _, err = run(capsys, "classify", "--manifest", str(manifest), "--kind", "vnge",
+                           "--method", "exact", "--repeats", "5", "--output", str(out))
+        assert code == 0 and err == ""
+        [row] = read_table(out.read_text())
+        assert row["dataset"] == "data" and float(row["mean_acc"]) >= 0
+
+    @pytest.mark.parametrize("line", ["x,a0.tsv,a", '"x,a0.tsv,a', "a0.tsv", '"a0.tsv",a,'])
+    def test_classify_line_of_other_field_count(self, capsys, tmp_path, line):
+        # an unquoted comma in a path, an unclosed quote, a missing label and
+        # a trailing comma each give a row of other than two fields
+        manifest = tmp_path / "data.csv"
+        manifest.write_text(f"# path,label\na0.tsv,a\n\n{line}\n")
+        code, out, err = run(capsys, "classify", "--manifest", str(manifest), "--kind",
+                             "vnge", "--method", "exact")
+        assert (code, out) == (2, "")
+        assert err == f"spectrace: error: line 4: manifest expects 'path,label': {line!r}\n"
+
 
 class TestClassify:
     def test_manifest_flow(self, capsys, tmp_path):
@@ -368,6 +392,7 @@ class TestExitCodes:
         _usage_case("descriptor", "--threads", "0", id="0"),
         _usage_case("descriptor", "--threads", "-1", id="-1"),
         _usage_case("descriptor", "--nv", "0"),
+        _usage_case("descriptor", "--distribution", "gaussian"),
         _usage_case("descriptor", "--steps", "0"),
         _usage_case("descriptor", "--grid-points", "0"),
         _usage_case("descriptor", "--k", "0"),
